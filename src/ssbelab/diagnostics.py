@@ -26,8 +26,6 @@ import numpy as np
 
 CHECKPOINTS = (10**3, 10**4, 10**5)
 
-_SQRT_HALF_PI_INV = math.sqrt(2.0 / math.pi)  # E|Z| for standard normal Z
-
 
 @dataclass
 class Checkpoint:
@@ -48,7 +46,6 @@ class DiagnosticState:
     window: int
     n: int = 0
     running_sup_norm: float = 0.0
-    running_inf_norm: float = math.inf
     sum_sq: float = 0.0
     M_n: float = 0.0
     QV_bound: float = 0.0
@@ -87,7 +84,6 @@ class DiagnosticState:
         sq = float(x_new @ x_new)
         norm = math.sqrt(sq)
         self.running_sup_norm = max(self.running_sup_norm, norm)
-        self.running_inf_norm = min(self.running_inf_norm, norm)
         self._push_window(norm)
         self.sum_sq += sq
         # 2 sqrt(h) <x*, sigma xi> recovered from the stored shock.
@@ -256,45 +252,3 @@ def r_function(drift, h: float, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     fx = drift(x)
     return float(2.0 * np.dot(x, fx) + h * np.dot(fx, fx))
-
-
-def gaussian_abs_moment_check(scale: float, resamples: int, seed: int = 0) -> tuple[float, float]:
-    """Resample E|Y| for Y ~ N(0, scale^2) and compare with scale*sqrt(2/pi).
-
-    Returns (sample mean, relative deviation).  The relative deviation is
-    scale-invariant, so one batch of standard draws settles every step of a
-    path at once.
-    """
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
-    if scale == 0.0:
-        return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(int(resamples))
-    mean_abs = float(np.mean(np.abs(scale * z)))
-    target = scale * _SQRT_HALF_PI_INV
-    return mean_abs, abs(mean_abs - target) / target
-
-
-def conditional_abs_moment_statistic(record, schedule, resamples: int = 200_000, seed: int = 0) -> float:
-    """Max deviation of the conditional absolute-moment identity along a path.
-
-    For each step the martingale increment is conditionally normal with
-    variance s^2(n) = || 2 sqrt(h) sigma(n)^T x*(n) ||^2, so E|Y|^2 must be
-    (2/pi) s^2.  The deviation of the resampled mean from s sqrt(2/pi) is
-    scale-invariant; steps with s = 0 contribute zero deviation.
-    """
-    if record.X_star is None:
-        raise ValueError("moment-identity statistic needs a full path record")
-    sqrt_h = math.sqrt(record.h)
-    any_positive = False
-    for n in range(record.X_star.shape[0]):
-        sig = schedule.sigma(n)
-        y_vec = 2.0 * sqrt_h * sig.T @ record.X_star[n]
-        if float(np.dot(y_vec, y_vec)) > 0.0:
-            any_positive = True
-            break
-    if not any_positive:
-        return 0.0
-    _, deviation = gaussian_abs_moment_check(1.0, resamples, seed)
-    return deviation

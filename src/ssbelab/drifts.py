@@ -39,7 +39,6 @@ class DriftSpec:
     strong_mean_reverting: bool = False
     affine: bool = False
     affine_matrix: Optional[np.ndarray] = None
-    one_sided_lipschitz: Optional[float] = None
     componentwise: bool = False
     scalar_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     scalar_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -83,7 +82,6 @@ def make_drift(
     scalar_eval=None,
     scalar_deriv=None,
     jac=None,
-    one_sided_lipschitz=None,
 ) -> DriftSpec:
     """Wrap a user drift; flags are taken on trust (probe them yourself)."""
     return DriftSpec(
@@ -97,7 +95,6 @@ def make_drift(
         scalar_eval=scalar_eval,
         scalar_deriv=scalar_deriv,
         jac=jac,
-        one_sided_lipschitz=one_sided_lipschitz,
     )
 
 
@@ -199,7 +196,6 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             scalar_eval=sc_eval,
             scalar_deriv=sc_deriv,
             jac=jc,
-            one_sided_lipschitz=-lam,
             params={"lam": lam},
         )
     if name == "cubic":

@@ -6,10 +6,15 @@ One step reads
     X(n+1) = x*(n) + U(n+1),     U(n+1) = sqrt(h) sigma(n) xi(n+1)
 
 The shock U is stored exactly as computed, so the stored recurrence
-X[n+1] = Xstar[n] + U[n+1] holds at bit level.  The affine fast path
-replaces the implicit stage by the precomputed one-step map C(h) applied
-through a dense LU factorisation of (I - hA).
+X[n+1] = Xstar[n] + U[n+1] holds at bit level.
 
+Both engines take the implicit stage from one rule, read from the drift's
+declared structure (``stage_rule``): an affine drift f(x) = -A x applies
+the precomputed one-step map C(h) = (I - hA)^{-1}; a block of
+componentwise states goes through ``solve_componentwise`` whole; any other
+state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
+
+``integrate`` generates one path with its full, thinned or summary record.
 ``integrate_paths_lockstep`` advances a block of paths in parallel arrays
 (one substream per path, noise drawn blockwise in each path's own order),
 which is what makes desk-scale ensembles cheap; it reproduces ``integrate``
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
+from ssbelab.affine import build_C
 from ssbelab.diagnostics import BatchDiagnostics, DiagnosticState, PathSummary, summarize
 from ssbelab.gaussian import GaussianStream, derive_substream
 from ssbelab.implicit import SolverError, solve_componentwise, solve_scalar, solve_vector
@@ -71,6 +76,52 @@ def default_window(steps: int) -> int:
     return max(1, min(steps, max(1000, math.ceil(0.01 * steps))))
 
 
+def _initial_state(zeta, d: int) -> np.ndarray:
+    """zeta as a finite float array of shape (d,); raises ValueError otherwise."""
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.float64))
+    if zeta.shape != (d,):
+        raise ValueError(f"initial state must have shape ({d},)")
+    if not np.isfinite(zeta).all():
+        raise ValueError(f"initial state must be finite, got {zeta.tolist()}")
+    return zeta
+
+
+def _solve_path(drift, h, x, tol):
+    if drift.d == 1:
+        return np.array([solve_scalar(drift, h, float(x[0]), tol).x_star])
+    return np.asarray(solve_vector(drift, h, x, tol).x_star, dtype=np.float64)
+
+
+def _solve_rows(drift, h, X, tol):
+    out = np.empty_like(X)
+    for i, x in enumerate(X):
+        try:
+            out[i] = _solve_path(drift, h, x, tol)
+        except SolverError as exc:
+            exc.row_index = i
+            raise
+    return out
+
+
+def stage_rule(drift, h: float, tol: float, block: bool):
+    """The implicit stage x -> x*, x* = x - h f(x*), chosen from the drift's structure.
+
+    Returns a map on one (d,) state, or on an (m, d) block of states when
+    ``block`` is set.  An affine drift applies C(h) = (I - hA)^{-1}; a block
+    of componentwise states is solved whole by ``solve_componentwise``; any
+    other state goes through ``solve_scalar`` (d = 1) or ``solve_vector``,
+    and a failing row of a block is named by ``SolverError.row_index``.
+    """
+    if drift.affine:
+        C_T = build_C(drift.affine_matrix, h).T
+        return lambda X: X @ C_T
+    if not block:
+        return lambda x: _solve_path(drift, h, x, tol)
+    if drift.componentwise:
+        return lambda X: solve_componentwise(drift, h, X, tol)[0]
+    return lambda X: _solve_rows(drift, h, X, tol)
+
+
 def integrate(
     drift,
     schedule,
@@ -86,10 +137,8 @@ def integrate(
     A failed implicit solve aborts with the step index; the partial record
     is attached to the raised SolverError.
     """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.float64))
     d = drift.d
-    if zeta.shape != (d,):
-        raise ValueError(f"initial state must have shape ({d},)")
+    zeta = _initial_state(zeta, d)
     if schedule.d != d or schedule.r != stream.r:
         raise ValueError("drift, schedule and stream dimensions disagree")
     if steps < 1:
@@ -98,6 +147,7 @@ def integrate(
     h = schedule.h
     sqrt_h = math.sqrt(h)
     window = default_window(steps) if window is None else int(window)
+    stage = stage_rule(drift, h, tol, block=False)
 
     diag = DiagnosticState(d=d, h=h, window=window)
     diag.start(zeta)
@@ -113,7 +163,6 @@ def integrate(
         thin_rows.append((0, zeta.copy()))
 
     x = zeta.copy()
-    scalar = d == 1
     scalar_env = schedule.envelope is not None
     base_T = schedule.base.T if scalar_env else None
     chunk = 4096
@@ -135,12 +184,7 @@ def integrate(
         for j in range(block):
             step = n + j
             try:
-                if scalar:
-                    sol = solve_scalar(drift, h, float(x[0]), tol)
-                    x_star = np.array([sol.x_star])
-                else:
-                    sol = solve_vector(drift, h, x, tol)
-                    x_star = np.asarray(sol.x_star, dtype=np.float64)
+                x_star = stage(x)
             except SolverError as exc:
                 exc.step_index = step
                 exc.partial_summary = summarize(
@@ -194,114 +238,6 @@ def integrate(
     )
 
 
-def integrate_affine(
-    A,
-    schedule,
-    zeta,
-    steps: int,
-    stream: GaussianStream,
-    record_mode: str = "full",
-    window: Optional[int] = None,
-) -> PathRecord:
-    """Exact affine path: the stage is x* = (I - hA)^{-1} X(n).
-
-    Requires every eigenvalue of A to lie in the open left half plane;
-    (I - hA) is then provably invertible but is checked anyway.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    d = A.shape[0]
-    if A.shape != (d, d):
-        raise ValueError("A must be square")
-    eigs = np.linalg.eigvals(A)
-    if not (eigs.real < 0).all():
-        raise ValueError("affine integrator requires Re(lambda) < 0 for all eigenvalues")
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.float64))
-    if zeta.shape != (d,):
-        raise ValueError(f"initial state must have shape ({d},)")
-    h = schedule.h
-    I_hA = np.eye(d) - h * A
-    if not np.isfinite(np.linalg.cond(I_hA)) or np.linalg.cond(I_hA) > 1e14:
-        raise ValueError("I - hA is numerically singular")
-    lu = lu_factor(I_hA)
-    mode, stride = _parse_record_mode(record_mode, steps)
-    sqrt_h = math.sqrt(h)
-    window = default_window(steps) if window is None else int(window)
-
-    diag = DiagnosticState(d=d, h=h, window=window)
-    diag.start(zeta)
-    full = mode == "full"
-    X_full = np.empty((steps + 1, d)) if full else None
-    Xs_full = np.empty((steps, d)) if full else None
-    U_full = np.empty((steps, d)) if full else None
-    thin_rows: list[tuple[int, np.ndarray]] = []
-    if full:
-        X_full[0] = zeta
-    elif mode == "thin":
-        thin_rows.append((0, zeta.copy()))
-
-    x = zeta.copy()
-    scalar_env = schedule.envelope is not None
-    base_T = schedule.base.T if scalar_env else None
-    chunk = 4096
-    n = 0
-    while n < steps:
-        block = min(chunk, steps - n)
-        xi_blk = stream.draw_block(block)
-        if scalar_env:
-            env = schedule.frobenius_grid(np.arange(n, n + block))
-            U_blk = (sqrt_h * env)[:, None] * (xi_blk @ base_T)
-            fro_blk = env
-        else:
-            U_blk = np.empty((block, d))
-            fro_blk = np.empty(block)
-            for j in range(block):
-                sg = schedule.sigma(n + j)
-                U_blk[j] = sqrt_h * (sg @ xi_blk[j])
-                fro_blk[j] = np.linalg.norm(sg)
-        for j in range(block):
-            step = n + j
-            x_star = lu_solve(lu, x)
-            u = U_blk[j]
-            x = x_star + u
-            if full:
-                X_full[step + 1] = x
-                Xs_full[step] = x_star
-                U_full[step] = u
-            elif mode == "thin" and ((step + 1) % stride == 0 or step + 1 == steps):
-                thin_rows.append((step + 1, x.copy()))
-            diag.update(x, x_star, u, fro_blk[j])
-        n += block
-
-    final_norm = float(np.linalg.norm(x))
-    if full:
-        X, X_star, U = X_full, Xs_full, U_full
-        stored = np.arange(steps + 1)
-    elif mode == "thin":
-        stored = np.array([i for i, _ in thin_rows])
-        X = np.vstack([row for _, row in thin_rows])
-        X_star = U = None
-    else:
-        X = X_star = U = stored = None
-    return PathRecord(
-        h=h,
-        N=steps,
-        d=d,
-        r=stream.r,
-        drift_id="affine",
-        schedule_id=schedule.kind,
-        master_seed=stream.master_seed,
-        path_index=stream.path_index,
-        tol=0.0,
-        record_mode=record_mode,
-        X=X,
-        X_star=X_star,
-        U=U,
-        stored_steps=stored,
-        diagnostics=diag,
-        summary=summarize(diag, stream.path_index, final_norm),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Lockstep ensembles.
 
@@ -333,13 +269,11 @@ def integrate_paths_lockstep(
     Each path draws from its own derived substream, in the same order the
     per-path integrator would, so a block reproduces looping ``integrate``
     over the same indices to solver tolerance (the noise is bit-identical;
-    implicit stages agree to the residual tolerance).  Requires a drift
-    the implicit stage can batch (componentwise, affine, or radial).
+    implicit stages agree to the residual tolerance).  The stage is
+    ``stage_rule`` on the whole (m, d) block.
     """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.float64))
     d = drift.d
-    if zeta.shape != (d,):
-        raise ValueError(f"initial state must have shape ({d},)")
+    zeta = _initial_state(zeta, d)
     path_indices = list(path_indices)
     m = len(path_indices)
     if m == 0:
@@ -348,35 +282,7 @@ def integrate_paths_lockstep(
     sqrt_h = math.sqrt(h)
     window = default_window(steps) if window is None else int(window)
     streams = [derive_substream(master_seed, p, r) for p in path_indices]
-
-    batch_mode = (
-        "componentwise"
-        if drift.componentwise
-        else "affine"
-        if drift.affine
-        else "radial"
-        if drift.radial
-        else "loop"
-    )
-    if batch_mode == "loop":
-        # No batchable structure: fall back to one path at a time.
-        out = []
-        for stream in streams:
-            try:
-                rec = integrate(drift, schedule, zeta, steps, stream, "summary", tol, window)
-            except SolverError as exc:
-                raise EnsemblePathError(
-                    f"path {stream.path_index} (master_seed {master_seed}) failed "
-                    f"at step {exc.step_index}: {exc}",
-                    stream.path_index,
-                    exc.step_index,
-                    out,
-                ) from exc
-            out.append(rec.summary)
-        return out
-
-    if batch_mode == "affine":
-        lu = lu_factor(np.eye(d) - h * drift.affine_matrix)
+    stage = stage_rule(drift, h, tol, block=True)
 
     diag = BatchDiagnostics(m, d, h, window)
     X = np.tile(zeta, (m, 1))
@@ -395,12 +301,7 @@ def integrate_paths_lockstep(
         for j in range(block):
             step = n + j
             try:
-                if batch_mode == "componentwise":
-                    x_star, _, _ = solve_componentwise(drift, h, X, tol)
-                elif batch_mode == "affine":
-                    x_star = lu_solve(lu, X.T).T
-                else:  # radial
-                    x_star = _radial_batch(drift, h, X, tol)
+                x_star = stage(X)
             except SolverError as exc:
                 fail_row = getattr(exc, "row_index", None)
                 if fail_row is None and exc.best is not None and np.ndim(exc.best) == 2:
@@ -429,21 +330,6 @@ def integrate_paths_lockstep(
 
     final_norms = np.linalg.norm(X, axis=1)
     return diag.summaries(path_indices, final_norms)
-
-
-def _radial_batch(drift, h, X, tol):
-    rhos = np.linalg.norm(X, axis=1)
-    out = np.zeros_like(X)
-    for i, rho in enumerate(rhos):
-        if rho == 0.0:
-            continue
-        try:
-            sol = solve_vector(drift, h, X[i], tol)
-        except SolverError as exc:
-            exc.row_index = i
-            raise
-        out[i] = sol.x_star
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,3 @@ def mills_envelope(x: float) -> float:
     if x <= 0:
         raise ValueError("Mills envelope requires x > 0")
     return math.exp(-0.5 * x * x) / (x * math.sqrt(2.0 * math.pi))
-
-
-def log_mills_envelope(x: float) -> float:
-    if x <= 0:
-        raise ValueError("Mills envelope requires x > 0")
-    return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI

@@ -118,7 +118,6 @@ class NoiseSchedule:
     matrix_eval: Optional[Callable[[int], np.ndarray]] = None
     analytic_L: Optional[float] = None
     sigma_vanishes: Optional[bool] = None
-    eventually_monotone: bool = False
     tail_s: Optional[Callable[[float, int], float]] = None
     tail_sprime: Optional[Callable[[float, int], float]] = None
 
@@ -194,7 +193,6 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             envelope=lambda ns: np.zeros_like(np.asarray(ns, dtype=np.float64)),
             analytic_L=0.0,
             sigma_vanishes=True,
-            eventually_monotone=True,
             tail_s=lambda eps, n: 0.0,
             tail_sprime=lambda eps, n: 0.0,
         )
@@ -213,7 +211,6 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             envelope=lambda ns, c=c: np.full_like(np.asarray(ns, dtype=np.float64), c),
             analytic_L=math.inf if c > 0 else 0.0,
             sigma_vanishes=c == 0.0,
-            eventually_monotone=True,
             tail_s=(lambda eps, n: 0.0) if c == 0.0 else None,
             tail_sprime=(lambda eps, n: 0.0) if c == 0.0 else None,
         )
@@ -233,7 +230,6 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             envelope=lambda ns, c=c, p=p: c * (np.asarray(ns, dtype=np.float64) + 1.0) ** -p,
             analytic_L=0.0,
             sigma_vanishes=True,
-            eventually_monotone=True,
             tail_s=lambda eps, n, c=c, p=p: _power_tail(c, p, 1.0, 1.0, eps, n, "s"),
             tail_sprime=lambda eps, n, c=c, p=p: _power_tail(c, p, 1.0, 1.0, eps, n, "sprime"),
         )
@@ -253,7 +249,6 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             envelope=lambda ns, c=c, rho=rho: c * rho ** np.asarray(ns, dtype=np.float64),
             analytic_L=0.0,
             sigma_vanishes=True,
-            eventually_monotone=True,
             tail_s=lambda eps, n, c=c, rho=rho: _geometric_tail(c, rho, eps, n, "s"),
             tail_sprime=lambda eps, n, c=c, rho=rho: _geometric_tail(c, rho, eps, n, "sprime"),
         )
@@ -275,7 +270,6 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             ),
             analytic_L=a,
             sigma_vanishes=True,
-            eventually_monotone=True,
             tail_s=lambda eps, n, a=a, b=b: _invlog_tail(a, b, 1.0, eps, n, "s"),
             tail_sprime=lambda eps, n, a=a, b=b: _invlog_tail(a, b, 1.0, eps, n, "sprime"),
         )
@@ -526,7 +520,6 @@ def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
             envelope=env,
             analytic_L=sigma.analytic_L,
             sigma_vanishes=sigma.sigma_vanishes,
-            eventually_monotone=sigma.monotone_sq_fro,
             tail_s=tail_s,
             tail_sprime=tail_sp,
         )
@@ -539,7 +532,6 @@ def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
         matrix_eval=lambda n, s=sigma, h=h: np.asarray(s(n * h), dtype=np.float64),
         analytic_L=sigma.analytic_L,
         sigma_vanishes=sigma.sigma_vanishes,
-        eventually_monotone=sigma.monotone_sq_fro,
         tail_s=tail_s,
         tail_sprime=tail_sp,
     )
@@ -563,7 +555,6 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
         params=dict(sigma.params),
         analytic_L=sigma.analytic_L,
         sigma_vanishes=sigma.sigma_vanishes,
-        eventually_monotone=sigma.monotone_sq_fro,
         tail_s=tail_s,
         tail_sprime=tail_sp,
     )

@@ -21,11 +21,11 @@ from ssbelab.affine import (
 )
 from ssbelab.classifier import classify, partial_sum_S
 from ssbelab.config import build_drift, build_run, build_schedule, load_config
-from ssbelab.drifts import builtin_drift
+from ssbelab.drifts import builtin_drift, make_drift
 from ssbelab.gaussian import derive_substream
 from ssbelab.harness import run_ensemble, summaries_csv_text
 from ssbelab.implicit import solve_scalar, solve_vector
-from ssbelab.integrator import energy_identity_residuals, integrate, integrate_affine
+from ssbelab.integrator import energy_identity_residuals, integrate
 from ssbelab.normal import log_tail_q, phi_cdf
 from ssbelab.schedules import from_sigma_cell_rms, from_sigma_sampled, schedule_family, sigma_family
 
@@ -104,9 +104,12 @@ def test_criterion_3_affine_exactness():
         A = rng.standard_normal((d, d)) - (d + 1.5) * np.eye(d)
         assert (np.linalg.eigvals(A).real < 0).all()
         drift = builtin_drift("linear", A=A)
+        # Same eval and jac, no declared structure: the stage goes through
+        # the nonlinear solvers instead of C(h).
+        undeclared = make_drift(drift.eval, d, name="undeclared", jac=drift.jac)
         sched = schedule_family("power", h=0.1, c=1.0, p=1.0, d=d, r=d)
-        r1 = integrate(drift, sched, np.ones(d), 1000, derive_substream(11, 0, d))
-        r2 = integrate_affine(A, sched, np.ones(d), 1000, derive_substream(11, 0, d))
+        r1 = integrate(undeclared, sched, np.ones(d), 1000, derive_substream(11, 0, d))
+        r2 = integrate(drift, sched, np.ones(d), 1000, derive_substream(11, 0, d))
         worst_dev = max(worst_dev, float(np.abs(r1.X - r2.X).max()))
     assert worst_dev <= 1e-9
 
@@ -153,7 +156,7 @@ def test_criterion_4_lyapunov():
         h = float(10.0 ** rng.uniform(-1.5, 0))
         system = build_affine_system(A, h)
         sched = schedule_family("inverse_log", h=h, a=2.0, b=2.0, d=d, r=d)
-        rec = integrate_affine(A, sched, np.ones(d), 1000, derive_substream(23, k, d))
+        rec = integrate(builtin_drift("linear", A=A), sched, np.ones(d), 1000, derive_substream(23, k, d))
         worst_dec = max(worst_dec, float(lyapunov_decrement_residuals(system, rec).max()))
     assert worst_dec <= 1e-8
     elapsed = time.time() - start

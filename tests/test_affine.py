@@ -10,8 +10,9 @@ from ssbelab.affine import (
     lyapunov_value,
     solve_discrete_lyapunov,
 )
+from ssbelab.drifts import builtin_drift
 from ssbelab.gaussian import derive_substream
-from ssbelab.integrator import integrate_affine
+from ssbelab.integrator import integrate
 from ssbelab.schedules import schedule_family
 
 
@@ -139,7 +140,7 @@ def test_decrement_identity_along_path():
     A = np.array([[-1.0, 2.0], [-2.0, -3.0]])
     system = build_affine_system(A, 0.2)
     sched = schedule_family("inverse_log", h=0.2, a=2.0, b=2.0, d=2, r=2)
-    rec = integrate_affine(A, sched, [1.0, -1.0], 1000, derive_substream(3, 0, 2))
+    rec = integrate(builtin_drift("linear", A=A), sched, [1.0, -1.0], 1000, derive_substream(3, 0, 2))
     resid = lyapunov_decrement_residuals(system, rec)
     assert float(resid.max()) <= 1e-8
 
@@ -148,5 +149,5 @@ def test_decrement_identity_zero_noise():
     A = np.array([[-0.5]])
     system = build_affine_system(A, 1.0)
     sched = schedule_family("zero", h=1.0)
-    rec = integrate_affine(A, sched, [2.0], 50, derive_substream(0, 0, 1))
+    rec = integrate(builtin_drift("linear", A=A), sched, [2.0], 50, derive_substream(0, 0, 1))
     assert float(lyapunov_decrement_residuals(system, rec).max()) <= 1e-12

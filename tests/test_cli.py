@@ -89,6 +89,13 @@ def test_experiment_seed_override_changes_rows(cfg_file, tmp_path):
     assert body(out1) == body(out3)
 
 
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_non_finite_zeta_exits_2(cfg_file, tmp_path, capsys, command):
+    rc = main([command, cfg_file, "--out", str(tmp_path), "--set", "run.zeta=nan"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_affine_command(tmp_path, capsys):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("affine.A = -1.0,2.0;-2.0,-3.0\nrun.h = 0.2\n")

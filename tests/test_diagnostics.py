@@ -5,8 +5,6 @@ import pytest
 
 from ssbelab.diagnostics import (
     DiagnosticState,
-    conditional_abs_moment_statistic,
-    gaussian_abs_moment_check,
     r_function,
     summarize,
 )
@@ -97,39 +95,6 @@ def test_r_function_values_and_trend():
     rec = integrate(drift, sched, [1.0], 30_000, derive_substream(5, 0, 1))
     rs = [r_function(drift, rec.h, rec.X_star[n]) for n in (100, 1000, 10_000, 29_999)]
     assert rs[-1] < 1e-4 and rs[-1] < rs[0]
-
-
-def test_gaussian_abs_moment_check():
-    mean, dev = gaussian_abs_moment_check(1.0, 1_000_000, seed=0)
-    assert mean == pytest.approx(math.sqrt(2.0 / math.pi), rel=5e-3)
-    assert dev < 5e-3
-    # Scale equivariance: the relative deviation is scale-free.
-    _, dev_scaled = gaussian_abs_moment_check(137.0, 1_000_000, seed=0)
-    assert dev_scaled == pytest.approx(dev, rel=1e-9)
-    assert gaussian_abs_moment_check(0.0, 100) == (0.0, 0.0)
-
-
-def test_moment_identity_statistic_zero_noise_path():
-    drift = builtin_drift("cubic")
-    sched = schedule_family("zero", h=1.0)
-    rec = integrate(drift, sched, [1.0], 50, derive_substream(0, 0, 1))
-    assert conditional_abs_moment_statistic(rec, sched) == 0.0
-
-
-def test_moment_identity_statistic_noisy_path():
-    drift = builtin_drift("cubic")
-    sched = schedule_family("constant", h=0.5, c=1.0)
-    rec = integrate(drift, sched, [1.0], 200, derive_substream(1, 0, 1))
-    dev = conditional_abs_moment_statistic(rec, sched, resamples=1_000_000, seed=0)
-    assert 0.0 < dev < 5e-3
-
-
-def test_moment_identity_needs_full_record():
-    drift = builtin_drift("cubic")
-    sched = schedule_family("constant", h=0.5, c=1.0)
-    rec = integrate(drift, sched, [1.0], 20, derive_substream(1, 0, 1), "summary")
-    with pytest.raises(ValueError):
-        conditional_abs_moment_statistic(rec, sched)
 
 
 def test_summarize_matches_state():

@@ -7,7 +7,6 @@ from ssbelab.integrator import (
     dump_path_csv,
     energy_identity_residuals,
     integrate,
-    integrate_affine,
     integrate_paths_lockstep,
     step_identity_residuals,
 )
@@ -87,30 +86,48 @@ def test_dimension_validation():
         integrate(drift, sched, [1.0, 1.0], 0, derive_substream(0, 0, 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_state_rejected(bad):
+    drift = builtin_drift("cubic")
+    sched = schedule_family("power", h=0.1, c=1.0, p=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(drift, sched, [bad], 10, derive_substream(0, 0, 1))
+    with pytest.raises(ValueError, match="finite"):
+        integrate_paths_lockstep(drift, sched, [bad], 10, 1, 0, range(2))
+
+
 def test_affine_scalar_map():
     sched = schedule_family("zero", h=0.1)
-    rec = integrate_affine(np.array([[-1.0]]), sched, [1.0], 3, derive_substream(0, 0, 1))
+    drift = builtin_drift("linear", A=np.array([[-1.0]]))
+    rec = integrate(drift, sched, [1.0], 3, derive_substream(0, 0, 1))
     assert rec.X[1, 0] == pytest.approx(1.0 / 1.1, rel=1e-15)
 
 
 def test_affine_zero_noise_identity_matrix():
     sched = schedule_family("zero", h=1.0, d=2, r=2)
-    rec = integrate_affine(-np.eye(2), sched, [1.0, 1.0], 8, derive_substream(0, 0, 2))
+    drift = builtin_drift("linear", A=-np.eye(2))
+    rec = integrate(drift, sched, [1.0, 1.0], 8, derive_substream(0, 0, 2))
     assert np.allclose(rec.X, 0.5 ** np.arange(9)[:, None] * np.ones(2), atol=1e-15)
 
 
 def test_affine_requires_stability():
     sched = schedule_family("zero", h=1.0)
     with pytest.raises(ValueError):
-        integrate_affine(np.array([[0.5]]), sched, [1.0], 3, derive_substream(0, 0, 1))
+        integrate(builtin_drift("linear", A=np.array([[0.5]])), sched, [1.0], 3,
+                  derive_substream(0, 0, 1))
+
+
+def _undeclared(drift):
+    """The same drift with no declared structure: its stage goes through Newton."""
+    return make_drift(drift.eval, drift.d, name="undeclared", jac=drift.jac)
 
 
 def test_affine_cross_check_same_seed():
     A = np.array([[-1.0, 0.5], [-0.5, -2.0]])
     drift = builtin_drift("linear", A=A)
     sched = schedule_family("power", h=0.1, c=1.0, p=1.0, d=2, r=2)
-    r1 = integrate(drift, sched, [1.0, -1.0], 1000, derive_substream(3, 7, 2))
-    r2 = integrate_affine(A, sched, [1.0, -1.0], 1000, derive_substream(3, 7, 2))
+    r1 = integrate(_undeclared(drift), sched, [1.0, -1.0], 1000, derive_substream(3, 7, 2))
+    r2 = integrate(drift, sched, [1.0, -1.0], 1000, derive_substream(3, 7, 2))
     assert np.abs(r1.X - r2.X).max() <= 1e-9
 
 
@@ -134,7 +151,7 @@ def test_lockstep_affine_and_fallback_routes():
     drift = builtin_drift("linear", A=A)
     sched = schedule_family("power", h=0.2, c=0.5, p=1.0)
     sums = integrate_paths_lockstep(drift, sched, [1.0], 800, 1, 5, range(3))
-    rec = integrate_affine(A, sched, [1.0], 800, derive_substream(5, 1, 1), "summary")
+    rec = integrate(drift, sched, [1.0], 800, derive_substream(5, 1, 1), "summary")
     match = [s for s in sums if s.path_index == 1][0]
     assert match.final_norm == pytest.approx(rec.summary.final_norm, abs=1e-10)
 
@@ -143,6 +160,29 @@ def test_lockstep_affine_and_fallback_routes():
     sums2 = integrate_paths_lockstep(gen, sched, [1.0], 100, 1, 5, range(2))
     rec2 = integrate(gen, sched, [1.0], 100, derive_substream(5, 0, 1), "summary")
     assert sums2[0].final_norm == pytest.approx(rec2.summary.final_norm, abs=1e-9)
+
+    # Radial drift, d = r = 3: lockstep and per-path runs call the same stage.
+    sat = builtin_drift("saturating", c=1.0, d=3)
+    sched3 = schedule_family("power", h=0.1, c=1.0, p=1.0, d=3, r=3)
+    sums3 = integrate_paths_lockstep(sat, sched3, [1.0, 1.0, 1.0], 300, 3, 8, range(3))
+    for s in sums3:
+        t = integrate(sat, sched3, [1.0, 1.0, 1.0], 300, derive_substream(8, s.path_index, 3),
+                      "summary").summary
+        for field in ("final_norm", "sup_norm", "window_min", "window_max", "time_avg_sq",
+                      "m_over_n", "m_abs_over_qv", "shock_sq_avg"):
+            assert getattr(s, field) == pytest.approx(getattr(t, field), abs=1e-12)
+
+    # Affine-declared block (C(h)) vs the same drift with no declared structure.
+    A2 = np.array([[-1.0, 0.5], [-0.5, -2.0]])
+    lin2 = builtin_drift("linear", A=A2)
+    sched2 = schedule_family("inverse_log", h=0.1, a=2.0, b=2.0, d=2, r=2)
+    fast = integrate_paths_lockstep(lin2, sched2, [1.0, -1.0], 500, 2, 6, range(3))
+    slow = integrate_paths_lockstep(_undeclared(lin2), sched2, [1.0, -1.0], 500, 2, 6, range(3))
+    for a, b in zip(fast, slow):
+        assert a.final_norm == pytest.approx(b.final_norm, abs=1e-9)
+        assert a.sup_norm == pytest.approx(b.sup_norm, abs=1e-9)
+        assert a.time_avg_sq == pytest.approx(b.time_avg_sq, abs=1e-9)
+        assert a.m_over_n == pytest.approx(b.m_over_n, abs=1e-9)
 
 
 def test_record_modes(tmp_path):
