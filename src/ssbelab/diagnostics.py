@@ -16,6 +16,11 @@ of 1000).  Alongside the extremes the state tracks:
 
 Snapshots are taken at logarithmically spaced checkpoints so trend
 evidence survives without storing whole paths.
+
+``DiagnosticState`` folds one path step by step.  ``BatchDiagnostics``,
+its lockstep twin, buffers ``BatchDiagnostics.CHUNK`` steps of a path
+block and folds them in whole-chunk numpy calls; the statistics, window
+and checkpoints come out bit-identical to a per-step fold.
 """
 
 from __future__ import annotations
@@ -162,7 +167,19 @@ def summarize(state: DiagnosticState, path_index: int, final_norm: float) -> Pat
 
 
 class BatchDiagnostics:
-    """Vectorised twin of DiagnosticState for lockstep path blocks."""
+    """Vectorised twin of DiagnosticState for lockstep path blocks.
+
+    ``update`` only copies one step's states, stages, shocks and sigma norm
+    into fixed (CHUNK, m, d) buffers.  Every CHUNK steps, and before any
+    summary, ``_flush`` folds the buffered steps into the running
+    statistics with whole-chunk calls: ``np.cumsum`` for the sums and
+    ``np.maximum.accumulate`` for the sup, with checkpoint snapshots read
+    at their exact step.  A cumsum adds in step order and a maximum is
+    exact, so every statistic is the same sequence of float operations as a
+    per-step fold.  ``n`` counts the folded steps.
+    """
+
+    CHUNK = 64
 
     def __init__(self, m: int, d: int, h: float, window: int):
         self.m, self.d, self.h = m, d, float(h)
@@ -176,6 +193,11 @@ class BatchDiagnostics:
         self.ring = np.empty((self.window, m))
         self.ring_len = 0
         self.snapshots: list[tuple[int, dict[str, np.ndarray]]] = []
+        self._x = np.empty((self.CHUNK, m, d))
+        self._xs = np.empty((self.CHUNK, m, d))
+        self._u = np.empty((self.CHUNK, m, d))
+        self._fro = np.empty(self.CHUNK)
+        self._k = 0
 
     def start(self, x0: np.ndarray) -> None:
         norms = np.linalg.norm(x0, axis=1)
@@ -184,31 +206,68 @@ class BatchDiagnostics:
         self.ring_len += 1
 
     def update(self, x_new: np.ndarray, x_star_prev: np.ndarray, u_new: np.ndarray, fro_prev: float) -> None:
-        self.n += 1
-        norms = np.linalg.norm(x_new, axis=1)
-        np.maximum(self.sup, norms, out=self.sup)
-        self.ring[self.ring_len % self.window] = norms
-        self.ring_len += 1
-        self.sum_sq += norms * norms
-        self.M += 2.0 * np.einsum("ij,ij->i", x_star_prev, u_new)
-        xs_sq = np.einsum("ij,ij->i", x_star_prev, x_star_prev)
-        self.QV += 4.0 * self.h * xs_sq * fro_prev * fro_prev
-        self.shock_sq += np.einsum("ij,ij->i", u_new, u_new) / self.h
-        if self.n in CHECKPOINTS:
-            self.snapshots.append(
-                (
-                    self.n,
-                    {
-                        "time_avg_sq": self.sum_sq / self.n,
-                        "m_over_n": self.M / self.n,
-                        "m_abs_over_qv": np.abs(self.M) / np.maximum(1.0, self.QV),
-                        "shock_sq_avg": self.shock_sq / self.n,
-                        "sup_norm": self.sup.copy(),
-                    },
+        k = self._k
+        self._x[k] = x_new
+        self._xs[k] = x_star_prev
+        self._u[k] = u_new
+        self._fro[k] = fro_prev
+        self._k = k + 1
+        if self._k == self.CHUNK:
+            self._flush()
+
+    @staticmethod
+    def _fold(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Running sums acc + terms[0] + ... + terms[t] for every t, in step order."""
+        terms[0] += acc
+        return np.cumsum(terms, axis=0, out=terms)
+
+    def _flush(self) -> None:
+        k = self._k
+        if k == 0:
+            return
+        self._k = 0
+        m, d, n0 = self.m, self.d, self.n
+        # (k * m, d) rows: the same row reductions a single step makes.
+        x = self._x[:k].reshape(k * m, d)
+        xs = self._xs[:k].reshape(k * m, d)
+        u = self._u[:k].reshape(k * m, d)
+        fro = self._fro[:k, None]
+        norms = np.linalg.norm(x, axis=1).reshape(k, m)
+        sup = np.maximum.accumulate(norms, axis=0)
+        np.maximum(sup, self.sup, out=sup)
+        first = max(0, k - self.window)
+        rows = (self.ring_len + np.arange(first, k)) % self.window
+        self.ring[rows] = norms[first:]
+        self.ring_len += k
+        sum_sq = self._fold(self.sum_sq, norms * norms)
+        M = self._fold(self.M, 2.0 * np.einsum("ij,ij->i", xs, u).reshape(k, m))
+        xs_sq = np.einsum("ij,ij->i", xs, xs).reshape(k, m)
+        QV = self._fold(self.QV, 4.0 * self.h * xs_sq * fro * fro)
+        shock_sq = self._fold(self.shock_sq, np.einsum("ij,ij->i", u, u).reshape(k, m) / self.h)
+        self.n = n0 + k
+        for cn in CHECKPOINTS:
+            if n0 < cn <= self.n:
+                t = cn - n0 - 1
+                self.snapshots.append(
+                    (
+                        cn,
+                        {
+                            "time_avg_sq": sum_sq[t] / cn,
+                            "m_over_n": M[t] / cn,
+                            "m_abs_over_qv": np.abs(M[t]) / np.maximum(1.0, QV[t]),
+                            "shock_sq_avg": shock_sq[t] / cn,
+                            "sup_norm": sup[t].copy(),
+                        },
+                    )
                 )
-            )
+        self.sup = sup[-1].copy()
+        self.sum_sq = sum_sq[-1].copy()
+        self.M = M[-1].copy()
+        self.QV = QV[-1].copy()
+        self.shock_sq = shock_sq[-1].copy()
 
     def summaries(self, path_indices, final_norms: np.ndarray) -> list[PathSummary]:
+        self._flush()
         filled = min(self.ring_len, self.window)
         wmin = self.ring[:filled].min(axis=0)
         wmax = self.ring[:filled].max(axis=0)

@@ -204,8 +204,9 @@ def builtin_drift(name: str, **params) -> DriftSpec:
         return _componentwise(
             "cubic",
             d,
-            lambda x: x + x**3,
-            lambda x: 1.0 + 3.0 * x**2,
+            # Products, not x**3: pow costs ~15x a multiply on small arrays.
+            lambda x: x + x * x * x,
+            lambda x: 1.0 + 3.0 * (x * x),
             {},
             dissipative=True,
             uniform_mean_reverting=True,

@@ -147,7 +147,8 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     """Vectorised elementwise solve for componentwise drifts.
 
     Operates on an array of any shape (each entry is an independent scalar
-    problem).  Returns (y, iterations, max_residual).
+    problem).  Returns (y, iterations, max_residual).  Without a declared
+    ``scalar_deriv`` every step bisects.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -160,35 +161,37 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     g = y - x + h * f(y)
     glo = lo - x + h * f(lo)
     iters = 0
-    for iters in range(1, MAX_BISECT + 1):
-        active = np.abs(g) > tol
-        if not active.any():
-            break
-        if df is not None:
-            slope = 1.0 + h * df(y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = y - g / slope
-            good = active & (cand > lo) & (cand < hi) & np.isfinite(cand)
-        else:
-            good = np.zeros_like(active)
-        mid = 0.5 * (lo + hi)
-        y_new = np.where(good, cand, mid)
-        y_new = np.where(active, y_new, y)
-        g_new = y_new - x + h * f(y_new)
-        # Newton candidates that fail to improve fall back to the midpoint.
-        worse = good & (np.abs(g_new) >= np.abs(g))
-        if worse.any():
-            y_new = np.where(worse, mid, y_new)
-            g_new = np.where(worse, mid - x + h * f(mid), g_new)
-        shrink_hi = active & (g_new * glo < 0.0)
-        shrink_lo = active & ~shrink_hi
-        hi = np.where(shrink_hi, y_new, hi)
-        lo = np.where(shrink_lo, y_new, lo)
-        glo = np.where(shrink_lo, g_new, glo)
-        y = np.where(active, y_new, y)
-        g = np.where(active, g_new, g)
+    # A converged entry keeps y_new = y, so its residual recomputes to the
+    # same bits and it never reactivates: y and g are replaced whole.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iters in range(1, MAX_BISECT + 1):
+            active = np.abs(g) > tol
+            if not np.count_nonzero(active):
+                break
+            mid = 0.5 * (lo + hi)
+            if df is None:
+                y_new = np.where(active, mid, y)
+            else:
+                cand = y - g / (1.0 + h * df(y))
+                # NaN and infinite candidates fail both comparisons: the bracket is finite.
+                good = active & (cand > lo) & (cand < hi)
+                y_new = np.where(active, np.where(good, cand, mid), y)
+            g_new = y_new - x + h * f(y_new)
+            if df is not None:
+                # Newton candidates that fail to improve fall back to the midpoint.
+                worse = good & (np.abs(g_new) >= np.abs(g))
+                if np.count_nonzero(worse):
+                    y_new = np.where(worse, mid, y_new)
+                    g_new = np.where(worse, mid - x + h * f(mid), g_new)
+            shrink_hi = active & (g_new * glo < 0.0)
+            shrink_lo = active & ~shrink_hi
+            hi = np.where(shrink_hi, y_new, hi)
+            lo = np.where(shrink_lo, y_new, lo)
+            glo = np.where(shrink_lo, g_new, glo)
+            y, g = y_new, g_new
     max_resid = float(np.abs(g).max()) if g.size else 0.0
-    if max_resid > tol:
+    # Written so that a NaN residual fails too.
+    if not max_resid <= tol:
         raise SolverError(
             f"componentwise solve stalled at residual {max_resid:.3e}",
             best=y,
@@ -198,20 +201,23 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     return y, iters, max_resid
 
 
+class _Ray:
+    """Scalar view of the radius equation t + h g(t) = rho for ``solve_scalar``."""
+
+    __slots__ = ("scalar_eval",)
+    d = 1
+    dissipative = True
+    scalar_deriv = None
+
+    def __init__(self, gain):
+        self.scalar_eval = gain
+
+
 def _solve_radial(drift, h, x, tol):
     rho = float(np.linalg.norm(x))
     if rho == 0.0:
         return np.zeros_like(x), 0, 0.0
-    gain = drift.radial_gain
-
-    class _Ray:
-        # Scalar view of the radius equation t + h g(t) = rho.
-        d = 1
-        dissipative = True
-        scalar_eval = staticmethod(lambda t: gain(t))
-        scalar_deriv = None
-
-    sol = solve_scalar(_Ray, h, rho, tol)
+    sol = solve_scalar(_Ray(drift.radial_gain), h, rho, tol)
     y = (sol.x_star / rho) * np.asarray(x, dtype=np.float64)
     return y, sol.iterations, sol.residual
 

@@ -274,6 +274,8 @@ def integrate_paths_lockstep(
     """
     d = drift.d
     zeta = _initial_state(zeta, d)
+    if schedule.d != d or schedule.r != r:
+        raise ValueError("drift, schedule and stream dimensions disagree")
     path_indices = list(path_indices)
     m = len(path_indices)
     if m == 0:

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from ssbelab.diagnostics import (
+    CHECKPOINTS,
+    BatchDiagnostics,
     DiagnosticState,
     r_function,
     summarize,
 )
-from ssbelab.drifts import builtin_drift
+from ssbelab.drifts import builtin_drift, make_drift
 from ssbelab.gaussian import derive_substream
-from ssbelab.integrator import integrate
-from ssbelab.schedules import schedule_family
+from ssbelab.integrator import EnsemblePathError, integrate, integrate_paths_lockstep
+from ssbelab.schedules import schedule_family, tabulated_schedule
 
 
 def _state(window=10, h=1.0, d=1):
@@ -105,3 +107,87 @@ def test_summarize_matches_state():
     assert summary.path_index == 7
     assert summary.sup_norm == 3.0
     assert summary.time_avg_sq == pytest.approx((1 + 4 + 9) / 3)
+
+
+class _PerStepBatch(BatchDiagnostics):
+    """Reference fold: the block statistics advanced one step at a time."""
+
+    def update(self, x_new, x_star_prev, u_new, fro_prev):
+        self.n += 1
+        norms = np.linalg.norm(x_new, axis=1)
+        np.maximum(self.sup, norms, out=self.sup)
+        self.ring[self.ring_len % self.window] = norms
+        self.ring_len += 1
+        self.sum_sq += norms * norms
+        self.M += 2.0 * np.einsum("ij,ij->i", x_star_prev, u_new)
+        xs_sq = np.einsum("ij,ij->i", x_star_prev, x_star_prev)
+        self.QV += 4.0 * self.h * xs_sq * fro_prev * fro_prev
+        self.shock_sq += np.einsum("ij,ij->i", u_new, u_new) / self.h
+        if self.n in CHECKPOINTS:
+            self.snapshots.append(
+                (
+                    self.n,
+                    {
+                        "time_avg_sq": self.sum_sq / self.n,
+                        "m_over_n": self.M / self.n,
+                        "m_abs_over_qv": np.abs(self.M) / np.maximum(1.0, self.QV),
+                        "shock_sq_avg": self.shock_sq / self.n,
+                        "sup_norm": self.sup.copy(),
+                    },
+                )
+            )
+
+
+def _feed(accs, rng, m, d, steps):
+    for _ in range(steps):
+        x = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0)
+        xs = rng.standard_normal((m, d))
+        u = 0.3 * rng.standard_normal((m, d))
+        fro = float(rng.uniform(0.0, 2.0))
+        for acc in accs:
+            acc.update(x, xs, u, fro)
+    return x
+
+
+@pytest.mark.parametrize(
+    "d, steps, window",
+    [(1, 1030, 10), (3, 1100, 100), (1, 37, 5), (3, 200, 1000)],
+)
+def test_chunked_fold_is_bit_identical_to_per_step(d, steps, window):
+    assert steps % BatchDiagnostics.CHUNK != 0
+    m, h = 7, 0.1
+    rng = np.random.default_rng(steps + d)
+    chunked = BatchDiagnostics(m, d, h, window)
+    reference = _PerStepBatch(m, d, h, window)
+    x0 = rng.standard_normal((m, d))
+    chunked.start(x0)
+    reference.start(x0)
+    half = steps // 2
+    x = _feed((chunked, reference), rng, m, d, half)
+    # A summary taken mid-chunk flushes first and the run goes on from there.
+    assert chunked.summaries(range(m), np.ones(m)) == reference.summaries(range(m), np.ones(m))
+    x = _feed((chunked, reference), rng, m, d, steps - half)
+    norms = np.linalg.norm(x, axis=1)
+    got = chunked.summaries(range(m), norms)
+    assert got == reference.summaries(range(m), norms)
+    assert chunked.n == steps
+    assert [c.n for c in got[0].checkpoints] == [n for n in CHECKPOINTS if n <= steps]
+
+
+def test_lockstep_failure_mid_chunk_keeps_completed_steps():
+    # Dissipative up to |x| = 5, anti-dissipative beyond: the stage has no
+    # root once a shock throws the state out.
+    drift = make_drift(
+        lambda x: np.where(np.abs(np.asarray(x, float)) <= 5.0, x, -np.asarray(x, float)),
+        1,
+        name="breaks_beyond_5",
+    )
+    table = np.column_stack([np.arange(200), np.full(200, 0.1)])
+    table[100, 1] = 1e4  # sigma(100) sets X(101) far outside the dissipative zone
+    sched = tabulated_schedule(table, h=0.1)
+    with pytest.raises(EnsemblePathError) as excinfo:
+        integrate_paths_lockstep(drift, sched, [1.0], 200, 1, 3, range(3), window=50)
+    exc = excinfo.value
+    assert exc.step_index == 101 and 101 % BatchDiagnostics.CHUNK != 0
+    completed = integrate_paths_lockstep(drift, sched, [1.0], 101, 1, 3, range(3), window=50)
+    assert exc.partial_summaries == completed

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ssbelab.drifts import builtin_drift, make_drift
 from ssbelab.implicit import (
+    MAX_BISECT,
     SolverError,
     solve_componentwise,
     solve_scalar,
@@ -171,6 +172,70 @@ def test_componentwise_batch_shapes():
     assert np.abs(g).max() <= 1e-12
     assert (np.abs(y) <= np.abs(x)).all()
     assert (y[x == 0.0] == 0.0).all()
+
+
+def _componentwise_loop_reference(drift, h, x, tol=1e-12):
+    """The componentwise loop with per-iteration selects on y and g, kept as an oracle."""
+    f, df = drift.scalar_eval, drift.scalar_deriv
+    x = np.asarray(x, dtype=np.float64)
+    lo, hi = np.minimum(x, 0.0), np.maximum(x, 0.0)
+    y = x.copy()
+    g = y - x + h * f(y)
+    glo = lo - x + h * f(lo)
+    iters = 0
+    for iters in range(1, MAX_BISECT + 1):
+        active = np.abs(g) > tol
+        if not active.any():
+            break
+        slope = 1.0 + h * df(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = y - g / slope
+        good = active & (cand > lo) & (cand < hi) & np.isfinite(cand)
+        mid = 0.5 * (lo + hi)
+        y_new = np.where(active, np.where(good, cand, mid), y)
+        g_new = y_new - x + h * f(y_new)
+        worse = good & (np.abs(g_new) >= np.abs(g))
+        if worse.any():
+            y_new = np.where(worse, mid, y_new)
+            g_new = np.where(worse, mid - x + h * f(mid), g_new)
+        shrink_hi = active & (g_new * glo < 0.0)
+        shrink_lo = active & ~shrink_hi
+        hi = np.where(shrink_hi, y_new, hi)
+        lo = np.where(shrink_lo, y_new, lo)
+        glo = np.where(shrink_lo, g_new, glo)
+        y = np.where(active, y_new, y)
+        g = np.where(active, g_new, g)
+    return np.where(x == 0.0, 0.0, y), iters, float(np.abs(g).max())
+
+
+@pytest.mark.parametrize("name", ["cubic", "arctan", "linear"])
+@pytest.mark.parametrize("h", [0.01, 0.1, 1.0])
+def test_componentwise_matches_reference_loop_bitwise(name, h):
+    drift = builtin_drift(name, lam=1.0) if name == "linear" else builtin_drift(name)
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        x = rng.standard_normal(200) * 10.0 ** rng.uniform(-6.0, 2.0)
+        x[rng.integers(0, 200, 3)] = 0.0
+        y, iters, resid = solve_componentwise(drift, h, x)
+        y_ref, iters_ref, resid_ref = _componentwise_loop_reference(drift, h, x)
+        assert np.array_equal(y, y_ref) and iters == iters_ref and resid == resid_ref
+
+
+def test_componentwise_without_derivative_bisects():
+    plain = make_drift(np.arctan, 1, name="arctan_no_deriv", scalar_eval=np.arctan)
+    x = np.array([-3.0, 0.0, 0.5, 40.0])
+    y, iters, resid = solve_componentwise(plain, 0.5, x)
+    assert resid <= 1e-12 and iters > 1
+    assert np.abs(y - x + 0.5 * np.arctan(y)).max() <= 1e-12
+    assert y[1] == 0.0
+
+
+def test_componentwise_nan_residual_is_a_failure():
+    holed = make_drift(lambda x: x, 1, name="holed",
+                       scalar_eval=lambda y: np.where(np.abs(y) > 0.5, np.nan, y),
+                       scalar_deriv=np.ones_like)
+    with pytest.raises(SolverError, match="nan"):
+        solve_componentwise(holed, 0.1, np.array([1.0, 0.1]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,16 @@ def test_dimension_validation():
         integrate(drift, sched, [1.0, 1.0], 10, derive_substream(0, 0, 2))  # r mismatch
     with pytest.raises(ValueError):
         integrate(drift, sched, [1.0, 1.0], 0, derive_substream(0, 0, 3))
+
+
+def test_lockstep_dimension_validation():
+    cubic2 = builtin_drift("cubic", d=2)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        integrate_paths_lockstep(cubic2, schedule_family("power", h=0.1, c=1.0, p=1.0),
+                                 [1.0, 1.0], 50, 1, 0, range(2))
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        integrate_paths_lockstep(cubic2, schedule_family("zero", h=0.1, d=2, r=3),
+                                 [1.0, 1.0], 50, 2, 0, range(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -183,6 +195,56 @@ def test_lockstep_affine_and_fallback_routes():
         assert a.sup_norm == pytest.approx(b.sup_norm, abs=1e-9)
         assert a.time_avg_sq == pytest.approx(b.time_avg_sq, abs=1e-9)
         assert a.m_over_n == pytest.approx(b.m_over_n, abs=1e-9)
+
+
+_SUMMARY_FIELDS = ("final_norm", "sup_norm", "window_min", "window_max", "time_avg_sq",
+                   "m_over_n", "m_abs_over_qv", "shock_sq_avg")
+
+
+def _summary_digest(summaries):
+    parts = []
+    for s in summaries:
+        parts.append(str(s.path_index))
+        parts += [float(getattr(s, f)).hex() for f in _SUMMARY_FIELDS]
+        for c in s.checkpoints:
+            parts.append(str(c.n))
+            parts += [float(v).hex() for v in (c.time_avg_sq, c.m_over_n, c.m_abs_over_qv,
+                                               c.shock_sq_avg, c.sup_norm)]
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+
+def test_lockstep_summaries_keep_their_bits():
+    """SHA-256 over float.hex of every summary field, seed 42, 1100 steps.
+
+    The digests were taken from the per-step diagnostics fold with the
+    cubic evaluated as x + x**3 (numpy 2.4, x86-64 Linux).  The chunked
+    fold reproduces them exactly.  The shipped cubic computes x * x * x,
+    which rounds twice where pow rounds once, so it is checked against the
+    pow form to 1e-14 relative instead.
+    """
+    sched = schedule_family("power", h=0.1, c=1.0, p=1.0)
+    pow_cubic = make_drift(lambda x: x + x**3, 1, name="pow_cubic",
+                           scalar_eval=lambda x: x + x**3,
+                           scalar_deriv=lambda x: 1.0 + 3.0 * x**2)
+    ref = integrate_paths_lockstep(pow_cubic, sched, [1.0], 1100, 1, 42, range(32))
+    assert _summary_digest(ref) == "30ceeac3d02ce299e36ca942dd76c9074012c275a2628292694ebf2e03b50172"
+    got = integrate_paths_lockstep(builtin_drift("cubic"), sched, [1.0], 1100, 1, 42, range(32))
+    for a, b in zip(got, ref):
+        for field in _SUMMARY_FIELDS:
+            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-14, abs=0.0)
+        assert [c.n for c in a.checkpoints] == [c.n for c in b.checkpoints] == [1000]
+
+    sat = integrate_paths_lockstep(
+        builtin_drift("saturating", c=1.0, d=3),
+        schedule_family("power", h=0.1, c=1.0, p=1.0, d=3, r=3),
+        [1.0, 1.0, 1.0], 1100, 3, 42, range(4),
+    )
+    assert _summary_digest(sat) == "cf9381f38e6c8f21797d9fffb29a746cc9abfab5e370bb09a6fd58223116bfef"
+    regime_c = integrate_paths_lockstep(
+        builtin_drift("linear", lam=1.0), schedule_family("constant", h=0.1, c=1.0),
+        [1.0], 1100, 1, 42, range(16),
+    )
+    assert _summary_digest(regime_c) == "f3fbf83ad9b49d93b6def56c97a58ef3a635028617c4a02e4c9de40d2e082d7c"
 
 
 def test_record_modes(tmp_path):
