@@ -59,20 +59,23 @@ def _frobenius_grid(schedule: NoiseSchedule, n_trunc: int) -> np.ndarray:
     return schedule.frobenius_grid(np.arange(n_trunc + 1))
 
 
-def _s_terms(fro: np.ndarray, eps: float) -> np.ndarray:
+def _s_terms(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     # Denormal norms overflow the ratio to inf, which is the right limit
     # (the term becomes Q(inf) = 0); silence the intermediate warnings.
-    x = np.full_like(fro, np.inf)
+    out.fill(np.inf)
     with np.errstate(over="ignore"):
-        np.divide(eps, fro, out=x, where=fro > 0)
-    return tail_q_grid(x)
+        np.divide(eps, fro, out=out, where=fro > 0)
+    return tail_q_grid(out, out=out)
 
 
-def _sprime_terms(fro: np.ndarray, eps: float) -> np.ndarray:
-    out = np.zeros_like(fro)
+def _sprime_terms(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     pos = fro > 0
+    out.fill(0.0)
     with np.errstate(under="ignore", over="ignore", divide="ignore"):
-        out[pos] = fro[pos] * np.exp(-0.5 * eps * eps / (fro[pos] * fro[pos]))
+        np.multiply(fro, fro, out=out, where=pos)
+        np.divide(-0.5 * eps * eps, out, out=out, where=pos)
+        np.exp(out, out=out, where=pos)
+        np.multiply(fro, out, out=out, where=pos)
     return out
 
 
@@ -86,7 +89,8 @@ def partial_sum_S(schedule: NoiseSchedule, epsilon: float, n_trunc: int) -> Seri
         raise ValueError("epsilon must be positive")
     if n_trunc < 0:
         raise ValueError("truncation index must be non-negative")
-    terms = _s_terms(_frobenius_grid(schedule, n_trunc), epsilon)
+    fro = _frobenius_grid(schedule, n_trunc)
+    terms = _s_terms(fro, epsilon, np.empty_like(fro))
     return SeriesPartial(
         value=float(terms.sum()),
         last_term=float(terms[-1]),
@@ -101,7 +105,8 @@ def partial_sum_Sprime(schedule: NoiseSchedule, epsilon: float, n_trunc: int) ->
         raise ValueError("epsilon must be positive")
     if n_trunc < 0:
         raise ValueError("truncation index must be non-negative")
-    terms = _sprime_terms(_frobenius_grid(schedule, n_trunc), epsilon)
+    fro = _frobenius_grid(schedule, n_trunc)
+    terms = _sprime_terms(fro, epsilon, np.empty_like(fro))
     return SeriesPartial(
         value=float(terms.sum()),
         last_term=float(terms[-1]),
@@ -175,9 +180,9 @@ def _divergence_signature(fro: np.ndarray, terms: np.ndarray, n_trunc: int) -> b
 
 
 def _evidence_for(
-    schedule: NoiseSchedule, fro: np.ndarray, eps: float, kind: str, n_trunc: int
+    schedule: NoiseSchedule, fro: np.ndarray, eps: float, kind: str, n_trunc: int, buf: np.ndarray
 ) -> EpsilonEvidence:
-    terms = _s_terms(fro, eps) if kind == "s" else _sprime_terms(fro, eps)
+    terms = (_s_terms if kind == "s" else _sprime_terms)(fro, eps, buf)
     partial = SeriesPartial(
         value=float(terms.sum()),
         last_term=float(terms[-1]),
@@ -238,10 +243,14 @@ def classify(
         notes.append(f"truncation clamped to the {rows}-row table")
 
     fro = _frobenius_grid(schedule, n_trunc)
+    # One buffer serves every evidence row: each row reads its terms before
+    # the next overwrites them, and fresh (n_trunc + 1)-float temporaries
+    # per row cost a page-faulting mmap each in a process that is still cold.
+    buf = np.empty_like(fro)
     kind = "sprime" if policy == "sprime" else "s"
-    evidence = [_evidence_for(schedule, fro, e, kind, n_trunc) for e in grid]
+    evidence = [_evidence_for(schedule, fro, e, kind, n_trunc, buf) for e in grid]
     alt_kind = "s" if kind == "sprime" else "sprime"
-    alt_evidence = [_evidence_for(schedule, fro, e, alt_kind, n_trunc) for e in grid]
+    alt_evidence = [_evidence_for(schedule, fro, e, alt_kind, n_trunc, buf) for e in grid]
     agreement = _routes_agree(evidence, alt_evidence)
 
     if policy == "auto" and schedule.analytic_L is not None:

@@ -146,6 +146,7 @@ def cmd_consistency(args) -> int:
     drift = cfg_mod.build_drift(cfg)
     sigma = cfg_mod.build_continuous_sigma(cfg, drift.d, cfg_mod.as_int(cfg, "run.r", 1))
     h_grid = cfg_mod.as_floats(cfg, "consistency.h_grid", required=True)
+    zeta = cfg_mod.as_floats(cfg, "run.zeta")
     report = run_consistency_suite(
         sigma,
         drift,
@@ -153,7 +154,7 @@ def cmd_consistency(args) -> int:
         master_seed=cfg_mod.as_int(cfg, "run.master_seed", required=True),
         paths=cfg_mod.as_int(cfg, "run.paths", 24),
         steps=cfg_mod.as_int(cfg, "run.steps", 20_000),
-        zeta=cfg_mod.as_floats(cfg, "run.zeta", [1.0]),
+        zeta=1.0 if zeta is None else zeta,
         epsilon_grid=_epsilon_grid(cfg),
     )
     records = consistency_report_records(report)

@@ -328,9 +328,12 @@ def run_consistency_suite(
             "consistency suite requires an exact cell integral or a "
             "non-increasing squared Frobenius norm"
         )
-    zeta_arr = np.atleast_1d(np.asarray(zeta, dtype=np.float64))
-    if zeta_arr.shape != (drift.d,):
-        zeta_arr = np.full(drift.d, float(np.atleast_1d(zeta)[0]))
+    # A scalar starts every component there; a vector must match the drift.
+    zeta_arr = np.asarray(zeta, dtype=np.float64)
+    if zeta_arr.ndim == 0:
+        zeta_arr = np.full(drift.d, float(zeta_arr))
+    elif zeta_arr.shape != (drift.d,):
+        raise ValueError(f"initial state must have shape ({drift.d},), got {zeta_arr.shape}")
     rows = []
     for h in h_grid:
         s_sampled = from_sigma_sampled(sigma, float(h))

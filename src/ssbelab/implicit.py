@@ -8,6 +8,9 @@ dimension the solver dispatches on drift structure: componentwise drifts
 decompose into scalar problems, rotationally symmetric drifts reduce to a
 radius equation on the ray through x, and general drifts get damped Newton
 (analytic Jacobian, else damped fixed point, else finite differences).
+The radial reduction is one row loop, ``solve_radial``, shared by both
+engines: ``solve_vector`` passes it one state, the integrator's block
+stage a block of states.
 
 Multiple solutions are tolerated; the chosen root is deterministic
 (bracket toward the origin for scalars, Newton basin of y0 = x otherwise)
@@ -18,6 +21,7 @@ enabled that contraction is checked after each solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +81,11 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
         return ImplicitSolution(0.0, 0, 0.0, "bisection")
     f = _scalar_f(drift)
     df = drift.scalar_deriv
-
-    def g(y):
-        return y - x + h * float(f(y))
-
+    # The residual G_x(y) = y - x + h f(y) is written out at each use
+    # rather than called through a closure on every iterate.
     lo, hi = (x, 0.0) if x < 0 else (0.0, x)
-    glo, ghi = g(lo), g(hi)
+    glo = lo - x + h * float(f(lo))
+    ghi = hi - x + h * float(f(hi))
     if glo == 0.0:
         return ImplicitSolution(lo, 0, 0.0, "bisection")
     if ghi == 0.0:
@@ -91,18 +94,19 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
         raise SolverError(
             "no sign change between 0 and x; drift is not dissipative there",
             best=x,
-            residual=abs(g(x)),
+            residual=abs(glo if x < 0 else ghi),  # G_x at y = x
         )
 
     y = 0.5 * (lo + hi)
-    gy = g(y)
-    best_y, best_g = y, abs(gy)
+    gy = y - x + h * float(f(y))
+    ag = abs(gy)
+    best_y, best_g = y, ag
     method = "bisection"
     newton_used = 0
     for it in range(1, MAX_BISECT + 1):
-        if abs(gy) <= tol:
+        if ag <= tol:
             _check_contract(drift, abs(x), abs(y))
-            return ImplicitSolution(y, it, abs(gy), method)
+            return ImplicitSolution(y, it, ag, method)
         # Try a Newton step from the current point; keep it only if it
         # stays inside the bracket, otherwise bisect.
         stepped = False
@@ -112,13 +116,14 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
                 cand = y - gy / slope
                 if lo < cand < hi:
                     newton_used += 1
-                    y_new, g_new = cand, g(cand)
-                    if abs(g_new) < abs(gy):
+                    y_new, g_new = cand, cand - x + h * float(f(cand))
+                    ag_new = abs(g_new)
+                    if ag_new < ag:
                         if g_new * glo < 0.0:
                             hi = y_new
                         else:
                             lo, glo = y_new, g_new
-                        y, gy = y_new, g_new
+                        y, gy, ag = y_new, g_new, ag_new
                         method = "newton"
                         stepped = True
         if not stepped:
@@ -127,10 +132,11 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
             else:
                 lo, glo = y, gy
             y = 0.5 * (lo + hi)
-            gy = g(y)
+            gy = y - x + h * float(f(y))
+            ag = abs(gy)
             method = "bisection"
-        if abs(gy) < best_g:
-            best_y, best_g = y, abs(gy)
+        if ag < best_g:
+            best_y, best_g = y, ag
         if lo == hi:
             break
     if best_g <= tol:
@@ -213,13 +219,38 @@ class _Ray:
         self.scalar_eval = gain
 
 
-def _solve_radial(drift, h, x, tol):
-    rho = float(np.linalg.norm(x))
-    if rho == 0.0:
-        return np.zeros_like(x), 0, 0.0
-    sol = solve_scalar(_Ray(drift.radial_gain), h, rho, tol)
-    y = (sol.x_star / rho) * np.asarray(x, dtype=np.float64)
-    return y, sol.iterations, sol.residual
+def solve_radial(
+    drift, h: float, X: np.ndarray, tol: float = DEFAULT_TOL, scalar_solve=solve_scalar
+):
+    """Row-by-row stage of an (m, d) block for a rotationally symmetric drift.
+
+    The radius t of row x's stage solves t + h g(t) = ||x|| (``scalar_solve``
+    on the ``_Ray`` view) and the stage is (t / ||x||) x.  ``scalar_solve``
+    is ``solve_scalar`` as the caller looks it up, so a wrapper the caller
+    installed (timing, counting) sees every radius solve.  A failing row is
+    named by ``SolverError.row_index``.  Returns (Y, most iterations of any
+    row, max_residual).
+    """
+    ray = _Ray(drift.radial_gain)
+    Y = np.empty_like(X)
+    iters, max_resid = 0, 0.0
+    for i, x in enumerate(X):
+        # np.linalg.norm's own formula; a batched einsum rounds differently.
+        rho = math.sqrt(x.dot(x))
+        if rho == 0.0:
+            Y[i] = 0.0
+            continue
+        try:
+            sol = scalar_solve(ray, h, rho, tol)
+        except SolverError as exc:
+            exc.row_index = i
+            raise
+        y = Y[i]
+        np.multiply(sol.x_star / rho, x, out=y)
+        _check_contract(drift, rho, math.sqrt(y.dot(y)))
+        iters = max(iters, sol.iterations)
+        max_resid = max(max_resid, sol.residual)
+    return Y, iters, max_resid
 
 
 def _fd_jac(drift, y, f0, eps=1e-7):
@@ -301,8 +332,8 @@ def solve_vector(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL) -> Im
         y, iters, resid = solve_componentwise(drift, h, x, tol)
         sol = ImplicitSolution(y, iters, resid, "newton")
     elif drift.radial:
-        y, iters, resid = _solve_radial(drift, h, x, tol)
-        sol = ImplicitSolution(y, iters, resid, "bisection")
+        Y, iters, resid = solve_radial(drift, h, x[None], tol)
+        return ImplicitSolution(Y[0], iters, resid, "bisection")
     else:
         if drift.jac is not None:
             y, iters, resid = _newton_vector(drift, h, x, tol, drift.jac)

@@ -11,7 +11,8 @@ X[n+1] = Xstar[n] + U[n+1] holds at bit level.
 Both engines take the implicit stage from one rule, read from the drift's
 declared structure (``stage_rule``): an affine drift f(x) = -A x applies
 the precomputed one-step map C(h) = (I - hA)^{-1}; a block of
-componentwise states goes through ``solve_componentwise`` whole; any other
+componentwise states goes through ``solve_componentwise`` whole and a
+block of radial states through ``solve_radial`` row by row; any other
 state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
 
 ``integrate`` generates one path with its full, thinned or summary record.
@@ -32,7 +33,13 @@ import numpy as np
 from ssbelab.affine import build_C
 from ssbelab.diagnostics import BatchDiagnostics, DiagnosticState, PathSummary, summarize
 from ssbelab.gaussian import GaussianStream, derive_substream
-from ssbelab.implicit import SolverError, solve_componentwise, solve_scalar, solve_vector
+from ssbelab.implicit import (
+    SolverError,
+    solve_componentwise,
+    solve_radial,
+    solve_scalar,
+    solve_vector,
+)
 
 ROOT_SELECTION_POLICY = "bracket root toward the origin (scalar); Newton basin of y0=x (vector)"
 
@@ -108,9 +115,11 @@ def stage_rule(drift, h: float, tol: float, block: bool):
 
     Returns a map on one (d,) state, or on an (m, d) block of states when
     ``block`` is set.  An affine drift applies C(h) = (I - hA)^{-1}; a block
-    of componentwise states is solved whole by ``solve_componentwise``; any
-    other state goes through ``solve_scalar`` (d = 1) or ``solve_vector``,
-    and a failing row of a block is named by ``SolverError.row_index``.
+    of componentwise states is solved whole by ``solve_componentwise``, a
+    block of radial states (d > 1) row by row by ``solve_radial``, the loop
+    ``solve_vector`` runs on one state; any other state goes through
+    ``solve_scalar`` (d = 1) or ``solve_vector``.  A failing row of a block
+    is named by ``SolverError.row_index``.
     """
     if drift.affine:
         C_T = build_C(drift.affine_matrix, h).T
@@ -119,6 +128,9 @@ def stage_rule(drift, h: float, tol: float, block: bool):
         return lambda x: _solve_path(drift, h, x, tol)
     if drift.componentwise:
         return lambda X: solve_componentwise(drift, h, X, tol)[0]
+    if drift.radial and drift.d > 1:
+        # Each row's radius solve goes through this module's solve_scalar.
+        return lambda X: solve_radial(drift, h, X, tol, solve_scalar)[0]
     return lambda X: _solve_rows(drift, h, X, tol)
 
 

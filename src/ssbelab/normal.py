@@ -23,6 +23,7 @@ series (Phi(inf) = 1).
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 from scipy.special import erfc as _erfc_arr
@@ -81,16 +82,19 @@ def log_tail_q(x: float) -> float:
     return math.log(0.5 * math.erfc(x / _SQRT2))
 
 
-def tail_q_grid(x: np.ndarray) -> np.ndarray:
+def tail_q_grid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorised Q over an array; entries may be +inf (term becomes 0).
 
     Bulk summation form: values below the underflow threshold come back as
-    exactly 0.0, which matches the series' zero-sigma convention.
+    exactly 0.0, which matches the series' zero-sigma convention.  With
+    ``out`` (which may be ``x`` itself) every step writes into it.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("normal tail argument is NaN")
-    return 0.5 * _erfc_arr(x / _SQRT2)
+    q = np.divide(x, _SQRT2, out=out)
+    _erfc_arr(q, out=q)
+    return np.multiply(0.5, q, out=q)
 
 
 def mills_envelope(x: float) -> float:

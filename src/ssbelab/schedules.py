@@ -65,6 +65,23 @@ def _geometric_tail(c: float, rho: float, eps: float, n: int, kind: str) -> floa
 
 
 def _power_tail(c: float, p: float, u: float, q: float, eps: float, n: int, kind: str) -> float:
+    try:
+        bound = _power_tail_direct(c, p, u, q, eps, n, kind)
+    except (ZeroDivisionError, OverflowError):
+        bound = math.nan
+    if not math.isnan(bound):
+        return bound
+    # The direct form left the double range (c * c underflows, or the
+    # exponent w overflows).  If the first remaining exponent w(n + 1) is
+    # itself past it, every remaining term is below exp(-1e307) and the
+    # smallest positive double is still a true upper bound; otherwise no
+    # bound is claimed.
+    log_gam = 2.0 * (math.log(eps) - math.log(c)) - math.log(2.0)
+    log_w = log_gam + 2.0 * p * math.log(u * (n + 1) + q)
+    return _TINY if log_w > 707.0 else math.inf
+
+
+def _power_tail_direct(c: float, p: float, u: float, q: float, eps: float, n: int, kind: str):
     # fro(j) = c (u j + q)^{-p}; substitution w = (eps^2/2c^2)(u s + q)^{2p}
     # turns the integral comparison into an upper incomplete gamma.
     gam = eps * eps / (2.0 * c * c)

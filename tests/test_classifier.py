@@ -15,6 +15,7 @@ from ssbelab.classifier import (
 )
 from ssbelab.schedules import (
     from_sigma_cell_rms,
+    from_sigma_sampled,
     schedule_family,
     sigma_family,
     tabulated_schedule,
@@ -181,3 +182,62 @@ def test_default_grid_shape():
     grid = default_epsilon_grid()
     assert len(grid) == 13
     assert grid[0] == pytest.approx(1e-2) and grid[-1] == pytest.approx(1e1)
+
+
+# SHA-256 over every regime_report_records line under the policies auto, s
+# and sprime (default grid, n_trunc = 1e5).  Taken with each evidence row in
+# its own fresh arrays (numpy 2.4.6, scipy 1.17.1, x86-64 Linux); the shared
+# term buffer must reproduce them.
+REPORT_DIGESTS = {
+    "power": ("b6c6dcb9038898f7ad23073f45395a9b007ff0346bcae624f91bbcbaae6adaab",
+              lambda: schedule_family("power", h=0.1, c=1.0, p=1.0)),
+    "power_p06": ("e514481b0a029bd2830461be4bcf6e9fb01a71a18515897e39c7b289e95a3b42",
+                  lambda: schedule_family("power", h=0.1, c=2.0, p=0.6)),
+    "inverse_log": ("fac15ba63f5cb2e9cae1c7d5a1e7bdd066ee5276c220e437a76f796d549db571",
+                    lambda: schedule_family("inverse_log", h=0.1, a=2.0, b=2.0)),
+    "constant_0": ("e90acc97f5b87f9500c83cda728aaa667fff801ae4b41a88d3a8c7d23f658167",
+                   lambda: schedule_family("constant", h=0.1, c=0.0)),
+    "constant_1": ("207104e81cc63e9e1b5044577b75ee62046e53d9f9e5391508758948559a151b",
+                   lambda: schedule_family("constant", h=0.1, c=1.0)),
+    "geometric": ("b8d89dc276e2daa37cae8a841faf78677d6841664d283b29ede71599afd2ed53",
+                  lambda: schedule_family("geometric", h=0.1, c=1.0, rho=0.9)),
+    "zero": ("e90acc97f5b87f9500c83cda728aaa667fff801ae4b41a88d3a8c7d23f658167",
+             lambda: schedule_family("zero", h=0.1)),
+    "sampled_exp_decay": (
+        "c248c6413ab99d25a52c8f486db7ef10539e50facd7d0e46c20dcd796771bcae",
+        lambda: from_sigma_sampled(sigma_family("exp_decay", c=1.0, a=1.0), 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_regime_report_records_keep_their_bytes(name):
+    import hashlib
+
+    digest, build = REPORT_DIGESTS[name]
+    sched = build()
+    parts = []
+    for policy in ("auto", "s", "sprime"):
+        rec = regime_report_records(classify(sched, policy=policy))
+        parts += [f"{policy}:{k}={v}" for k, v in rec.items()]
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build, n_trunc", [
+    (lambda: schedule_family("power", h=0.1, c=1e-170, p=1.0), 2000),  # c * c underflows
+    (lambda: schedule_family("power", h=0.1, c=1e-160, p=1.0), 2000),  # w overflows to inf
+    (lambda: schedule_family("power", h=0.1, c=1.0, p=40.0), 100_000),  # (n + 1)^{2p} overflows
+    (lambda: from_sigma_sampled(sigma_family("power_decay", c=1e-170, p=1.0), 0.1), 2000),
+    (lambda: from_sigma_cell_rms(sigma_family("power_decay", c=1e-170, p=0.6), 0.1), 2000),
+], ids=["tiny_c", "small_c", "large_p", "sampled_tiny_c", "cell_rms_tiny_c"])
+def test_power_tail_bound_stays_finite_at_extreme_parameters(build, n_trunc):
+    sched = build()
+    for policy in ("auto", "s", "sprime"):
+        rep = classify(sched, policy=policy, n_trunc=n_trunc)
+        assert rep.regime == "A"
+        for ev in rep.evidence:
+            # The last terms underflow to 0; the remainder bound stays finite.
+            assert ev.partial.last_term == 0.0
+            assert 0.0 <= ev.partial.tail_bound < math.inf
+            assert ev.verdict == "finite"
+        assert "nan" not in "".join(regime_report_records(rep).values())

@@ -119,6 +119,19 @@ def test_consistency_command(tmp_path, capsys):
     assert "regime_label = A" in kv
 
 
+def test_consistency_zeta_of_the_wrong_length_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cons3.cfg"
+    cfg.write_text(
+        "drift.name = cubic\ndrift.d = 3\nrun.r = 3\nschedule.sigma = exp_decay\n"
+        "schedule.sigma_c = 1.0\nschedule.sigma_a = 1.0\nconsistency.h_grid = 0.5\n"
+        "run.steps = 50\nrun.paths = 2\nrun.zeta = 5.0,-2.0\nrun.master_seed = 42\n"
+    )
+    rc = main(["consistency", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "shape (3,)" in capsys.readouterr().err
+    assert not (tmp_path / "consistency_report.kv").exists()
+
+
 def test_selftest_runs_clean(capsys):
     rc = main(["selftest"])
     assert rc == 0

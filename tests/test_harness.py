@@ -202,3 +202,15 @@ def test_consistency_suite_refusals():
                              fn=lambda t: np.array([[np.sin(t) ** 2 + 0.1]]))
     with pytest.raises(ValueError, match="cell integral|non-increasing"):
         run_consistency_suite(opaque, builtin_drift("cubic"), [0.5])
+
+
+def test_consistency_suite_zeta_must_match_the_drift():
+    sigma = sigma_family("exp_decay", c=1.0, a=1.0, d=3, r=3)
+    drift = builtin_drift("cubic", d=3)
+    for bad in ([5.0, -2.0], [5.0], [[1.0, 1.0, 1.0]]):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            run_consistency_suite(sigma, drift, [0.5], paths=2, steps=50, zeta=bad)
+    # A scalar starts every component there.
+    a = run_consistency_suite(sigma, drift, [0.5], paths=2, steps=50, zeta=2.0)
+    b = run_consistency_suite(sigma, drift, [0.5], paths=2, steps=50, zeta=[2.0, 2.0, 2.0])
+    assert a == b

@@ -264,3 +264,104 @@ def test_contraction_property_vector(log_h, data):
         sol = solve_vector(drift, 10.0**log_h, x)
         assert sol.residual <= 1e-12
         assert 0.0 < np.linalg.norm(sol.x_star) < np.linalg.norm(x)
+
+
+def _radial_row_reference(gain, h, x, tol=1e-12):
+    """One row of the radial route as ``solve_vector`` ran it before the
+    shared row loop (norms by ``np.linalg.norm``, the residual through a
+    closure), kept as an oracle.  The ray declares no derivative, so the
+    scalar solve is its bisection branch.  Returns (y, iterations, residual).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not x.any():
+        return np.zeros_like(x), 0, 0.0
+    rho = float(np.linalg.norm(x))
+    if rho == 0.0:
+        return np.zeros_like(x), 0, 0.0
+
+    def g(t):
+        return t - rho + h * float(gain(t))
+
+    lo, hi = 0.0, rho
+    glo, ghi = g(lo), g(hi)
+    assert glo != 0.0 and glo * ghi <= 0.0
+    if ghi == 0.0:
+        t, it, resid = hi, 0, 0.0
+    else:
+        t = 0.5 * (lo + hi)
+        gt = g(t)
+        best_t, best_g = t, abs(gt)
+        for it in range(1, MAX_BISECT + 1):
+            if abs(gt) <= tol:
+                best_t, best_g = t, abs(gt)
+                break
+            if gt * glo < 0.0:
+                hi = t
+            else:
+                lo, glo = t, gt
+            t = 0.5 * (lo + hi)
+            gt = g(t)
+            if abs(gt) < best_g:
+                best_t, best_g = t, abs(gt)
+            if lo == hi:
+                it = MAX_BISECT
+                break
+        assert best_g <= tol
+        t, resid = best_t, best_g
+    y = (t / rho) * x
+    assert 0.0 < float(np.linalg.norm(y)) <= float(np.linalg.norm(x))
+    return y, it, resid
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("c", [0.5, 2.0, 7.0])
+@pytest.mark.parametrize("m", [1, 4, 16])
+def test_radial_rows_match_per_row_reference_bitwise(seed, c, m):
+    from ssbelab.integrator import stage_rule
+
+    drift = builtin_drift("saturating", c=c, d=3)
+    rng = np.random.default_rng(seed)
+    for h in (0.05, 0.5, 5.0):
+        stage = stage_rule(drift, h, 1e-12, block=True)
+        for k in range(12):
+            X = rng.standard_normal((m, 3)) * 10.0 ** rng.uniform(-4.0, 2.0, (m, 1))
+            if m > 1:
+                X[k % m] = 0.0 if k % 2 else -0.0
+            ref = [_radial_row_reference(drift.radial_gain, h, x) for x in X]
+            Y = stage(X)
+            assert Y.tobytes() == np.array([y for y, _, _ in ref]).tobytes()
+            for x, (y, it, resid) in zip(X, ref):
+                sol = solve_vector(drift, h, x)
+                assert np.asarray(sol.x_star).tobytes() == y.tobytes()
+                assert sol.iterations == it and sol.residual == resid
+
+
+def test_radial_integrate_path_matches_per_row_reference_bitwise():
+    from ssbelab.gaussian import derive_substream
+    from ssbelab.integrator import integrate
+    from ssbelab.schedules import schedule_family
+
+    drift = builtin_drift("saturating", c=2.0, d=3)
+    sched = schedule_family("power", h=0.1, c=1.0, p=0.5, d=3, r=3)
+    rec = integrate(drift, sched, [1.0, -2.0, 0.5], 600, derive_substream(42, 3, 3), "full")
+    for x, x_star in zip(rec.X[:-1], rec.X_star):
+        y, _, _ = _radial_row_reference(drift.radial_gain, 0.1, x)
+        assert x_star.tobytes() == y.tobytes()
+
+
+def test_radial_rows_name_the_failing_row():
+    from ssbelab.drifts import DriftSpec
+    from ssbelab.integrator import stage_rule
+
+    # Gain t (1 - t^2 / 4) turns outward beyond radius 2: no root in [0, rho].
+    bounded = DriftSpec(
+        name="bounded_gain", d=3, dissipative=False, radial=True,
+        eval=lambda x: x * (1.0 - np.sum(x * x, axis=-1, keepdims=True) / 4.0),
+        radial_gain=lambda t: t * (1.0 - t * t / 4.0),
+    )
+    X = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(SolverError, match="no sign change") as excinfo:
+        stage_rule(bounded, 0.1, 1e-12, block=True)(X)
+    assert excinfo.value.row_index == 2
+    with pytest.raises(SolverError, match="no sign change"):
+        solve_vector(bounded, 0.1, X[2])

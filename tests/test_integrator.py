@@ -325,3 +325,33 @@ def test_pilot_decay_bound():
     rec = integrate(drift, sched, [1.0], 20_000, derive_substream(7, 0, 1), "summary")
     assert rec.summary.final_norm < 0.05
     assert rec.summary.window_max < 0.05
+
+
+def test_radial_ensemble_failure_names_the_path():
+    from ssbelab.drifts import DriftSpec
+    from ssbelab.implicit import SolverError
+    from ssbelab.integrator import EnsemblePathError
+
+    # Gain t (1 - t^2 / 4) turns outward beyond radius 2, where the radius
+    # equation has no root: a path fails at its first step from outside.
+    bounded = DriftSpec(
+        name="bounded_gain", d=3, dissipative=False, radial=True,
+        eval=lambda x: x * (1.0 - np.sum(x * x, axis=-1, keepdims=True) / 4.0),
+        radial_gain=lambda t: t * (1.0 - t * t / 4.0),
+    )
+    sched = schedule_family("constant", h=0.1, c=1.5, d=3, r=3)
+    paths = [3, 7, 11, 19, 23]
+    first = {}
+    for p in paths:
+        with pytest.raises(SolverError) as excinfo:
+            integrate(bounded, sched, [0.5, 0.5, 0.5], 200, derive_substream(5, p, 3), "summary")
+        first[p] = excinfo.value.step_index
+    step = min(first.values())
+    failing = min(p for p in paths if first[p] == step)
+    assert failing != paths[0]  # the failing row is not the block's first
+    with pytest.raises(EnsemblePathError) as excinfo:
+        integrate_paths_lockstep(bounded, sched, [0.5, 0.5, 0.5], 200, 3, 5, paths)
+    exc = excinfo.value
+    assert (exc.path_index, exc.step_index) == (failing, step)
+    assert exc.__cause__.row_index == paths.index(failing)
+    assert len(exc.partial_summaries) == len(paths)
