@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ssbelab.drifts import DriftSpec, builtin_drift
+from ssbelab.integrator import default_window
 from ssbelab.schedules import (
     NoiseSchedule,
     from_sigma_cell_rms,
@@ -241,8 +242,7 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
     zeta = as_floats(cfg, "run.zeta", required=True)
     if zeta.shape != (d,):
         raise ConfigError(f"run.zeta must have {d} components")
-    frac = as_float(cfg, "run.window_fraction", 0.01)
-    window = max(1, min(steps, max(1000, int(np.ceil(frac * steps)))))
+    window = default_window(steps, as_float(cfg, "run.window_fraction", 0.01))
     thresholds = Thresholds(
         converge=as_float(cfg, "thresholds.converge", 0.05),
         escape=as_float(cfg, "thresholds.escape", 3.0),

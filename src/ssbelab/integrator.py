@@ -60,7 +60,7 @@ class PathRecord:
     X_star: Optional[np.ndarray]  # (K-1, d) implicit stages (full mode only)
     U: Optional[np.ndarray]  # (K-1, d); row n holds U(n+1)
     stored_steps: Optional[np.ndarray]  # indices of stored rows of X
-    diagnostics: DiagnosticState
+    diagnostics: DiagnosticState  # the path's accumulator: the batch fold at m = 1
     summary: PathSummary
     selection_policy: str = ROOT_SELECTION_POLICY
 
@@ -78,9 +78,9 @@ def _parse_record_mode(record_mode: str, steps: int) -> tuple[str, int]:
     raise ValueError(f"unknown record mode {record_mode!r}")
 
 
-def default_window(steps: int) -> int:
-    """Trailing window: last 1% of steps, floored at 1000, capped at N."""
-    return max(1, min(steps, max(1000, math.ceil(0.01 * steps))))
+def default_window(steps: int, frac: float = 0.01) -> int:
+    """Trailing window: the last ``frac`` of the steps, floored at 1000, capped at N."""
+    return max(1, min(steps, max(1000, math.ceil(frac * steps))))
 
 
 def _initial_state(zeta, d: int) -> np.ndarray:

@@ -70,7 +70,8 @@ def _power_tail(c: float, p: float, u: float, q: float, eps: float, n: int, kind
     except (ZeroDivisionError, OverflowError):
         bound = math.nan
     if not math.isnan(bound):
-        return bound
+        # An underflowed 0 is below the true remainder; the floor keeps it a bound.
+        return max(bound, _TINY)
     # The direct form left the double range (c * c underflows, or the
     # exponent w overflows).  If the first remaining exponent w(n + 1) is
     # itself past it, every remaining term is below exp(-1e307) and the

@@ -14,6 +14,7 @@ from ssbelab.classifier import (
     regime_report_records,
 )
 from ssbelab.schedules import (
+    _power_tail,
     from_sigma_cell_rms,
     from_sigma_sampled,
     schedule_family,
@@ -187,11 +188,13 @@ def test_default_grid_shape():
 # SHA-256 over every regime_report_records line under the policies auto, s
 # and sprime (default grid, n_trunc = 1e5).  Taken with each evidence row in
 # its own fresh arrays (numpy 2.4.6, scipy 1.17.1, x86-64 Linux); the shared
-# term buffer must reproduce them.
+# term buffer must reproduce them.  "power" and "power_p06" were re-recorded
+# when an underflowed power tail bound became 5e-324 instead of 0.0; no other
+# line of their records changed.
 REPORT_DIGESTS = {
-    "power": ("b6c6dcb9038898f7ad23073f45395a9b007ff0346bcae624f91bbcbaae6adaab",
+    "power": ("5e30bfc044b70dfe70f26e151ea871b2d9c01f59732e75fdba06db6c3be6e3aa",
               lambda: schedule_family("power", h=0.1, c=1.0, p=1.0)),
-    "power_p06": ("e514481b0a029bd2830461be4bcf6e9fb01a71a18515897e39c7b289e95a3b42",
+    "power_p06": ("2a970c7de411908a2377e1f99e1607f6407fd0c5175fd2a0fa743a3a25fce678",
                   lambda: schedule_family("power", h=0.1, c=2.0, p=0.6)),
     "inverse_log": ("fac15ba63f5cb2e9cae1c7d5a1e7bdd066ee5276c220e437a76f796d549db571",
                     lambda: schedule_family("inverse_log", h=0.1, a=2.0, b=2.0)),
@@ -241,3 +244,10 @@ def test_power_tail_bound_stays_finite_at_extreme_parameters(build, n_trunc):
             assert 0.0 <= ev.partial.tail_bound < math.inf
             assert ev.verdict == "finite"
         assert "nan" not in "".join(regime_report_records(rep).values())
+
+
+@pytest.mark.parametrize("c, p", [(1.0, 1.0), (1e-160, 0.3)])
+@pytest.mark.parametrize("kind", ["s", "sprime"])
+def test_power_tail_bound_stays_positive_when_the_direct_form_underflows(c, p, kind):
+    # Every remaining term is positive, so 0.0 would undercut the remainder.
+    assert _power_tail(c, p, 1.0, 1.0, 0.01, 100_000, kind) > 0.0

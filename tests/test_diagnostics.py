@@ -25,28 +25,31 @@ def _state(window=10, h=1.0, d=1):
 def test_zero_noise_martingale_stays_zero():
     s = _state()
     for n in range(5):
-        s.update(np.array([0.5**n]), np.array([0.5**n]), np.zeros(1), np.zeros((1, 1)))
-    assert s.M_n == 0.0 and s.QV_bound > 0 or s.QV_bound == 0.0
+        s.update(np.array([0.5**n]), np.array([0.5**n]), np.zeros(1), 0.0)
+    summary = summarize(s, path_index=0, final_norm=0.5**4)
+    assert summary.m_over_n == 0.0 and summary.m_abs_over_qv == 0.0
 
 
 def test_single_step_martingale_increment():
-    # d = r = 1, x* = 2, sigma = 0.5, xi = 1, h = 1: increment 2*2*0.5*1 = 2.
+    # d = r = 1, x* = 2, sigma = 0.5, xi = 1, h = 1: increment 2*2*0.5*1 = 2,
+    # quadratic-variation bound 4 h ||x*||^2 ||sigma||^2 = 4.
     s = DiagnosticState(d=1, h=1.0, window=4)
     s.start(np.array([2.0]))
     u = math.sqrt(1.0) * 0.5 * 1.0
-    s.update(np.array([2.0 + u]), np.array([2.0]), np.array([u]), np.array([[0.5]]))
-    assert s.M_n == pytest.approx(2.0)
-    assert s.QV_bound == pytest.approx(4.0 * 1.0 * 4.0 * 0.25)
+    s.update(np.array([2.0 + u]), np.array([2.0]), np.array([u]), 0.5)
+    summary = summarize(s, path_index=0, final_norm=2.0 + u)
+    assert summary.m_over_n == pytest.approx(2.0)
+    assert summary.m_abs_over_qv == pytest.approx(2.0 / (4.0 * 1.0 * 4.0 * 0.25))
 
 
 def test_running_extremes_and_window():
     s = DiagnosticState(d=1, h=1.0, window=3)
     s.start(np.array([1.0]))
     for v in (2.0, 0.5, 3.0, 0.25, 0.75):
-        s.update(np.array([v]), np.array([v]), np.zeros(1), np.zeros((1, 1)))
-    assert s.running_sup_norm == 3.0
-    wmin, wmax = s.window_extremes()
-    assert (wmin, wmax) == (0.25, 3.0)
+        s.update(np.array([v]), np.array([v]), np.zeros(1), 0.0)
+    summary = summarize(s, path_index=0, final_norm=0.75)
+    assert summary.sup_norm == 3.0
+    assert (summary.window_min, summary.window_max) == (0.25, 3.0)
 
 
 def test_shock_average_tracks_frobenius():
@@ -102,7 +105,7 @@ def test_r_function_values_and_trend():
 def test_summarize_matches_state():
     s = _state(window=4)
     for v in (1.0, 2.0, 3.0):
-        s.update(np.array([v]), np.array([v]), np.zeros(1), np.zeros((1, 1)))
+        s.update(np.array([v]), np.array([v]), np.zeros(1), 0.0)
     summary = summarize(s, path_index=7, final_norm=3.0)
     assert summary.path_index == 7
     assert summary.sup_norm == 3.0

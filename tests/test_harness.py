@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from ssbelab.harness import (
     summaries_csv_text,
     write_ensemble_outputs,
 )
+from ssbelab.integrator import default_window
 from ssbelab.schedules import schedule_family, sigma_family
 
 CFG_TEXT = """
@@ -79,6 +82,30 @@ def test_config_builders():
         build_run({**cfg, "run.master_seed": "-3"}, 1)
     with pytest.raises(ConfigError):
         build_run({**cfg, "run.zeta": "1.0,2.0"}, 1)
+
+
+_REPO = Path(__file__).resolve().parent.parent
+# Every shipped config that sets up runs (affine_demo.cfg only analyses a matrix).
+_RUN_CONFIGS = [
+    p for p in sorted((_REPO / "configs").glob("*.cfg")) + [_REPO / "perfbench/configs/radial_d3.cfg"]
+    if "run.steps" in load_config(str(p))
+]
+
+
+@pytest.mark.parametrize("path", _RUN_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_keep_their_trailing_window(path):
+    # consistency_exp.cfg has no run.h: the consistency command sets h per grid point.
+    cfg = {"run.h": "0.1", **load_config(str(path))}
+    d = build_drift(cfg).d
+    for steps in (cfg["run.steps"], "500", "2000", "3000", "5000", "123457", "1000000"):
+        for frac in (cfg.get("run.window_fraction"), "0.05"):
+            over = {**cfg, "run.steps": steps}
+            if frac is not None:
+                over["run.window_fraction"] = frac
+            n, f = int(steps), float(frac or 0.01)
+            # The rule build_run spelled out before it called default_window.
+            expected = max(1, min(n, max(1000, int(np.ceil(f * n)))))
+            assert build_run(over, d).window == default_window(n, f) == expected
 
 
 def test_config_missing_file():

@@ -247,6 +247,38 @@ def test_lockstep_summaries_keep_their_bits():
     assert _summary_digest(regime_c) == "f3fbf83ad9b49d93b6def56c97a58ef3a635028617c4a02e4c9de40d2e082d7c"
 
 
+@pytest.mark.parametrize("drift, sched, zeta", [
+    (builtin_drift("saturating", c=1.0, d=3),
+     schedule_family("power", h=0.1, c=1.0, p=1.0, d=3, r=3), [1.0, 1.0, 1.0]),
+    (builtin_drift("linear", lam=1.0, d=2),
+     schedule_family("constant", h=0.1, c=1.0, d=2, r=2), [1.0, -1.0]),
+], ids=["saturating_d3", "affine_d2"])
+def test_per_path_summaries_equal_lockstep_bitwise(drift, sched, zeta):
+    # Both engines share one diagnostics fold; where their stages agree bit
+    # for bit, so does every summary field and checkpoint.  (A diagonal C(h)
+    # does: with a general A, x @ C.T and X @ C.T may round differently.)
+    steps, seed = 1100, 42
+    block = integrate_paths_lockstep(drift, sched, zeta, steps, sched.r, seed, range(3))
+    for s in block:
+        rec = integrate(drift, sched, zeta, steps, derive_substream(seed, s.path_index, sched.r),
+                        "summary")
+        assert rec.summary == s
+        assert [c.n for c in s.checkpoints] == [1000]
+
+
+@pytest.mark.parametrize("window", [0, -3])
+@pytest.mark.parametrize("engine", ["integrate", "lockstep"])
+def test_window_below_one_rejected(engine, window):
+    drift = builtin_drift("cubic")
+    sched = schedule_family("power", h=0.1, c=1.0, p=1.0)
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        if engine == "integrate":
+            integrate(drift, sched, [1.0], 10, derive_substream(0, 0, 1), "summary",
+                      window=window)
+        else:
+            integrate_paths_lockstep(drift, sched, [1.0], 10, 1, 0, range(2), window=window)
+
+
 def test_record_modes(tmp_path):
     drift = builtin_drift("cubic")
     sched = schedule_family("power", h=0.5, c=1.0, p=1.0)
@@ -305,16 +337,6 @@ def test_ensemble_failure_identifies_path():
     assert exc.path_index in (0, 1, 2)
     assert "master_seed 99" in str(exc)
     assert len(exc.partial_summaries) == 3
-
-
-def test_diagnostics_out_of_order_rejected():
-    from ssbelab.diagnostics import DiagnosticState
-
-    s = DiagnosticState(d=1, h=1.0, window=4)
-    s.start(np.zeros(1))
-    s.update(np.ones(1), np.ones(1), np.zeros(1), 0.0, step=1)
-    with pytest.raises(ValueError, match="out-of-order"):
-        s.update(np.ones(1), np.ones(1), np.zeros(1), 0.0, step=3)
 
 
 def test_pilot_decay_bound():
