@@ -79,40 +79,40 @@ def _sprime_terms(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _partial(
+    schedule: NoiseSchedule, fro: np.ndarray, eps: float, kind: str, n_trunc: int, buf: np.ndarray
+):
+    """The ``kind`` series' terms at eps, written into ``buf``, and their SeriesPartial."""
+    terms = (_s_terms if kind == "s" else _sprime_terms)(fro, eps, buf)
+    return terms, SeriesPartial(
+        value=float(terms.sum()),
+        last_term=float(terms[-1]),
+        tail_bound=schedule.series_tail_bound(eps, n_trunc, kind),
+        truncation=n_trunc,
+    )
+
+
+def _partial_sum(schedule: NoiseSchedule, epsilon: float, n_trunc: int, kind: str) -> SeriesPartial:
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if n_trunc < 0:
+        raise ValueError("truncation index must be non-negative")
+    fro = _frobenius_grid(schedule, n_trunc)
+    return _partial(schedule, fro, epsilon, kind, n_trunc, np.empty_like(fro))[1]
+
+
 def partial_sum_S(schedule: NoiseSchedule, epsilon: float, n_trunc: int) -> SeriesPartial:
     """Partial sum of the Gaussian tail series up to and including n_trunc.
 
     ``tail_bound`` is a rigorous upper bound on the remainder when the
     schedule registers eventually-monotone decay, else None.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if n_trunc < 0:
-        raise ValueError("truncation index must be non-negative")
-    fro = _frobenius_grid(schedule, n_trunc)
-    terms = _s_terms(fro, epsilon, np.empty_like(fro))
-    return SeriesPartial(
-        value=float(terms.sum()),
-        last_term=float(terms[-1]),
-        tail_bound=schedule.series_tail_bound(epsilon, n_trunc, "s"),
-        truncation=n_trunc,
-    )
+    return _partial_sum(schedule, epsilon, n_trunc, "s")
 
 
 def partial_sum_Sprime(schedule: NoiseSchedule, epsilon: float, n_trunc: int) -> SeriesPartial:
     """Partial sum of the exponential surrogate series."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if n_trunc < 0:
-        raise ValueError("truncation index must be non-negative")
-    fro = _frobenius_grid(schedule, n_trunc)
-    terms = _sprime_terms(fro, epsilon, np.empty_like(fro))
-    return SeriesPartial(
-        value=float(terms.sum()),
-        last_term=float(terms[-1]),
-        tail_bound=schedule.series_tail_bound(epsilon, n_trunc, "sprime"),
-        truncation=n_trunc,
-    )
+    return _partial_sum(schedule, epsilon, n_trunc, "sprime")
 
 
 def partial_sum_Sc(
@@ -182,13 +182,7 @@ def _divergence_signature(fro: np.ndarray, terms: np.ndarray, n_trunc: int) -> b
 def _evidence_for(
     schedule: NoiseSchedule, fro: np.ndarray, eps: float, kind: str, n_trunc: int, buf: np.ndarray
 ) -> EpsilonEvidence:
-    terms = (_s_terms if kind == "s" else _sprime_terms)(fro, eps, buf)
-    partial = SeriesPartial(
-        value=float(terms.sum()),
-        last_term=float(terms[-1]),
-        tail_bound=schedule.series_tail_bound(eps, n_trunc, kind),
-        truncation=n_trunc,
-    )
+    terms, partial = _partial(schedule, fro, eps, kind, n_trunc, buf)
     if partial.tail_bound is not None and math.isfinite(partial.tail_bound):
         verdict = "finite"
     elif _divergence_signature(fro, terms, n_trunc):

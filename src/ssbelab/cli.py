@@ -25,7 +25,7 @@ from ssbelab.harness import (
     write_ensemble_outputs,
     write_kv,
 )
-from ssbelab.integrator import dump_path_csv, integrate
+from ssbelab.integrator import EnsemblePathError, dump_path_csv, integrate
 from ssbelab.quadrature import QuadratureError
 from ssbelab.implicit import SolverError
 
@@ -43,6 +43,7 @@ def _load(args):
     cfg = cfg_mod.apply_overrides(cfg, args.overrides)
     if args.seed is not None:
         cfg["run.master_seed"] = str(args.seed)
+    cfg_mod.check_keys(cfg)
     return cfg
 
 
@@ -82,7 +83,7 @@ def cmd_classify(args) -> int:
     report = classify(schedule, epsilon_grid=grid, n_trunc=trunc)
     text = format_regime_report(report, schedule)
     print(text, end="")
-    out_dir = args.out or cfg.get("output.dir") or os.environ.get(cfg_mod.OUTPUT_ENV_VAR) or "."
+    out_dir = cfg_mod.output_dir(cfg, args.out)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "regime_report.txt"), "w") as fh:
         fh.write(text)
@@ -117,7 +118,7 @@ def cmd_affine(args) -> int:
             lines.append(f"{label}.{i} = " + ",".join(repr(float(v)) for v in row))
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    out_dir = args.out or cfg.get("output.dir") or os.environ.get(cfg_mod.OUTPUT_ENV_VAR) or "."
+    out_dir = cfg_mod.output_dir(cfg, args.out)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "affine_report.txt"), "w") as fh:
         fh.write(text)
@@ -158,7 +159,7 @@ def cmd_consistency(args) -> int:
         epsilon_grid=_epsilon_grid(cfg),
     )
     records = consistency_report_records(report)
-    out_dir = args.out or cfg.get("output.dir") or os.environ.get(cfg_mod.OUTPUT_ENV_VAR) or "."
+    out_dir = cfg_mod.output_dir(cfg, args.out)
     os.makedirs(out_dir, exist_ok=True)
     write_kv(records, os.path.join(out_dir, "consistency_report.kv"))
     for key, value in records.items():
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, QuadratureError, SolverError, ValueError) as exc:
+    except (ConfigError, QuadratureError, SolverError, EnsemblePathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,11 @@
 """Flat key-value configuration files and the objects they describe.
 
-Schema (dotted keys, one ``key = value`` per line, ``#`` comments):
+Schema (dotted keys, one ``key = value`` per line, ``#`` comments); any
+other key is rejected:
 
     drift.name       linear | cubic | saturating | arctan
     drift.d          state dimension (default 1)
-    drift.lam/.c/.A  family parameters (A as rows "a,b;c,d" or a CSV path)
+    drift.lam/.c/.A  family parameters (A as rows "a,b;c,d")
 
     schedule.kind    zero | constant | power | geometric | inverse_log |
                      tabulated | sigma_sampled | sigma_cell_rms
@@ -20,6 +21,7 @@ Schema (dotted keys, one ``key = value`` per line, ``#`` comments):
     run.paths        number of paths
     run.zeta         initial state, comma-separated
     run.master_seed  unsigned 64-bit seed
+    run.path_index   substream of the simulated path (default 0)
     run.record_mode  full | summary | thin:k
     run.window_fraction   trailing window as a fraction of steps
     run.tol          implicit-solve residual tolerance
@@ -29,6 +31,10 @@ Schema (dotted keys, one ``key = value`` per line, ``#`` comments):
 
     classify.eps_min / .eps_max / .eps_points / .truncation
 
+    consistency.h_grid   comma-separated step sizes
+
+    affine.A / .matrix_csv   matrix for the affine command, inline or as CSV
+
     output.dir       output directory (flag > config > SSBELAB_OUT > cwd)
 
 CLI flags override any key via ``--set key=value``.
@@ -36,8 +42,9 @@ CLI flags override any key via ``--set key=value``.
 
 from __future__ import annotations
 
+import difflib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,9 +61,39 @@ from ssbelab.schedules import (
 
 OUTPUT_ENV_VAR = "SSBELAB_OUT"
 
+# Every key a command reads; the docstring above describes each.
+KEYS = frozenset(
+    """
+    drift.name drift.d drift.lam drift.c drift.A
+    schedule.kind schedule.c schedule.p schedule.rho schedule.a schedule.b
+    schedule.path schedule.sigma schedule.sigma_c schedule.sigma_a
+    schedule.sigma_b schedule.sigma_p
+    run.h run.r run.steps run.paths run.zeta run.master_seed run.path_index
+    run.record_mode run.window_fraction run.tol
+    thresholds.converge thresholds.escape thresholds.bounded_cap
+    thresholds.osc_min thresholds.fraction thresholds.osc_fraction
+    classify.eps_min classify.eps_max classify.eps_points classify.truncation
+    consistency.h_grid affine.A affine.matrix_csv output.dir
+    """.split()
+)
+
 
 class ConfigError(ValueError):
     pass
+
+
+def check_keys(cfg: dict[str, str]) -> None:
+    """Reject a key outside ``KEYS``, naming the nearest known key."""
+    for key in cfg:
+        if key not in KEYS:
+            near = difflib.get_close_matches(key, KEYS, n=1)
+            hint = f" (did you mean {near[0]!r}?)" if near else ""
+            raise ConfigError(f"unknown config key {key!r}{hint}")
+
+
+def output_dir(cfg: dict[str, str], flag: str | None = None) -> str:
+    """Where outputs go: the --out flag, then output.dir, then $SSBELAB_OUT, then the cwd."""
+    return flag or cfg.get("output.dir") or os.environ.get(OUTPUT_ENV_VAR) or "."
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -97,24 +134,22 @@ def _get(cfg, key, default=None, required=False):
     return default
 
 
-def as_float(cfg, key, default=None, required=False):
+def _as(convert, what, cfg, key, default, required):
     v = _get(cfg, key, default, required)
     if v is None:
         return None
     try:
-        return float(v)
+        return convert(v)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {v!r}") from None
+        raise ConfigError(f"{key} must be {what}, got {v!r}") from None
+
+
+def as_float(cfg, key, default=None, required=False):
+    return _as(float, "a number", cfg, key, default, required)
 
 
 def as_int(cfg, key, default=None, required=False):
-    v = _get(cfg, key, default, required)
-    if v is None:
-        return None
-    try:
-        return int(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {v!r}") from None
+    return _as(int, "an integer", cfg, key, default, required)
 
 
 def as_floats(cfg, key, default=None, required=False):
@@ -244,14 +279,8 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
         raise ConfigError(f"run.zeta must have {d} components")
     window = default_window(steps, as_float(cfg, "run.window_fraction", 0.01))
     thresholds = Thresholds(
-        converge=as_float(cfg, "thresholds.converge", 0.05),
-        escape=as_float(cfg, "thresholds.escape", 3.0),
-        bounded_cap=as_float(cfg, "thresholds.bounded_cap", 12.0),
-        osc_min=as_float(cfg, "thresholds.osc_min", 0.1),
-        fraction=as_float(cfg, "thresholds.fraction", 0.95),
-        osc_fraction=as_float(cfg, "thresholds.osc_fraction", 0.90),
+        **{f.name: as_float(cfg, f"thresholds.{f.name}", f.default) for f in fields(Thresholds)}
     )
-    out_dir = out_flag or _get(cfg, "output.dir") or os.environ.get(OUTPUT_ENV_VAR) or "."
     seed = as_int(cfg, "run.master_seed", required=True)
     if not 0 <= seed < 2**64:
         raise ConfigError("run.master_seed must be an unsigned 64-bit integer")
@@ -266,6 +295,6 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
         window=window,
         tol=as_float(cfg, "run.tol", 1e-12),
         thresholds=thresholds,
-        out_dir=out_dir,
+        out_dir=output_dir(cfg, out_flag),
         echo=dict(cfg),
     )

@@ -57,9 +57,6 @@ class PathSummary:
     shock_sq_avg: float
     checkpoints: tuple[Checkpoint, ...] = ()
 
-    def checkpoint_time_avgs(self) -> dict[int, float]:
-        return {c.n: c.time_avg_sq for c in self.checkpoints}
-
 
 class BatchDiagnostics:
     """Diagnostics of a block of m paths advanced in lockstep.
@@ -172,14 +169,7 @@ class BatchDiagnostics:
         out = []
         for i, p in enumerate(path_indices):
             cps = tuple(
-                Checkpoint(
-                    n=cn,
-                    time_avg_sq=float(snap["time_avg_sq"][i]),
-                    m_over_n=float(snap["m_over_n"][i]),
-                    m_abs_over_qv=float(snap["m_abs_over_qv"][i]),
-                    shock_sq_avg=float(snap["shock_sq_avg"][i]),
-                    sup_norm=float(snap["sup_norm"][i]),
-                )
+                Checkpoint(n=cn, **{k: float(v[i]) for k, v in snap.items()})
                 for cn, snap in self.snapshots
             )
             out.append(
@@ -216,13 +206,3 @@ class DiagnosticState(BatchDiagnostics):
 def summarize(state: DiagnosticState, path_index: int, final_norm: float) -> PathSummary:
     return state.summaries([path_index], np.array([final_norm]))[0]
 
-
-def r_function(drift, h: float, x: np.ndarray) -> float:
-    """R(x) = 2 <x, f(x)> + h ||f(x)||^2; positive away from 0, zero at 0.
-
-    Along a path that settles, R evaluated at the implicit stage tends to
-    zero, which is the residual evidence used by the convergence checks.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    fx = drift(x)
-    return float(2.0 * np.dot(x, fx) + h * np.dot(fx, fx))

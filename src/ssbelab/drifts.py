@@ -11,9 +11,8 @@ structural hypotheses hold:
                            open left half plane
 
 The hypotheses are semi-infinite conditions that cannot be verified
-numerically, so declared flags are trusted and the probes in this module
-only spot-check them on sampled shells.  User-supplied drifts carry their
-flags on the same trust basis.
+numerically, so the catalogue's declared flags are taken on trust, and
+user-supplied drifts carry their flags on the same basis.
 
 Evaluation is batched: ``eval`` maps (..., d) -> (..., d).  Componentwise
 families additionally expose elementwise ``scalar_eval``/``scalar_deriv``
@@ -24,7 +23,7 @@ gain g with f(x) = g(||x||) x/||x||; the implicit solver exploits both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def make_drift(
     scalar_deriv=None,
     jac=None,
 ) -> DriftSpec:
-    """Wrap a user drift; flags are taken on trust (probe them yourself)."""
+    """Wrap a user drift; flags are taken on trust."""
     return DriftSpec(
         name=name,
         d=d,
@@ -256,92 +255,3 @@ def builtin_drift(name: str, **params) -> DriftSpec:
         )
     raise ValueError(f"unknown drift family: {name!r}")
 
-
-def _shell_points(d: int, radius: float, samples: int, rng: np.random.Generator) -> np.ndarray:
-    if d == 1:
-        return np.array([[-radius], [radius]])
-    g = rng.standard_normal((samples, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return radius * g / norms
-
-
-def shell_min_inner(
-    spec: DriftSpec, radius: float, samples: int, rng: np.random.Generator
-) -> float:
-    """Sampled minimum of <x, f(x)> over the shell ||x|| = radius."""
-    pts = _shell_points(spec.d, radius, samples, rng)
-    inner = np.sum(pts * spec(pts), axis=-1)
-    return float(inner.min())
-
-
-@dataclass(frozen=True)
-class ShellProbe:
-    radius: float
-    min_inner: float
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    probes: tuple[ShellProbe, ...]
-    violations: tuple[ShellProbe, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_dissipative(
-    spec: DriftSpec,
-    radii: Sequence[float],
-    samples_per_shell: int = 64,
-    rng: np.random.Generator | int | None = None,
-) -> DissipativityReport:
-    """Spot-check <x, f(x)> > 0 on sampled shells; report any violation."""
-    if any(r <= 0 for r in radii):
-        raise ValueError("shell radii must be positive")
-    rng = np.random.default_rng(rng)
-    probes = tuple(
-        ShellProbe(float(r), shell_min_inner(spec, float(r), samples_per_shell, rng))
-        for r in radii
-    )
-    return DissipativityReport(
-        probes=probes, violations=tuple(p for p in probes if p.min_inner <= 0.0)
-    )
-
-
-@dataclass(frozen=True)
-class PhiEstimate:
-    value: float
-    unbounded_growth: bool
-    shell_mins: tuple[ShellProbe, ...]
-
-
-def estimate_phi(
-    spec: DriftSpec,
-    radius_grid: Sequence[float],
-    samples_per_shell: int = 256,
-    rng: np.random.Generator | int | None = None,
-) -> PhiEstimate:
-    """Monte Carlo estimate of the large-shell lower envelope of <x, f(x)>.
-
-    Returns the minimum over the largest radii (those within a factor two
-    of the grid maximum).  The growth flag is set when the envelope is
-    strictly increasing across the grid and still climbing at the end,
-    which signals that the infimum grows without bound rather than
-    levelling off.
-    """
-    if not spec.dissipative:
-        raise ValueError("phi estimate requires a dissipative drift")
-    radii = sorted(float(r) for r in radius_grid)
-    if not radii or radii[0] <= 0:
-        raise ValueError("radius grid must be positive and non-empty")
-    rng = np.random.default_rng(rng)
-    probes = tuple(
-        ShellProbe(r, shell_min_inner(spec, r, samples_per_shell, rng)) for r in radii
-    )
-    mins = [p.min_inner for p in probes]
-    tail = [p.min_inner for p in probes if p.radius >= radii[-1] / 2.0]
-    increasing = all(b > a for a, b in zip(mins, mins[1:]))
-    growing = increasing and len(mins) >= 2 and mins[-1] >= 1.5 * mins[len(mins) // 2]
-    return PhiEstimate(value=float(min(tail)), unbounded_growth=growing, shell_mins=probes)

@@ -78,8 +78,3 @@ def derive_substream(master_seed: int, path_index: int, r: int) -> GaussianStrea
     """Stream whose seed is a collision-resistant mix of (master_seed, path_index)."""
     return GaussianStream(master_seed=master_seed, path_index=path_index, r=r)
 
-
-def substream_key(master_seed: int, path_index: int) -> tuple[int, ...]:
-    """The derived 128-bit generator key, exposed for collision checks."""
-    seq = np.random.SeedSequence([int(master_seed), int(path_index)])
-    return tuple(int(w) for w in seq.generate_state(4))

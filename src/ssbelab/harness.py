@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from ssbelab.classifier import (
     regime_report_records,
 )
 from ssbelab.config import RunSettings, Thresholds
-from ssbelab.diagnostics import PathSummary
+from ssbelab.diagnostics import CHECKPOINTS, PathSummary
 from ssbelab.integrator import integrate_paths_lockstep
 from ssbelab.normal import tail_q
 from ssbelab.schedules import (
@@ -85,17 +85,11 @@ class EnsembleReport:
     config_echo: dict = field(default_factory=dict)
 
 
-def _checkpoint_value(summary: PathSummary, n: int) -> float:
+def _checkpoint(summary: PathSummary, n: int, name: str) -> float:
+    """Checkpoint field ``name`` at step n, NaN when the path never reached it."""
     for c in summary.checkpoints:
         if c.n == n:
-            return c.time_avg_sq
-    return math.nan
-
-
-def _m_checkpoint(summary: PathSummary, n: int) -> float:
-    for c in summary.checkpoints:
-        if c.n == n:
-            return c.m_over_n
+            return getattr(c, name)
     return math.nan
 
 
@@ -200,13 +194,9 @@ def summaries_csv_text(summaries: Sequence[PathSummary], header_lines: Sequence[
             repr(s.m_over_n),
             repr(s.m_abs_over_qv),
             repr(s.shock_sq_avg),
-            repr(_checkpoint_value(s, 10**3)),
-            repr(_checkpoint_value(s, 10**4)),
-            repr(_checkpoint_value(s, 10**5)),
-            repr(_m_checkpoint(s, 10**3)),
-            repr(_m_checkpoint(s, 10**4)),
-            repr(_m_checkpoint(s, 10**5)),
         ]
+        for name in ("time_avg_sq", "m_over_n"):
+            row += [repr(_checkpoint(s, n, name)) for n in CHECKPOINTS]
         out.append(",".join(row))
     return "\n".join(out) + "\n"
 
@@ -215,18 +205,10 @@ def ensemble_report_records(report: EnsembleReport) -> dict[str, str]:
     rec = {
         "predicted_regime": report.predicted,
         "consistent": "n/a" if report.consistent is None else str(report.consistent).lower(),
-        "fraction.converged": repr(report.fractions.converged),
-        "fraction.bounded_oscillatory": repr(report.fractions.bounded_oscillatory),
-        "fraction.escaped": repr(report.fractions.escaped),
-        "fraction.window_min_le_osc": repr(report.fractions.window_min_le_osc),
-        "fraction.tavg_decreasing": repr(report.fractions.tavg_decreasing),
-        "threshold.converge": repr(report.thresholds.converge),
-        "threshold.escape": repr(report.thresholds.escape),
-        "threshold.bounded_cap": repr(report.thresholds.bounded_cap),
-        "threshold.osc_min": repr(report.thresholds.osc_min),
-        "threshold.fraction": repr(report.thresholds.fraction),
-        "threshold.osc_fraction": repr(report.thresholds.osc_fraction),
     }
+    for prefix, values in (("fraction", report.fractions), ("threshold", report.thresholds)):
+        for f in fields(values):
+            rec[f"{prefix}.{f.name}"] = repr(getattr(values, f.name))
     for key, value in sorted(report.config_echo.items()):
         rec[f"config.{key}"] = value
     for key, value in regime_report_records(report.regime).items():
@@ -274,14 +256,12 @@ class ConsistencyReport:
     regime_label: str
 
 
-def _sandwich_checks(sigma: ContinuousSigma, h: float, eps: float, n_check: int):
-    """Termwise bounds linking sampled and cell-rms derivations.
+def _sandwich_checks(s1: NoiseSchedule, s2: NoiseSchedule, eps: float, n_check: int):
+    """Termwise bounds linking the sampled (s1) and cell-rms (s2) derivations.
 
     For non-increasing ||Sigma||_F^2: fro_sampled(n+1) <= fro_cell(n) <=
     fro_sampled(n), and summed, S - first term <= S_cell <= S.
     """
-    s1 = from_sigma_sampled(sigma, h)
-    s2 = from_sigma_cell_rms(sigma, h)
     ns = np.arange(n_check + 1)
     f1 = s1.frobenius_grid(ns)
     f2 = s2.frobenius_grid(ns)
@@ -341,7 +321,7 @@ def run_consistency_suite(
         rep1 = classify(s_sampled, epsilon_grid=epsilon_grid)
         rep2 = classify(s_cell, epsilon_grid=epsilon_grid)
         if sigma.monotone_sq_fro:
-            termwise, series = _sandwich_checks(sigma, float(h), sandwich_eps, sandwich_terms)
+            termwise, series = _sandwich_checks(s_sampled, s_cell, sandwich_eps, sandwich_terms)
         else:
             termwise = series = None
         cons = []

@@ -154,7 +154,8 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
 
     Operates on an array of any shape (each entry is an independent scalar
     problem).  Returns (y, iterations, max_residual).  Without a declared
-    ``scalar_deriv`` every step bisects.
+    ``scalar_deriv`` every step bisects.  On an (m, d) block a failure is
+    named by ``SolverError.row_index``, the row with the largest residual.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -198,11 +199,14 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     max_resid = float(np.abs(g).max()) if g.size else 0.0
     # Written so that a NaN residual fails too.
     if not max_resid <= tol:
-        raise SolverError(
+        exc = SolverError(
             f"componentwise solve stalled at residual {max_resid:.3e}",
             best=y,
             residual=max_resid,
         )
+        if g.ndim == 2:
+            exc.row_index = int(np.argmax(np.abs(g).max(axis=1)))
+        raise exc
     y = np.where(x == 0.0, 0.0, y)
     return y, iters, max_resid
 

@@ -110,6 +110,22 @@ def _solve_rows(drift, h, X, tol):
     return out
 
 
+def _affine_stage(C_T: np.ndarray):
+    """x -> x @ C_T as one fixed-order sum over the d columns of C (rows of C_T).
+
+    Every row of a block takes the same float operations as a lone (d,)
+    state, so both engines round alike; a matmul does not promise that.
+    """
+
+    def stage(X):
+        Y = X[..., 0, None] * C_T[0]
+        for k in range(1, len(C_T)):
+            Y += X[..., k, None] * C_T[k]
+        return Y
+
+    return stage
+
+
 def stage_rule(drift, h: float, tol: float, block: bool):
     """The implicit stage x -> x*, x* = x - h f(x*), chosen from the drift's structure.
 
@@ -122,8 +138,7 @@ def stage_rule(drift, h: float, tol: float, block: bool):
     is named by ``SolverError.row_index``.
     """
     if drift.affine:
-        C_T = build_C(drift.affine_matrix, h).T
-        return lambda X: X @ C_T
+        return _affine_stage(build_C(drift.affine_matrix, h).T)
     if not block:
         return lambda x: _solve_path(drift, h, x, tol)
     if drift.componentwise:
@@ -200,7 +215,7 @@ def integrate(
             except SolverError as exc:
                 exc.step_index = step
                 exc.partial_summary = summarize(
-                    diag, stream.path_index, float(np.linalg.norm(x))
+                    diag, stream.path_index, float(np.linalg.norm(x, axis=-1))
                 )
                 if full:
                     exc.partial_states = X_full[: step + 1].copy()
@@ -220,7 +235,9 @@ def integrate(
             diag.update(x, x_star, u, fro_blk[j])
         n += block
 
-    final_norm = float(np.linalg.norm(x))
+    # The row norm lockstep takes: without ``axis`` numpy uses x.dot(x), which
+    # may round differently for d > 1.
+    final_norm = float(np.linalg.norm(x, axis=-1))
     if full:
         X, X_star, U = X_full, Xs_full, U_full
         stored = np.arange(steps + 1)
@@ -317,11 +334,7 @@ def integrate_paths_lockstep(
             try:
                 x_star = stage(X)
             except SolverError as exc:
-                fail_row = getattr(exc, "row_index", None)
-                if fail_row is None and exc.best is not None and np.ndim(exc.best) == 2:
-                    g = exc.best - X + h * drift(exc.best)
-                    fail_row = int(np.argmax(np.abs(g).max(axis=1)))
-                failing = path_indices[fail_row] if fail_row is not None else None
+                failing = path_indices[exc.row_index]
                 partial = diag.summaries(path_indices, np.linalg.norm(X, axis=1))
                 raise EnsemblePathError(
                     f"path {failing} (master_seed {master_seed}) failed at "

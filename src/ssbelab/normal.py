@@ -96,9 +96,3 @@ def tail_q_grid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     _erfc_arr(q, out=q)
     return np.multiply(0.5, q, out=q)
 
-
-def mills_envelope(x: float) -> float:
-    """Upper bound e^{-x^2/2} / (x sqrt(2 pi)) >= Q(x), valid for x > 0."""
-    if x <= 0:
-        raise ValueError("Mills envelope requires x > 0")
-    return math.exp(-0.5 * x * x) / (x * math.sqrt(2.0 * math.pi))

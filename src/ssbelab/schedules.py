@@ -119,6 +119,18 @@ def _invlog_tail(a: float, b: float, u: float, eps: float, n: int, kind: str) ->
     return fro_next * power_sum
 
 
+def _tails(bound: Callable, *args) -> tuple[Callable, Callable]:
+    """The (s, sprime) remainder bounds (eps, n) -> bound(*args, eps, n, kind)."""
+    return (
+        lambda eps, n: bound(*args, eps, n, "s"),
+        lambda eps, n: bound(*args, eps, n, "sprime"),
+    )
+
+
+def _zero_tail(eps: float, n: int) -> float:
+    return 0.0
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -211,8 +223,8 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             envelope=lambda ns: np.zeros_like(np.asarray(ns, dtype=np.float64)),
             analytic_L=0.0,
             sigma_vanishes=True,
-            tail_s=lambda eps, n: 0.0,
-            tail_sprime=lambda eps, n: 0.0,
+            tail_s=_zero_tail,
+            tail_sprime=_zero_tail,
         )
     if name == "constant":
         c = float(params.pop("c"))
@@ -229,8 +241,8 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             envelope=lambda ns, c=c: np.full_like(np.asarray(ns, dtype=np.float64), c),
             analytic_L=math.inf if c > 0 else 0.0,
             sigma_vanishes=c == 0.0,
-            tail_s=(lambda eps, n: 0.0) if c == 0.0 else None,
-            tail_sprime=(lambda eps, n: 0.0) if c == 0.0 else None,
+            tail_s=_zero_tail if c == 0.0 else None,
+            tail_sprime=_zero_tail if c == 0.0 else None,
         )
     if name == "power":
         c = float(params.pop("c", 1.0))
@@ -238,6 +250,7 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         _no_extra(params)
         if c <= 0 or p <= 0:
             raise ValueError("power schedule needs c > 0 and p > 0")
+        tail_s, tail_sprime = _tails(_power_tail, c, p, 1.0, 1.0)
         return NoiseSchedule(
             kind="power",
             d=d,
@@ -248,8 +261,8 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             envelope=lambda ns, c=c, p=p: c * (np.asarray(ns, dtype=np.float64) + 1.0) ** -p,
             analytic_L=0.0,
             sigma_vanishes=True,
-            tail_s=lambda eps, n, c=c, p=p: _power_tail(c, p, 1.0, 1.0, eps, n, "s"),
-            tail_sprime=lambda eps, n, c=c, p=p: _power_tail(c, p, 1.0, 1.0, eps, n, "sprime"),
+            tail_s=tail_s,
+            tail_sprime=tail_sprime,
         )
     if name == "geometric":
         c = float(params.pop("c", 1.0))
@@ -257,6 +270,7 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         _no_extra(params)
         if c <= 0 or not 0.0 < rho < 1.0:
             raise ValueError("geometric schedule needs c > 0 and 0 < rho < 1")
+        tail_s, tail_sprime = _tails(_geometric_tail, c, rho)
         return NoiseSchedule(
             kind="geometric",
             d=d,
@@ -267,8 +281,8 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             envelope=lambda ns, c=c, rho=rho: c * rho ** np.asarray(ns, dtype=np.float64),
             analytic_L=0.0,
             sigma_vanishes=True,
-            tail_s=lambda eps, n, c=c, rho=rho: _geometric_tail(c, rho, eps, n, "s"),
-            tail_sprime=lambda eps, n, c=c, rho=rho: _geometric_tail(c, rho, eps, n, "sprime"),
+            tail_s=tail_s,
+            tail_sprime=tail_sprime,
         )
     if name == "inverse_log":
         a = float(params.pop("a"))
@@ -276,6 +290,7 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         _no_extra(params)
         if a <= 0 or b <= 1.0:
             raise ValueError("inverse_log schedule needs a > 0 and b > 1")
+        tail_s, tail_sprime = _tails(_invlog_tail, a, b, 1.0)
         return NoiseSchedule(
             kind="inverse_log",
             d=d,
@@ -288,8 +303,8 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             ),
             analytic_L=a,
             sigma_vanishes=True,
-            tail_s=lambda eps, n, a=a, b=b: _invlog_tail(a, b, 1.0, eps, n, "s"),
-            tail_sprime=lambda eps, n, a=a, b=b: _invlog_tail(a, b, 1.0, eps, n, "sprime"),
+            tail_s=tail_s,
+            tail_sprime=tail_sprime,
         )
     raise ValueError(f"unknown schedule family: {name!r}")
 
@@ -496,62 +511,44 @@ def _derived_tails(sigma: ContinuousSigma, h: float):
     fam = sigma.tail_family
     if fam[0] == "exp_decay":
         _, c, a = fam
-        rho = math.exp(-a * h)
-        return (
-            lambda eps, n, c=c, rho=rho: _geometric_tail(c, rho, eps, n, "s"),
-            lambda eps, n, c=c, rho=rho: _geometric_tail(c, rho, eps, n, "sprime"),
-        )
+        return _tails(_geometric_tail, c, math.exp(-a * h))
     if fam[0] == "power_decay":
         _, c, p = fam
-        return (
-            lambda eps, n, c=c, p=p, h=h: _power_tail(c, p, h, 1.0, eps, n, "s"),
-            lambda eps, n, c=c, p=p, h=h: _power_tail(c, p, h, 1.0, eps, n, "sprime"),
-        )
+        return _tails(_power_tail, c, p, h, 1.0)
     if fam[0] == "inverse_log_t":
         _, a, b = fam
-        return (
-            lambda eps, n, a=a, b=b, h=h: _invlog_tail(a, b, h, eps, n, "s"),
-            lambda eps, n, a=a, b=b, h=h: _invlog_tail(a, b, h, eps, n, "sprime"),
-        )
-    if fam[0] == "constant":
-        _, c = fam
-        if c == 0.0:
-            z = lambda eps, n: 0.0
-            return z, z
+        return _tails(_invlog_tail, a, b, h)
+    if fam == ("constant", 0.0):
+        return _zero_tail, _zero_tail
     return None, None
 
 
-def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
-    """Pointwise derivation sigma(n) = Sigma(n h)."""
+def _derived_common(sigma: ContinuousSigma, h: float, derivation: str) -> dict:
+    """The NoiseSchedule fields both derivations take from the source alike."""
     if h <= 0:
         raise ValueError("step size h must be positive")
-    tail_s, tail_sp = _derived_tails(sigma, h)
-    if sigma.envelope is not None:
-        env = lambda ns, e=sigma.envelope, h=h: e(np.asarray(ns, dtype=np.float64) * h)
-        return NoiseSchedule(
-            kind=f"sampled[{sigma.name}]",
-            d=sigma.d,
-            r=sigma.r,
-            h=h,
-            params=dict(sigma.params),
-            base=sigma.base,
-            envelope=env,
-            analytic_L=sigma.analytic_L,
-            sigma_vanishes=sigma.sigma_vanishes,
-            tail_s=tail_s,
-            tail_sprime=tail_sp,
-        )
-    return NoiseSchedule(
-        kind=f"sampled[{sigma.name}]",
+    tail_s, tail_sprime = _derived_tails(sigma, h)
+    return dict(
+        kind=f"{derivation}[{sigma.name}]",
         d=sigma.d,
         r=sigma.r,
         h=h,
         params=dict(sigma.params),
-        matrix_eval=lambda n, s=sigma, h=h: np.asarray(s(n * h), dtype=np.float64),
         analytic_L=sigma.analytic_L,
         sigma_vanishes=sigma.sigma_vanishes,
         tail_s=tail_s,
-        tail_sprime=tail_sp,
+        tail_sprime=tail_sprime,
+    )
+
+
+def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
+    """Pointwise derivation sigma(n) = Sigma(n h)."""
+    common = _derived_common(sigma, h, "sampled")
+    if sigma.envelope is not None:
+        env = lambda ns, e=sigma.envelope, h=h: e(np.asarray(ns, dtype=np.float64) * h)
+        return NoiseSchedule(base=sigma.base, envelope=env, **common)
+    return NoiseSchedule(
+        matrix_eval=lambda n, s=sigma, h=h: np.asarray(s(n * h), dtype=np.float64), **common
     )
 
 
@@ -562,20 +559,7 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
     registered antiderivative when the family has one and adaptive Simpson
     quadrature otherwise.  Quadrature failures name the offending cell.
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    tail_s, tail_sp = _derived_tails(sigma, h)
-    common = dict(
-        kind=f"cell_rms[{sigma.name}]",
-        d=sigma.d,
-        r=sigma.r,
-        h=h,
-        params=dict(sigma.params),
-        analytic_L=sigma.analytic_L,
-        sigma_vanishes=sigma.sigma_vanishes,
-        tail_s=tail_s,
-        tail_sprime=tail_sp,
-    )
+    common = _derived_common(sigma, h, "cell_rms")
     if sigma.envelope is not None and sigma.env_sq_cell is not None:
         def env(ns, cell=sigma.env_sq_cell, h=h):
             t0 = np.asarray(ns, dtype=np.float64) * h

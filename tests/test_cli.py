@@ -1,6 +1,12 @@
+import argparse
+import importlib
+from pathlib import Path
+
 import pytest
 
-from ssbelab.cli import main
+from ssbelab.cli import _load, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CFG = """
 drift.name = cubic
@@ -137,3 +143,67 @@ def test_selftest_runs_clean(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "selftest: PASS" in out
+
+
+OVERFLOW_CFG = """
+drift.name = cubic
+schedule.kind = constant
+schedule.c = 1.7e308
+run.h = 1
+run.steps = 20
+run.paths = 4
+run.zeta = 1.0
+run.master_seed = 42
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_failing_path_exits_2(tmp_path, capsys, command):
+    # The shock overflows to inf at step 0, so the step-1 stage cannot converge.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(OVERFLOW_CFG)
+    rc = main([command, str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if command == "experiment":
+        assert "path 0 (master_seed 42) failed at step 1" in err
+
+
+def _bench_overrides(monkeypatch):
+    """The --set pairs the benchmark passes, per config file, smoke runs included."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    pairs = {}
+    for name in workloads.WORKLOADS:
+        for step in workloads.steps(name):
+            for smoke in (False, True):
+                pairs.setdefault(step.config, []).extend(step.overrides(smoke))
+    return pairs
+
+
+def test_shipped_configs_load_with_benchmark_overrides(monkeypatch):
+    pairs = _bench_overrides(monkeypatch)
+    paths = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/configs/*.cfg"))
+    assert len(paths) == 9
+    for path in paths:
+        rel = path.relative_to(ROOT).as_posix()
+        args = argparse.Namespace(config=str(path), overrides=pairs.get(rel, []), seed=42)
+        assert _load(args)["run.master_seed"] == "42"
+
+
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_unknown_key_exits_2(tmp_path, capsys, where):
+    cfg = tmp_path / "typo.cfg"
+    text = "schedule.kind = constant\nschedule.c = 1.0\nrun.h = 0.1\n"
+    argv = ["classify", str(cfg), "--out", str(tmp_path)]
+    if where == "file":
+        text += "run.stpes = 10\n"
+    else:
+        argv += ["--set", "run.stpes=10"]
+    cfg.write_text(text)
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'run.stpes'" in err and "did you mean 'run.steps'" in err
+    assert not (tmp_path / "regime_report.kv").exists()

@@ -365,3 +365,19 @@ def test_radial_rows_name_the_failing_row():
     assert excinfo.value.row_index == 2
     with pytest.raises(SolverError, match="no sign change"):
         solve_vector(bounded, 0.1, X[2])
+
+
+def test_componentwise_block_names_the_failing_row():
+    from ssbelab.integrator import stage_rule
+
+    # f(y) = -y is not dissipative: at h = 2 the root -x lies outside the
+    # bracket [0, x], so every row with x != 0 stalls; zero rows solve exactly.
+    anti = make_drift(lambda x: -np.asarray(x, float), 2, name="anti",
+                      scalar_eval=lambda y: -y, scalar_deriv=lambda y: np.full_like(y, -1.0))
+    X = np.array([[0.0, 0.0], [0.0, 0.25], [1.0, 0.5], [0.0, 0.0]])
+    with pytest.raises(SolverError, match="componentwise solve stalled") as excinfo:
+        stage_rule(anti, 2.0, 1e-12, block=True)(X)
+    assert excinfo.value.row_index == 2
+    with pytest.raises(SolverError) as excinfo:
+        solve_componentwise(anti, 2.0, X[2])
+    assert not hasattr(excinfo.value, "row_index")

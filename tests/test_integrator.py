@@ -252,11 +252,13 @@ def test_lockstep_summaries_keep_their_bits():
      schedule_family("power", h=0.1, c=1.0, p=1.0, d=3, r=3), [1.0, 1.0, 1.0]),
     (builtin_drift("linear", lam=1.0, d=2),
      schedule_family("constant", h=0.1, c=1.0, d=2, r=2), [1.0, -1.0]),
-], ids=["saturating_d3", "affine_d2"])
+    (builtin_drift("linear", A=[[-1.0, 0.5], [-0.5, -2.0]]),
+     schedule_family("constant", h=0.1, c=1.0, d=2, r=2), [1.0, -1.0]),
+], ids=["saturating_d3", "affine_d2", "affine_d2_non_diagonal"])
 def test_per_path_summaries_equal_lockstep_bitwise(drift, sched, zeta):
-    # Both engines share one diagnostics fold; where their stages agree bit
-    # for bit, so does every summary field and checkpoint.  (A diagonal C(h)
-    # does: with a general A, x @ C.T and X @ C.T may round differently.)
+    # Both engines share one diagnostics fold and one stage rule, whose
+    # affine route takes the same fixed-order sum for a state and for each
+    # row of a block, so every summary field and checkpoint agrees bit for bit.
     steps, seed = 1100, 42
     block = integrate_paths_lockstep(drift, sched, zeta, steps, sched.r, seed, range(3))
     for s in block:
