@@ -22,7 +22,7 @@ from ssbelab.schedules import (
     sigma_family,
 )
 from ssbelab.implicit import ImplicitSolution, SolverError, solve_scalar, solve_vector
-from ssbelab.integrator import PathRecord, integrate
+from ssbelab.integrator import PathError, PathRecord, integrate
 from ssbelab.classifier import (
     RegimeReport,
     classify,

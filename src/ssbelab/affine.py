@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def build_C(A, h: float) -> np.ndarray:
@@ -56,6 +55,9 @@ def eigen_map_check(A, h: float, tol: float = 1e-10) -> EigenMapReport:
     is stable the report also confirms every mapped eigenvalue lies
     strictly inside the unit disc.
     """
+    # Imported here, its only use: scipy.optimize is most of a cold start.
+    from scipy.optimize import linear_sum_assignment
+
     A = np.asarray(A, dtype=np.float64)
     C = build_C(A, h)
     eig_A = np.linalg.eigvals(A)

@@ -42,9 +42,11 @@ from ssbelab.normal import tail_q_grid
 from ssbelab.schedules import ContinuousSigma, NoiseSchedule, from_sigma_cell_rms
 
 
-def default_epsilon_grid() -> np.ndarray:
-    """Logarithmic grid, 1e-2 to 1e1, 13 points."""
-    return np.geomspace(1e-2, 1e1, 13)
+def default_epsilon_grid(eps_min: float = 1e-2, eps_max: float = 1e1, points: int = 13) -> np.ndarray:
+    """Logarithmic grid, ``points`` points from eps_min to eps_max."""
+    if eps_min <= 0 or eps_max <= 0:
+        raise ValueError(f"epsilon grid must be positive, got [{eps_min!r}, {eps_max!r}]")
+    return np.geomspace(eps_min, eps_max, points)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,12 @@ import numpy as np
 
 from ssbelab import affine as affine_mod
 from ssbelab import config as cfg_mod
-from ssbelab.classifier import classify, format_regime_report, regime_report_records
+from ssbelab.classifier import (
+    classify,
+    default_epsilon_grid,
+    format_regime_report,
+    regime_report_records,
+)
 from ssbelab.config import ConfigError
 from ssbelab.gaussian import derive_substream
 from ssbelab.harness import (
@@ -25,9 +30,8 @@ from ssbelab.harness import (
     write_ensemble_outputs,
     write_kv,
 )
-from ssbelab.integrator import EnsemblePathError, dump_path_csv, integrate
+from ssbelab.integrator import PathError, dump_path_csv, integrate
 from ssbelab.quadrature import QuadratureError
-from ssbelab.implicit import SolverError
 
 
 def _add_common(p):
@@ -48,13 +52,17 @@ def _load(args):
 
 
 def _epsilon_grid(cfg):
-    lo = cfg_mod.as_float(cfg, "classify.eps_min")
-    hi = cfg_mod.as_float(cfg, "classify.eps_max")
-    pts = cfg_mod.as_int(cfg, "classify.eps_points")
-    if lo is None and hi is None and pts is None:
-        return None
-    grid = np.geomspace(lo if lo else 1e-2, hi if hi else 1e1, pts if pts else 13)
-    return grid
+    """``default_epsilon_grid`` with the classify.eps_* keys that are set; None if none is."""
+    given = {
+        arg: read(cfg, key)
+        for arg, key, read in (
+            ("eps_min", "classify.eps_min", cfg_mod.as_float),
+            ("eps_max", "classify.eps_max", cfg_mod.as_float),
+            ("points", "classify.eps_points", cfg_mod.as_int),
+        )
+        if key in cfg
+    }
+    return default_epsilon_grid(**given) if given else None
 
 
 def cmd_simulate(args) -> int:
@@ -145,23 +153,13 @@ def cmd_experiment(args) -> int:
 def cmd_consistency(args) -> int:
     cfg = _load(args)
     drift = cfg_mod.build_drift(cfg)
-    sigma = cfg_mod.build_continuous_sigma(cfg, drift.d, cfg_mod.as_int(cfg, "run.r", 1))
+    run = cfg_mod.build_run(cfg, drift.d, args.out)
+    sigma = cfg_mod.build_continuous_sigma(cfg, drift.d, run.r)
     h_grid = cfg_mod.as_floats(cfg, "consistency.h_grid", required=True)
-    zeta = cfg_mod.as_floats(cfg, "run.zeta")
-    report = run_consistency_suite(
-        sigma,
-        drift,
-        list(h_grid),
-        master_seed=cfg_mod.as_int(cfg, "run.master_seed", required=True),
-        paths=cfg_mod.as_int(cfg, "run.paths", 24),
-        steps=cfg_mod.as_int(cfg, "run.steps", 20_000),
-        zeta=1.0 if zeta is None else zeta,
-        epsilon_grid=_epsilon_grid(cfg),
-    )
+    report = run_consistency_suite(sigma, drift, list(h_grid), run, epsilon_grid=_epsilon_grid(cfg))
     records = consistency_report_records(report)
-    out_dir = cfg_mod.output_dir(cfg, args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    write_kv(records, os.path.join(out_dir, "consistency_report.kv"))
+    os.makedirs(run.out_dir, exist_ok=True)
+    write_kv(records, os.path.join(run.out_dir, "consistency_report.kv"))
     for key, value in records.items():
         print(f"{key} = {value}")
     ok = report.labels_agree_across_h and report.labels_agree_across_choices
@@ -197,7 +195,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, QuadratureError, SolverError, EnsemblePathError, ValueError) as exc:
+    except (ConfigError, QuadratureError, PathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -250,7 +250,6 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class RunSettings:
-    h: float
     r: int
     steps: int
     paths: int
@@ -271,12 +270,9 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
     paths = as_int(cfg, "run.paths", 1)
     if paths < 1:
         raise ConfigError("run.paths must be >= 1")
-    h = as_float(cfg, "run.h", required=True)
-    if h <= 0:
-        raise ConfigError("run.h must be positive")
     zeta = as_floats(cfg, "run.zeta", required=True)
     if zeta.shape != (d,):
-        raise ConfigError(f"run.zeta must have {d} components")
+        raise ConfigError(f"run.zeta must have shape ({d},), got {zeta.size} components")
     window = default_window(steps, as_float(cfg, "run.window_fraction", 0.01))
     thresholds = Thresholds(
         **{f.name: as_float(cfg, f"thresholds.{f.name}", f.default) for f in fields(Thresholds)}
@@ -285,7 +281,6 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
     if not 0 <= seed < 2**64:
         raise ConfigError("run.master_seed must be an unsigned 64-bit integer")
     return RunSettings(
-        h=h,
         r=as_int(cfg, "run.r", 1),
         steps=steps,
         paths=paths,

@@ -34,6 +34,28 @@ import numpy as np
 CHECKPOINTS = (10**3, 10**4, 10**5)
 
 
+class NonFiniteError(ArithmeticError):
+    """A shock or state left the double range at ``step_index``, in block row ``row_index``."""
+
+
+def _check_finite(norms: np.ndarray, n0: int, shocks=None) -> None:
+    """Raise NonFiniteError at the first non-finite state norm.
+
+    Axis 0 of ``norms`` counts steps from ``n0`` and axis 1 the rows of a
+    block.  The error names the first step holding one, with its first such
+    row, and blames that step's shock when the shock is itself not finite.
+    """
+    finite = np.isfinite(norms)
+    if not finite.all():
+        t, i = np.argwhere(~finite)[0]
+        if shocks is not None and not np.isfinite(shocks[t, i]).all():
+            exc = NonFiniteError(f"non-finite shock: {shocks[t, i]}")
+        else:
+            exc = NonFiniteError(f"non-finite state norm: {norms[t, i]}")
+        exc.step_index, exc.row_index = n0 + int(t), int(i)
+        raise exc
+
+
 @dataclass
 class Checkpoint:
     n: int
@@ -68,7 +90,10 @@ class BatchDiagnostics:
     ``np.maximum.accumulate`` for the sup, with checkpoint snapshots read
     at their exact step.  A cumsum adds in step order and a maximum is
     exact, so every statistic is the same sequence of float operations as a
-    per-step fold.  ``n`` counts the folded steps.
+    per-step fold.  ``n`` counts the folded steps.  A flush that folded a
+    state of non-finite norm, the sign of a non-finite shock or state,
+    raises NonFiniteError naming its step, after the fold, so the
+    statistics stay readable.  Both engines meet every such failure here.
     """
 
     CHUNK = 64
@@ -98,6 +123,7 @@ class BatchDiagnostics:
         self.sup = norms.copy()
         self.ring[self.ring_len % self.window] = norms
         self.ring_len += 1
+        _check_finite(norms[None], 0)
 
     def update(self, x_new: np.ndarray, x_star_prev: np.ndarray, u_new: np.ndarray, fro_prev: float) -> None:
         k = self._k
@@ -159,6 +185,18 @@ class BatchDiagnostics:
         self.M = M[-1].copy()
         self.QV = QV[-1].copy()
         self.shock_sq = shock_sq[-1].copy()
+        _check_finite(norms, n0, self._u[:k])
+
+    def first_failure(self, exc: Exception, step: int) -> tuple[Exception, int]:
+        """The failure to report for ``exc``, raised at ``step``, and its step.
+
+        A non-finite state among the buffered steps, flushed here, came first.
+        """
+        try:
+            self._flush()
+        except NonFiniteError as earlier:
+            exc = earlier
+        return exc, exc.step_index if isinstance(exc, NonFiniteError) else step
 
     def summaries(self, path_indices, final_norms: np.ndarray) -> list[PathSummary]:
         self._flush()

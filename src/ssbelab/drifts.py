@@ -101,13 +101,6 @@ def _componentwise(name, d, sc_eval, sc_deriv, params, **flags) -> DriftSpec:
     def batched(x: np.ndarray) -> np.ndarray:
         return sc_eval(np.asarray(x, dtype=np.float64))
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros(x.shape + (x.shape[-1],))
-        idx = np.arange(x.shape[-1])
-        out[..., idx, idx] = sc_deriv(x)
-        return out
-
     return DriftSpec(
         name=name,
         d=d,
@@ -115,7 +108,6 @@ def _componentwise(name, d, sc_eval, sc_deriv, params, **flags) -> DriftSpec:
         componentwise=True,
         scalar_eval=sc_eval,
         scalar_deriv=sc_deriv,
-        jac=jac,
         params=params,
         **flags,
     )
@@ -178,10 +170,6 @@ def builtin_drift(name: str, **params) -> DriftSpec:
         def sc_deriv(x, lam=lam):
             return np.full_like(np.asarray(x, dtype=np.float64), lam)
 
-        def jc(x, lam=lam, d=d):
-            x = np.asarray(x, dtype=np.float64)
-            return np.broadcast_to(lam * np.eye(d), x.shape + (d,)).copy()
-
         return DriftSpec(
             name="linear",
             d=d,
@@ -194,7 +182,6 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             componentwise=True,
             scalar_eval=sc_eval,
             scalar_deriv=sc_deriv,
-            jac=jc,
             params={"lam": lam},
         )
     if name == "cubic":
@@ -236,13 +223,6 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             s = np.sum(x * x, axis=-1, keepdims=True)
             return c * x / (1.0 + s)
 
-        def jc(x, c=c):
-            x = np.asarray(x, dtype=np.float64)
-            s = np.sum(x * x, axis=-1)[..., None, None]
-            eye = np.eye(x.shape[-1])
-            outer = x[..., :, None] * x[..., None, :]
-            return c * ((1.0 + s) * eye - 2.0 * outer) / (1.0 + s) ** 2
-
         return DriftSpec(
             name="saturating",
             d=d,
@@ -250,7 +230,6 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             dissipative=True,
             radial=True,
             radial_gain=lambda rho, c=c: c * rho / (1.0 + rho * rho),
-            jac=jc,
             params={"c": c},
         )
     raise ValueError(f"unknown drift family: {name!r}")

@@ -278,25 +278,25 @@ def _sandwich_checks(s1: NoiseSchedule, s2: NoiseSchedule, eps: float, n_check: 
     return termwise, series
 
 
+# The sandwich checks compare both derivations at this eps over this many terms.
+SANDWICH_EPS = 1.0
+SANDWICH_TERMS = 2_000
+
+
 def run_consistency_suite(
     sigma: ContinuousSigma,
     drift,
     h_grid: Sequence[float],
-    *,
-    master_seed: int = 20130118,
-    paths: int = 24,
-    steps: int = 20_000,
-    zeta: float | np.ndarray = 1.0,
-    thresholds: Thresholds = Thresholds(),
+    run: RunSettings,
     epsilon_grid=None,
-    sandwich_eps: float = 1.0,
-    sandwich_terms: int = 2_000,
 ) -> ConsistencyReport:
     """Compare both schedule derivations of Sigma across a step-size grid.
 
-    Refuses configurations outside the suite's hypotheses: the drift must
-    be strongly mean-reverting, and Sigma must either register an exact
-    cell antiderivative or have non-increasing squared Frobenius norm.
+    Each derivation's ensemble is the one ``run`` describes, judged by
+    ``run.thresholds``.  Refuses configurations outside the suite's
+    hypotheses: the drift must be strongly mean-reverting, and Sigma must
+    either register an exact cell antiderivative or have non-increasing
+    squared Frobenius norm.
     """
     if not drift.strong_mean_reverting:
         raise ValueError(
@@ -308,12 +308,6 @@ def run_consistency_suite(
             "consistency suite requires an exact cell integral or a "
             "non-increasing squared Frobenius norm"
         )
-    # A scalar starts every component there; a vector must match the drift.
-    zeta_arr = np.asarray(zeta, dtype=np.float64)
-    if zeta_arr.ndim == 0:
-        zeta_arr = np.full(drift.d, float(zeta_arr))
-    elif zeta_arr.shape != (drift.d,):
-        raise ValueError(f"initial state must have shape ({drift.d},), got {zeta_arr.shape}")
     rows = []
     for h in h_grid:
         s_sampled = from_sigma_sampled(sigma, float(h))
@@ -321,7 +315,7 @@ def run_consistency_suite(
         rep1 = classify(s_sampled, epsilon_grid=epsilon_grid)
         rep2 = classify(s_cell, epsilon_grid=epsilon_grid)
         if sigma.monotone_sq_fro:
-            termwise, series = _sandwich_checks(s_sampled, s_cell, sandwich_eps, sandwich_terms)
+            termwise, series = _sandwich_checks(s_sampled, s_cell, SANDWICH_EPS, SANDWICH_TERMS)
         else:
             termwise = series = None
         cons = []
@@ -329,14 +323,16 @@ def run_consistency_suite(
             summaries = integrate_paths_lockstep(
                 drift,
                 sched,
-                zeta_arr,
-                steps,
-                sigma.r,
-                master_seed,
-                range(paths),
+                run.zeta,
+                run.steps,
+                run.r,
+                run.master_seed,
+                range(run.paths),
+                tol=run.tol,
+                window=run.window,
             )
-            fr = compute_fractions(summaries, thresholds)
-            cons.append(consistency_verdict(rep.regime, fr, thresholds))
+            fr = compute_fractions(summaries, run.thresholds)
+            cons.append(consistency_verdict(rep.regime, fr, run.thresholds))
         rows.append(
             ConsistencyRow(
                 h=float(h),
@@ -348,16 +344,13 @@ def run_consistency_suite(
                 ensemble_consistent_cell_rms=cons[1],
             )
         )
-    labels = [r.regime_sampled for r in rows] + [r.regime_cell_rms for r in rows]
-    across_h = len({r.regime_sampled for r in rows}) == 1 and len(
-        {r.regime_cell_rms for r in rows}
-    ) == 1
-    across_choices = all(r.regime_sampled == r.regime_cell_rms for r in rows)
     return ConsistencyReport(
         rows=tuple(rows),
-        labels_agree_across_h=across_h,
-        labels_agree_across_choices=across_choices,
-        regime_label=labels[0] if labels else "inconclusive",
+        labels_agree_across_h=all(
+            len({getattr(r, k) for r in rows}) == 1 for k in ("regime_sampled", "regime_cell_rms")
+        ),
+        labels_agree_across_choices=all(r.regime_sampled == r.regime_cell_rms for r in rows),
+        regime_label=rows[0].regime_sampled if rows else "inconclusive",
     )
 
 

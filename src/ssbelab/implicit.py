@@ -31,6 +31,18 @@ MAX_BISECT = 200
 MAX_NEWTON = 50
 
 
+def _residual_floor(tol, x):
+    """The residual a solve accepts: max(tol, four ulps of |x|), which is tol for |x| < 2048.
+
+    G_x(y) = y - x + h f(y) rounds at the scale of |x| (the bracket keeps
+    |y| <= |x|), so far from the origin no iterate can meet tol alone.
+    """
+    if isinstance(x, float):
+        # math, not numpy: the scalar solver runs once a step, where numpy's call overhead shows.
+        return max(tol, 4.0 * math.ulp(x))
+    return np.maximum(tol, 4.0 * np.spacing(np.abs(x)))
+
+
 class SolverError(RuntimeError):
     """Implicit solve did not reach tolerance; carries the best iterate.
 
@@ -79,6 +91,7 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     x = float(x)
     if x == 0.0:
         return ImplicitSolution(0.0, 0, 0.0, "bisection")
+    tol = _residual_floor(tol, x)
     f = _scalar_f(drift)
     df = drift.scalar_deriv
     # The residual G_x(y) = y - x + h f(y) is written out at each use
@@ -153,9 +166,10 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     """Vectorised elementwise solve for componentwise drifts.
 
     Operates on an array of any shape (each entry is an independent scalar
-    problem).  Returns (y, iterations, max_residual).  Without a declared
-    ``scalar_deriv`` every step bisects.  On an (m, d) block a failure is
-    named by ``SolverError.row_index``, the row with the largest residual.
+    problem, with its own residual floor).  Returns (y, iterations,
+    max_residual).  Without a declared ``scalar_deriv`` every step bisects.
+    On an (m, d) block a failure is named by ``SolverError.row_index``, the
+    row with the largest failing residual.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -167,6 +181,7 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     y = x.copy()
     g = y - x + h * f(y)
     glo = lo - x + h * f(lo)
+    tol = _residual_floor(tol, x)
     iters = 0
     # A converged entry keeps y_new = y, so its residual recomputes to the
     # same bits and it never reactivates: y and g are replaced whole.
@@ -196,16 +211,17 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
             lo = np.where(shrink_lo, y_new, lo)
             glo = np.where(shrink_lo, g_new, glo)
             y, g = y_new, g_new
-    max_resid = float(np.abs(g).max()) if g.size else 0.0
+    resid = np.abs(g)
+    max_resid = float(resid.max()) if g.size else 0.0
     # Written so that a NaN residual fails too.
-    if not max_resid <= tol:
+    if not (resid <= tol).all():
+        failing = np.where(resid <= tol, 0.0, resid)
+        worst = float(failing.max())
         exc = SolverError(
-            f"componentwise solve stalled at residual {max_resid:.3e}",
-            best=y,
-            residual=max_resid,
+            f"componentwise solve stalled at residual {worst:.3e}", best=y, residual=worst
         )
         if g.ndim == 2:
-            exc.row_index = int(np.argmax(np.abs(g).max(axis=1)))
+            exc.row_index = int(np.argmax(failing.max(axis=1)))
         raise exc
     y = np.where(x == 0.0, 0.0, y)
     return y, iters, max_resid

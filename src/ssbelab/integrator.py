@@ -15,6 +15,13 @@ componentwise states goes through ``solve_componentwise`` whole and a
 block of radial states through ``solve_radial`` row by row; any other
 state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
 
+Both take the shock from one rule too, ``NoiseSchedule.shocks``, and
+fold diagnostics through one ``BatchDiagnostics``.  Neither product
+rounds differently for one path and for a block, so a path's values
+depend on ``(master_seed, path_index)`` alone, not on the block it runs in.
+A failed stage solve, or a shock or state that is not finite, stops either
+engine with one error, ``PathError``, naming path, master_seed and step.
+
 ``integrate`` generates one path with its full, thinned or summary record.
 ``integrate_paths_lockstep`` advances a block of paths in parallel arrays
 (one substream per path, noise drawn blockwise in each path's own order),
@@ -31,7 +38,13 @@ from typing import Optional
 import numpy as np
 
 from ssbelab.affine import build_C
-from ssbelab.diagnostics import BatchDiagnostics, DiagnosticState, PathSummary, summarize
+from ssbelab.diagnostics import (
+    BatchDiagnostics,
+    DiagnosticState,
+    NonFiniteError,
+    PathSummary,
+    summarize,
+)
 from ssbelab.gaussian import GaussianStream, derive_substream
 from ssbelab.implicit import (
     SolverError,
@@ -40,6 +53,10 @@ from ssbelab.implicit import (
     solve_scalar,
     solve_vector,
 )
+from ssbelab.schedules import fixed_order_product
+
+# Steps of noise drawn per stream at a time.
+NOISE_BLOCK = 4096
 
 ROOT_SELECTION_POLICY = "bracket root toward the origin (scalar); Newton basin of y0=x (vector)"
 
@@ -60,7 +77,6 @@ class PathRecord:
     X_star: Optional[np.ndarray]  # (K-1, d) implicit stages (full mode only)
     U: Optional[np.ndarray]  # (K-1, d); row n holds U(n+1)
     stored_steps: Optional[np.ndarray]  # indices of stored rows of X
-    diagnostics: DiagnosticState  # the path's accumulator: the batch fold at m = 1
     summary: PathSummary
     selection_policy: str = ROOT_SELECTION_POLICY
 
@@ -83,13 +99,18 @@ def default_window(steps: int, frac: float = 0.01) -> int:
     return max(1, min(steps, max(1000, math.ceil(frac * steps))))
 
 
-def _initial_state(zeta, d: int) -> np.ndarray:
-    """zeta as a finite float array of shape (d,); raises ValueError otherwise."""
+def _check_inputs(drift, schedule, zeta, steps: int, r: int) -> np.ndarray:
+    """Both engines' input check; returns zeta as a finite float array of shape (d,)."""
+    d = drift.d
     zeta = np.atleast_1d(np.asarray(zeta, dtype=np.float64))
     if zeta.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},)")
     if not np.isfinite(zeta).all():
         raise ValueError(f"initial state must be finite, got {zeta.tolist()}")
+    if schedule.d != d or schedule.r != r:
+        raise ValueError("drift, schedule and stream dimensions disagree")
+    if steps < 1:
+        raise ValueError("need at least one step")
     return zeta
 
 
@@ -110,35 +131,21 @@ def _solve_rows(drift, h, X, tol):
     return out
 
 
-def _affine_stage(C_T: np.ndarray):
-    """x -> x @ C_T as one fixed-order sum over the d columns of C (rows of C_T).
-
-    Every row of a block takes the same float operations as a lone (d,)
-    state, so both engines round alike; a matmul does not promise that.
-    """
-
-    def stage(X):
-        Y = X[..., 0, None] * C_T[0]
-        for k in range(1, len(C_T)):
-            Y += X[..., k, None] * C_T[k]
-        return Y
-
-    return stage
-
-
 def stage_rule(drift, h: float, tol: float, block: bool):
     """The implicit stage x -> x*, x* = x - h f(x*), chosen from the drift's structure.
 
     Returns a map on one (d,) state, or on an (m, d) block of states when
-    ``block`` is set.  An affine drift applies C(h) = (I - hA)^{-1}; a block
-    of componentwise states is solved whole by ``solve_componentwise``, a
-    block of radial states (d > 1) row by row by ``solve_radial``, the loop
-    ``solve_vector`` runs on one state; any other state goes through
-    ``solve_scalar`` (d = 1) or ``solve_vector``.  A failing row of a block
-    is named by ``SolverError.row_index``.
+    ``block`` is set.  An affine drift applies C(h) = (I - hA)^{-1} through
+    ``fixed_order_product``, so a lone state and each row of a block round
+    alike; a block of componentwise states is solved whole by
+    ``solve_componentwise``, a block of radial states (d > 1) row by row by
+    ``solve_radial``, the loop ``solve_vector`` runs on one state; any other
+    state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.  A
+    failing row of a block is named by ``SolverError.row_index``.
     """
     if drift.affine:
-        return _affine_stage(build_C(drift.affine_matrix, h).T)
+        C_T = build_C(drift.affine_matrix, h).T
+        return lambda x: fixed_order_product(x, C_T)
     if not block:
         return lambda x: _solve_path(drift, h, x, tol)
     if drift.componentwise:
@@ -147,6 +154,23 @@ def stage_rule(drift, h: float, tol: float, block: bool):
         # Each row's radius solve goes through this module's solve_scalar.
         return lambda X: solve_radial(drift, h, X, tol, solve_scalar)[0]
     return lambda X: _solve_rows(drift, h, X, tol)
+
+
+class PathError(RuntimeError):
+    """A path failed; the message names the path, its master_seed and the step.
+
+    The cause, a SolverError or NonFiniteError, is chained.  ``integrate``
+    attaches the ``partial_summary`` and ``partial_states`` of the steps it
+    completed, the lockstep engine their ``partial_summaries``.
+    """
+
+    def __init__(self, cause, path_index: int, master_seed: int, step_index: int):
+        super().__init__(
+            f"path {path_index} (master_seed {master_seed}) failed at step {step_index}: {cause}"
+        )
+        self.path_index = path_index
+        self.master_seed = master_seed
+        self.step_index = step_index
 
 
 def integrate(
@@ -161,92 +185,61 @@ def integrate(
 ) -> PathRecord:
     """Generate one path of the scheme.
 
-    A failed implicit solve aborts with the step index; the partial record
-    is attached to the raised SolverError.
+    A failed implicit solve, or a shock or state that is not finite, stops
+    the run with a PathError carrying the partial record.
     """
     d = drift.d
-    zeta = _initial_state(zeta, d)
-    if schedule.d != d or schedule.r != stream.r:
-        raise ValueError("drift, schedule and stream dimensions disagree")
-    if steps < 1:
-        raise ValueError("need at least one step")
+    zeta = _check_inputs(drift, schedule, zeta, steps, stream.r)
     mode, stride = _parse_record_mode(record_mode, steps)
     h = schedule.h
-    sqrt_h = math.sqrt(h)
     window = default_window(steps) if window is None else int(window)
     stage = stage_rule(drift, h, tol, block=False)
 
     diag = DiagnosticState(d=d, h=h, window=window)
-    diag.start(zeta)
 
     full = mode == "full"
-    X_full = np.empty((steps + 1, d)) if full else None
-    Xs_full = np.empty((steps, d)) if full else None
-    U_full = np.empty((steps, d)) if full else None
-    thin_rows: list[tuple[int, np.ndarray]] = []
+    X = X_star = U = stored = None
     if full:
-        X_full[0] = zeta
-    elif mode == "thin":
-        thin_rows.append((0, zeta.copy()))
+        X, X_star, U = np.empty((steps + 1, d)), np.empty((steps, d)), np.empty((steps, d))
+        X[0] = zeta
+    thin_rows: list[tuple[int, np.ndarray]] = [(0, zeta.copy())] if mode == "thin" else []
 
     x = zeta.copy()
-    scalar_env = schedule.envelope is not None
-    base_T = schedule.base.T if scalar_env else None
-    chunk = 4096
-    n = 0
-    while n < steps:
-        block = min(chunk, steps - n)
-        xi_blk = stream.draw_block(block)
-        if scalar_env:
-            env = schedule.frobenius_grid(np.arange(n, n + block))
-            U_blk = (sqrt_h * env)[:, None] * (xi_blk @ base_T)
-            fro_blk = env
-        else:
-            U_blk = np.empty((block, d))
-            fro_blk = np.empty(block)
-            for j in range(block):
-                sg = schedule.sigma(n + j)
-                U_blk[j] = sqrt_h * (sg @ xi_blk[j])
-                fro_blk[j] = np.linalg.norm(sg)
-        for j in range(block):
-            step = n + j
-            try:
-                x_star = stage(x)
-            except SolverError as exc:
-                exc.step_index = step
-                exc.partial_summary = summarize(
-                    diag, stream.path_index, float(np.linalg.norm(x, axis=-1))
-                )
-                if full:
-                    exc.partial_states = X_full[: step + 1].copy()
-                elif mode == "thin":
-                    exc.partial_states = np.vstack([row for _, row in thin_rows])
-                else:
-                    exc.partial_states = None
-                raise
-            u = U_blk[j]
-            x = x_star + u
-            if full:
-                X_full[step + 1] = x
-                Xs_full[step] = x_star
-                U_full[step] = u
-            elif mode == "thin" and ((step + 1) % stride == 0 or step + 1 == steps):
-                thin_rows.append((step + 1, x.copy()))
-            diag.update(x, x_star, u, fro_blk[j])
-        n += block
+    step = 0
+    # Overflow is not warned about: the fold's check names the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            diag.start(zeta)
+            while step < steps:
+                xi = stream.draw_block(min(NOISE_BLOCK, steps - step))
+                U_blk, fro_blk = schedule.shocks(xi, step)
+                for u, fro in zip(U_blk, fro_blk):
+                    x_star = stage(x)
+                    x = x_star + u
+                    if full:
+                        X[step + 1], X_star[step], U[step] = x, x_star, u
+                    elif mode == "thin" and ((step + 1) % stride == 0 or step + 1 == steps):
+                        thin_rows.append((step + 1, x.copy()))
+                    diag.update(x, x_star, u, fro)
+                    step += 1
+            # The row norm lockstep takes: without ``axis`` numpy uses
+            # x.dot(x), which may round differently for d > 1.
+            summary = summarize(diag, stream.path_index, float(np.linalg.norm(x, axis=-1)))
+        except (SolverError, NonFiniteError) as exc:
+            cause, at = diag.first_failure(exc, step)
+            err = PathError(cause, stream.path_index, stream.master_seed, at)
+            err.partial_summary = summarize(diag, stream.path_index, np.linalg.norm(x, axis=-1))
+            err.partial_states = (
+                X[: step + 1].copy() if full
+                else np.vstack([row for _, row in thin_rows]) if mode == "thin" else None
+            )
+            raise err from cause
 
-    # The row norm lockstep takes: without ``axis`` numpy uses x.dot(x), which
-    # may round differently for d > 1.
-    final_norm = float(np.linalg.norm(x, axis=-1))
     if full:
-        X, X_star, U = X_full, Xs_full, U_full
         stored = np.arange(steps + 1)
     elif mode == "thin":
         stored = np.array([i for i, _ in thin_rows])
         X = np.vstack([row for _, row in thin_rows])
-        X_star = U = None
-    else:
-        X = X_star = U = stored = None
     return PathRecord(
         h=h,
         N=steps,
@@ -262,23 +255,12 @@ def integrate(
         X_star=X_star,
         U=U,
         stored_steps=stored,
-        diagnostics=diag,
-        summary=summarize(diag, stream.path_index, final_norm),
+        summary=summary,
     )
 
 
 # ---------------------------------------------------------------------------
 # Lockstep ensembles.
-
-
-class EnsemblePathError(RuntimeError):
-    """A path in a lockstep block failed; identifies the seed and step."""
-
-    def __init__(self, message, path_index, step_index, partial_summaries):
-        super().__init__(message)
-        self.path_index = path_index
-        self.step_index = step_index
-        self.partial_summaries = partial_summaries
 
 
 def integrate_paths_lockstep(
@@ -291,72 +273,51 @@ def integrate_paths_lockstep(
     path_indices,
     tol: float = 1e-12,
     window: Optional[int] = None,
-    noise_block: int = 4096,
 ) -> list[PathSummary]:
     """Advance many paths in lockstep; summary statistics only.
 
     Each path draws from its own derived substream, in the same order the
-    per-path integrator would, so a block reproduces looping ``integrate``
-    over the same indices to solver tolerance (the noise is bit-identical;
-    implicit stages agree to the residual tolerance).  The stage is
-    ``stage_rule`` on the whole (m, d) block.
+    per-path integrator does, and its shocks come from the same
+    ``NoiseSchedule.shocks``, assembled one diagnostics chunk at a time.
+    The stage is ``stage_rule`` on the whole (m, d) block.  A failing path
+    stops the run with a PathError naming it.
     """
     d = drift.d
-    zeta = _initial_state(zeta, d)
-    if schedule.d != d or schedule.r != r:
-        raise ValueError("drift, schedule and stream dimensions disagree")
+    zeta = _check_inputs(drift, schedule, zeta, steps, r)
     path_indices = list(path_indices)
     m = len(path_indices)
     if m == 0:
         return []
-    h = schedule.h
-    sqrt_h = math.sqrt(h)
     window = default_window(steps) if window is None else int(window)
     streams = [derive_substream(master_seed, p, r) for p in path_indices]
-    stage = stage_rule(drift, h, tol, block=True)
+    stage = stage_rule(drift, schedule.h, tol, block=True)
 
-    diag = BatchDiagnostics(m, d, h, window)
+    diag = BatchDiagnostics(m, d, schedule.h, window)
     X = np.tile(zeta, (m, 1))
-    diag.start(X)
 
-    scalar_env = schedule.envelope is not None
-    base_T = schedule.base.T if scalar_env else None
-
-    n = 0
-    while n < steps:
-        block = min(noise_block, steps - n)
-        # (m, block, r): each path's next `block` vectors from its own stream.
-        noise = np.stack([s.draw_block(block) for s in streams], axis=0)
-        if scalar_env:
-            env_vals = schedule.frobenius_grid(np.arange(n, n + block))
-        for j in range(block):
-            step = n + j
-            try:
-                x_star = stage(X)
-            except SolverError as exc:
-                failing = path_indices[exc.row_index]
-                partial = diag.summaries(path_indices, np.linalg.norm(X, axis=1))
-                raise EnsemblePathError(
-                    f"path {failing} (master_seed {master_seed}) failed at "
-                    f"step {step}: {exc}",
-                    failing,
-                    step,
-                    partial,
-                ) from exc
-            xi = noise[:, j, :]
-            if scalar_env:
-                fro = float(env_vals[j])
-                u = (sqrt_h * fro) * (xi @ base_T)
-            else:
-                sigma_n = schedule.sigma(step)
-                fro = float(np.linalg.norm(sigma_n))
-                u = sqrt_h * (xi @ sigma_n.T)
-            X = x_star + u
-            diag.update(X, x_star, u, fro)
-        n += block
-
-    final_norms = np.linalg.norm(X, axis=1)
-    return diag.summaries(path_indices, final_norms)
+    chunk = BatchDiagnostics.CHUNK
+    step = 0
+    # Overflow is not warned about: the fold's check names the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            diag.start(X)
+            while step < steps:
+                # (block, m, r): each path's next vectors from its own stream.
+                block = min(NOISE_BLOCK, steps - step)
+                noise = np.stack([s.draw_block(block) for s in streams], axis=1)
+                for c in range(0, block, chunk):
+                    U, fro = schedule.shocks(noise[c : c + chunk], step)
+                    for u, f in zip(U, fro):
+                        x_star = stage(X)
+                        X = x_star + u
+                        diag.update(X, x_star, u, f)
+                        step += 1
+            return diag.summaries(path_indices, np.linalg.norm(X, axis=1))
+        except (SolverError, NonFiniteError) as exc:
+            cause, at = diag.first_failure(exc, step)
+            err = PathError(cause, path_indices[cause.row_index], master_seed, at)
+            err.partial_summaries = diag.summaries(path_indices, np.linalg.norm(X, axis=1))
+            raise err from cause
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,31 @@ def _zero_tail(eps: float, n: int) -> float:
     return 0.0
 
 
+def _unit_base(base, d: int, r: int) -> np.ndarray:
+    """``base`` scaled to unit Frobenius norm; the uniform d x r matrix when None."""
+    if base is None:
+        return np.full((d, r), 1.0 / math.sqrt(d * r))
+    base = np.asarray(base, dtype=np.float64)
+    nrm = float(np.linalg.norm(base))
+    if base.shape != (d, r) or nrm == 0.0:
+        raise ValueError("base must be a nonzero d x r matrix")
+    return base / nrm
+
+
+def fixed_order_product(X: np.ndarray, M_T) -> np.ndarray:
+    """X @ M_T as one fixed-order sum over the last axis of X (the rows of M_T).
+
+    Row c of ``M_T`` broadcasts against ``X[..., c, None]``.  Every row of a
+    block takes the same float operations as a lone row, so a result does
+    not depend on how many rows are computed together; a matmul does not
+    promise that.
+    """
+    Y = X[..., 0, None] * M_T[0]
+    for c in range(1, len(M_T)):
+        Y += X[..., c, None] * M_T[c]
+    return Y
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -159,16 +184,7 @@ class NoiseSchedule:
         if (self.envelope is None) == (self.matrix_eval is None):
             raise ValueError("exactly one of envelope/matrix_eval required")
         if self.envelope is not None:
-            if self.base is None:
-                self.base = np.full((self.d, self.r), 1.0 / math.sqrt(self.d * self.r))
-            else:
-                base = np.asarray(self.base, dtype=np.float64)
-                if base.shape != (self.d, self.r):
-                    raise ValueError("base must be d x r")
-                nrm = float(np.linalg.norm(base))
-                if nrm == 0.0:
-                    raise ValueError("base matrix must be nonzero")
-                self.base = base / nrm
+            self.base = _unit_base(self.base, self.d, self.r)
 
     def sigma(self, n: int) -> np.ndarray:
         """sigma(n) as a (d, r) array."""
@@ -179,14 +195,6 @@ class NoiseSchedule:
             return s * self.base
         return self.matrix_eval(int(n))
 
-    def frobenius(self, n: int) -> float:
-        """||sigma(n)||_F (equals the scalar envelope for family schedules)."""
-        if self.envelope is not None:
-            if n < 0:
-                raise ValueError("schedule index must be non-negative")
-            return abs(float(self.envelope(np.asarray(float(n)))))
-        return float(np.linalg.norm(self.sigma(n)))
-
     def frobenius_grid(self, ns: np.ndarray) -> np.ndarray:
         """Vectorised Frobenius norms over an index array."""
         ns = np.asarray(ns)
@@ -195,6 +203,30 @@ class NoiseSchedule:
         return np.array([float(np.linalg.norm(self.sigma(int(n)))) for n in ns.ravel()]).reshape(
             ns.shape
         )
+
+    def shocks(self, xi: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Shocks sqrt(h) sigma(n) xi and norms ||sigma(n)||_F for n = n0 .. n0+k-1.
+
+        ``xi`` has shape (k, ..., r): the noise of k consecutive steps of one
+        path, or of each path in a block.  The shocks have shape (k, ..., d).
+        The product with sigma(n) is ``fixed_order_product``, so a path's
+        shock has the same bits alone and in a block of any size.  A
+        non-finite shock is reported by the diagnostics fold, at the step
+        whose state it makes non-finite.
+        """
+        k = len(xi)
+        ns = np.arange(n0, n0 + k)
+        lead = (k,) + (1,) * (xi.ndim - 2)
+        if self.envelope is not None:
+            fro = self.frobenius_grid(ns)
+            U = fixed_order_product(xi, self.base.T)
+            U *= (math.sqrt(self.h) * fro).reshape(lead + (1,))
+        else:
+            S = np.stack([self.sigma(int(n)) for n in ns])  # (k, d, r)
+            fro = np.array([np.linalg.norm(s) for s in S])
+            U = fixed_order_product(xi, np.moveaxis(S, 2, 0).reshape((self.r,) + lead + (self.d,)))
+            U *= math.sqrt(self.h)
+        return U, fro
 
     def series_tail_bound(self, eps: float, n_trunc: int, kind: str = "s") -> Optional[float]:
         """Rigorous remainder bound past n_trunc, or None when unavailable."""
@@ -380,7 +412,7 @@ class ContinuousSigma:
 
     def __post_init__(self) -> None:
         if self.envelope is not None and self.base is None:
-            self.base = np.full((self.d, self.r), 1.0 / math.sqrt(self.d * self.r))
+            self.base = _unit_base(None, self.d, self.r)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.fn(float(t))
@@ -394,23 +426,17 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
     power_decay(c, p)     Sigma(t) = c (1 + t)^{-p}, p > 0
     inverse_log_t(a, b)   ||Sigma(t)||_F^2 = a / log(b + t), b > 1
     """
-    if base is not None:
-        base = np.asarray(base, dtype=np.float64)
-        nrm = float(np.linalg.norm(base))
-        if base.shape != (d, r) or nrm == 0.0:
-            raise ValueError("base must be a nonzero d x r matrix")
-        base = base / nrm
+    unit = _unit_base(base, d, r)
 
     def build(env, env_sq_cell, monotone, L, vanishes, fam, prm):
-        b = base if base is not None else np.full((d, r), 1.0 / math.sqrt(d * r))
         return ContinuousSigma(
             name=name,
             d=d,
             r=r,
-            fn=lambda t, env=env, b=b: float(env(np.asarray(t, dtype=np.float64))) * b,
+            fn=lambda t, env=env, b=unit: float(env(np.asarray(t, dtype=np.float64))) * b,
             envelope=env,
             env_sq_cell=env_sq_cell,
-            base=b,
+            base=unit,
             monotone_sq_fro=monotone,
             analytic_L=L,
             sigma_vanishes=vanishes,
@@ -552,6 +578,15 @@ def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
     )
 
 
+def _cell_rms(sq: Callable[[float], float], n: int, h: float, rel_tol: float, cell: str) -> float:
+    """sqrt of the mean of ``sq`` over [nh, (n+1)h] by adaptive Simpson; a failure names ``cell``."""
+    try:
+        val = adaptive_simpson(sq, n * h, (n + 1) * h, rel_tol=rel_tol)
+    except QuadratureError as exc:
+        raise QuadratureError(f"cell-rms quadrature failed on cell {cell}: {exc}") from exc
+    return math.sqrt(max(val, 0.0) / h)
+
+
 def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10) -> NoiseSchedule:
     """Cell root-mean-square derivation.
 
@@ -573,21 +608,11 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
         def env_quad(ns, e=sigma.envelope, h=h, rel_tol=rel_tol, cache=cache):
             ns = np.asarray(ns, dtype=np.float64)
             out = np.empty_like(ns)
+            sq = lambda t: float(e(np.asarray(t))) ** 2
             for idx, n in np.ndenumerate(ns):
                 key = int(n)
                 if key not in cache:
-                    try:
-                        val = adaptive_simpson(
-                            lambda t: float(e(np.asarray(t))) ** 2,
-                            key * h,
-                            (key + 1) * h,
-                            rel_tol=rel_tol,
-                        )
-                    except QuadratureError as exc:
-                        raise QuadratureError(
-                            f"cell-rms quadrature failed on cell n={key}: {exc}"
-                        ) from exc
-                    cache[key] = math.sqrt(max(val, 0.0) / h)
+                    cache[key] = _cell_rms(sq, key, h, rel_tol, f"n={key}")
                 out[idx] = cache[key]
             return out
 
@@ -598,20 +623,9 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
     def matrix_eval(n: int, s=sigma, h=h, rel_tol=rel_tol) -> np.ndarray:
         if n not in cache_m:
             out = np.empty((s.d, s.r))
-            for i in range(s.d):
-                for j in range(s.r):
-                    try:
-                        val = adaptive_simpson(
-                            lambda t, i=i, j=j: float(np.asarray(s(t))[i, j]) ** 2,
-                            n * h,
-                            (n + 1) * h,
-                            rel_tol=rel_tol,
-                        )
-                    except QuadratureError as exc:
-                        raise QuadratureError(
-                            f"cell-rms quadrature failed on cell n={n}, entry ({i},{j}): {exc}"
-                        ) from exc
-                    out[i, j] = math.sqrt(max(val, 0.0) / h)
+            for i, j in np.ndindex(s.d, s.r):
+                sq = lambda t, i=i, j=j: float(np.asarray(s(t))[i, j]) ** 2
+                out[i, j] = _cell_rms(sq, n, h, rel_tol, f"n={n}, entry ({i},{j})")
             cache_m[n] = out
         return cache_m[n]
 

@@ -84,7 +84,6 @@ def run_selftest(verbose: bool = True) -> int:
     ok_all &= _check("energy identity on a pilot path", float(resid.max()) <= 1e-8, verbose)
 
     run = RunSettings(
-        h=0.1,
         r=1,
         steps=2000,
         paths=8,

@@ -166,7 +166,7 @@ def test_sc_sandwich_for_monotone_sigma():
     sc = partial_sum_Sc(sig, h, eps, n)
     from ssbelab.normal import tail_q
 
-    first = tail_q(eps / sampled.frobenius(0))
+    first = tail_q(eps / sampled.frobenius_grid([0])[0])
     assert s.value - first <= sc.value + 1e-12
     assert sc.value <= s.value + 1e-12
 

@@ -1,5 +1,8 @@
 import argparse
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +128,49 @@ def test_consistency_command(tmp_path, capsys):
     assert "regime_label = A" in kv
 
 
+CONSISTENCY_CFG = (
+    "drift.name = cubic\nschedule.sigma = exp_decay\nschedule.sigma_c = 1.0\n"
+    "schedule.sigma_a = 1.0\nconsistency.h_grid = 0.5\n"
+    "run.steps = 2000\nrun.paths = 4\nrun.zeta = 1.0\nrun.master_seed = 42\n"
+)
+
+
+def test_consistency_reads_thresholds_like_experiment(tmp_path):
+    cfg = tmp_path / "cons.cfg"
+    cfg.write_text(CONSISTENCY_CFG)
+    verdicts = []
+    for over in ([], ["--set", "thresholds.fraction=2.0"]):
+        out = tmp_path / str(len(verdicts))
+        assert main(["consistency", str(cfg), "--out", str(out)] + over) == 0
+        kv = (out / "consistency_report.kv").read_text()
+        verdicts.append("row.0.ensemble_consistent_sampled = true" in kv)
+    assert verdicts == [True, False]
+
+
+def test_consistency_zero_steps_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cons.cfg"
+    cfg.write_text(CONSISTENCY_CFG)
+    assert main(["consistency", str(cfg), "--out", str(tmp_path), "--set", "run.steps=0"]) == 2
+    assert "run.steps must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "consistency_report.kv").exists()
+
+
+def test_zero_eps_min_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("schedule.kind = constant\nschedule.c = 1.0\nrun.h = 0.1\n"
+                   "classify.eps_min = 0\n")
+    assert main(["classify", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "epsilon grid must be positive" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_and_signal_unloaded():
+    code = "import sys, ssbelab.cli; print(sorted({'scipy.optimize', 'scipy.signal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_consistency_zeta_of_the_wrong_length_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cons3.cfg"
     cfg.write_text(
@@ -157,17 +203,47 @@ run.master_seed = 42
 """
 
 
+def _exits_2_at_step_0(tmp_path, capsys, command, cfg_text, cause):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(cfg_text)
+    assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: path 0 (master_seed 42) failed at step 0: ") and cause in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "path.csv").exists() and not (tmp_path / "ensemble.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
 def test_failing_path_exits_2(tmp_path, capsys, command):
-    # The shock overflows to inf at step 0, so the step-1 stage cannot converge.
-    cfg = tmp_path / "overflow.cfg"
-    cfg.write_text(OVERFLOW_CFG)
-    rc = main([command, str(cfg), "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    if command == "experiment":
-        assert "path 0 (master_seed 42) failed at step 1" in err
+    # Path 0's first deviate is -1.365: its step-0 shock overflows to -inf.
+    _exits_2_at_step_0(tmp_path, capsys, command, OVERFLOW_CFG, "non-finite shock: [-inf]")
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+@pytest.mark.parametrize("c, cause", [
+    ("1.7e308", "non-finite shock: [-inf]"),
+    # Finite shocks, but path 0's state x* + u = -1.4e200 has a norm the
+    # fold cannot square; an x* + u that overflows to inf comes later still.
+    ("1e200", "non-finite state norm: inf"),
+], ids=["shock", "state"])
+def test_linear_drift_overflow_exits_2(tmp_path, capsys, command, c, cause):
+    # The affine stage carries inf on without failing, so the fold names it.
+    text = OVERFLOW_CFG.replace("cubic", "linear").replace("1.7e308", c)
+    _exits_2_at_step_0(tmp_path, capsys, command, text + "drift.lam = 1e-12\n", cause)
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_arctan_far_from_the_origin_completes(tmp_path, command):
+    # |x| reaches ~1.7e4, where one ulp (3.6e-12) exceeds tol = 1e-12; the
+    # residual floor of four ulps lets path 13's step-819 stage converge.
+    text = (ROOT / "configs/scalar_arctan.cfg").read_text().replace("schedule.p = 1.0\n", "")
+    cfg = tmp_path / "arctan_constant.cfg"
+    cfg.write_text(text.replace("schedule.kind = power", "schedule.kind = constant"))
+    over = ["schedule.c=1e3", "run.steps=3000", "run.paths=20", "run.path_index=13"]
+    argv = [command, str(cfg), "--out", str(tmp_path)]
+    argv += [arg for pair in over for arg in ("--set", pair)]
+    assert main(argv) in (0, 1)
+    assert (tmp_path / ("path.csv" if command == "simulate" else "ensemble.csv")).exists()
 
 
 def _bench_overrides(monkeypatch):

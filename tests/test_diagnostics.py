@@ -11,7 +11,7 @@ from ssbelab.diagnostics import (
 )
 from ssbelab.drifts import builtin_drift, make_drift
 from ssbelab.gaussian import derive_substream
-from ssbelab.integrator import EnsemblePathError, integrate, integrate_paths_lockstep
+from ssbelab.integrator import PathError, integrate, integrate_paths_lockstep
 from ssbelab.schedules import schedule_family, tabulated_schedule
 
 
@@ -177,7 +177,7 @@ def test_lockstep_failure_mid_chunk_keeps_completed_steps():
     table = np.column_stack([np.arange(200), np.full(200, 0.1)])
     table[100, 1] = 1e4  # sigma(100) sets X(101) far outside the dissipative zone
     sched = tabulated_schedule(table, h=0.1)
-    with pytest.raises(EnsemblePathError) as excinfo:
+    with pytest.raises(PathError) as excinfo:
         integrate_paths_lockstep(drift, sched, [1.0], 200, 1, 3, range(3), window=50)
     exc = excinfo.value
     assert exc.step_index == 101 and 101 % BatchDiagnostics.CHUNK != 0

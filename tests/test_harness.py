@@ -46,7 +46,7 @@ run.master_seed = 42
 
 def _run_settings(**over):
     base = dict(
-        h=0.1, r=1, steps=2000, paths=6, zeta=np.array([1.0]), master_seed=42,
+        r=1, steps=2000, paths=6, zeta=np.array([1.0]), master_seed=42,
         record_mode="summary", window=1000, tol=1e-12, thresholds=Thresholds(),
         out_dir=".", echo={"k": "v"},
     )
@@ -94,8 +94,9 @@ _RUN_CONFIGS = [
 
 @pytest.mark.parametrize("path", _RUN_CONFIGS, ids=lambda p: p.name)
 def test_shipped_configs_keep_their_trailing_window(path):
-    # consistency_exp.cfg has no run.h: the consistency command sets h per grid point.
-    cfg = {"run.h": "0.1", **load_config(str(path))}
+    # consistency_exp.cfg has no run.h (the consistency command sets h per
+    # grid point), and build_run does not read it.
+    cfg = load_config(str(path))
     d = build_drift(cfg).d
     for steps in (cfg["run.steps"], "500", "2000", "3000", "5000", "123457", "1000000"):
         for frac in (cfg.get("run.window_fraction"), "0.05"):
@@ -130,7 +131,7 @@ def test_derived_schedule_config():
     }
     sched = build_schedule(cfg)
     assert sched.kind == "cell_rms[exp_decay]"
-    assert sched.frobenius(0) == pytest.approx(0.65751985398289963, rel=1e-12)
+    assert sched.frobenius_grid([0])[0] == pytest.approx(0.65751985398289963, rel=1e-12)
 
 
 def test_env_var_out_dir(monkeypatch):
@@ -209,7 +210,7 @@ def test_ensemble_report_records_roundtrip():
 def test_consistency_suite_exp_decay():
     sigma = sigma_family("exp_decay", c=1.0, a=1.0)
     drift = builtin_drift("cubic")
-    rep = run_consistency_suite(sigma, drift, [0.5, 1.0], paths=6, steps=4000)
+    rep = run_consistency_suite(sigma, drift, [0.5, 1.0], _run_settings(paths=6, steps=4000))
     assert rep.regime_label == "A"
     assert rep.labels_agree_across_h and rep.labels_agree_across_choices
     for row in rep.rows:
@@ -222,22 +223,22 @@ def test_consistency_suite_refusals():
     sigma = sigma_family("exp_decay", c=1.0, a=1.0)
     weak_drift = builtin_drift("arctan")
     with pytest.raises(ValueError, match="mean-reverting"):
-        run_consistency_suite(sigma, weak_drift, [0.5])
+        run_consistency_suite(sigma, weak_drift, [0.5], _run_settings())
     from ssbelab.schedules import ContinuousSigma
 
     opaque = ContinuousSigma(name="opaque", d=1, r=1,
                              fn=lambda t: np.array([[np.sin(t) ** 2 + 0.1]]))
     with pytest.raises(ValueError, match="cell integral|non-increasing"):
-        run_consistency_suite(opaque, builtin_drift("cubic"), [0.5])
+        run_consistency_suite(opaque, builtin_drift("cubic"), [0.5], _run_settings())
 
 
 def test_consistency_suite_zeta_must_match_the_drift():
     sigma = sigma_family("exp_decay", c=1.0, a=1.0, d=3, r=3)
     drift = builtin_drift("cubic", d=3)
     for bad in ([5.0, -2.0], [5.0], [[1.0, 1.0, 1.0]]):
+        run = _run_settings(r=3, paths=2, steps=50, zeta=np.array(bad))
         with pytest.raises(ValueError, match=r"shape \(3,\)"):
-            run_consistency_suite(sigma, drift, [0.5], paths=2, steps=50, zeta=bad)
-    # A scalar starts every component there.
-    a = run_consistency_suite(sigma, drift, [0.5], paths=2, steps=50, zeta=2.0)
-    b = run_consistency_suite(sigma, drift, [0.5], paths=2, steps=50, zeta=[2.0, 2.0, 2.0])
-    assert a == b
+            run_consistency_suite(sigma, drift, [0.5], run)
+    run = _run_settings(r=3, paths=2, steps=50, zeta=np.array([2.0, 2.0, 2.0]))
+    assert run_consistency_suite(sigma, drift, [0.5], run).regime_label == "A"
+

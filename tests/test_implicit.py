@@ -251,6 +251,30 @@ def test_contraction_property_scalar(drift_i, log_h, x):
     assert 0.0 < abs(sol.x_star) < abs(x)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    drift_i=st.integers(0, len(ALL_SCALAR_DRIFTS) - 1),
+    log_h=st.floats(-3.0, 1.0),
+    log_x=st.floats(-3.0, 12.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_residual_floor_property(drift_i, log_h, log_x, sign):
+    # Far from the origin one ulp of x exceeds tol = 1e-12 and no iterate
+    # can meet it: the solvers accept four ulps of |x| there, and tol
+    # itself for |x| < 2048.
+    drift = ALL_SCALAR_DRIFTS[drift_i]
+    h, x = 10.0**log_h, sign * 10.0**log_x
+    floor = max(1e-12, 4.0 * float(np.spacing(abs(x))))
+    sol = solve_scalar(drift, h, x)
+    assert sol.residual <= floor
+    assert 0.0 < abs(sol.x_star) <= abs(x)
+    if drift.componentwise:
+        y, _, resid = solve_componentwise(drift, h, np.array([[x, -x]]))
+        assert resid <= floor and (np.abs(y) <= abs(x)).all()
+    if abs(x) < 2048.0:
+        assert floor == 1e-12
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     log_h=st.floats(-3.0, 1.0),

@@ -220,7 +220,10 @@ def test_lockstep_summaries_keep_their_bits():
     cubic evaluated as x + x**3 (numpy 2.4, x86-64 Linux).  The chunked
     fold reproduces them exactly.  The shipped cubic computes x * x * x,
     which rounds twice where pow rounds once, so it is checked against the
-    pow form to 1e-14 relative instead.
+    pow form to 1e-14 relative instead.  The r = 3 ``sat`` digest was
+    re-recorded when shocks became a fixed-order sum over the r columns in
+    place of a matmul (14 of its 32 summary fields moved, by at most
+    1.4e-13 relative); the r = 1 digests did not move.
     """
     sched = schedule_family("power", h=0.1, c=1.0, p=1.0)
     pow_cubic = make_drift(lambda x: x + x**3, 1, name="pow_cubic",
@@ -239,7 +242,7 @@ def test_lockstep_summaries_keep_their_bits():
         schedule_family("power", h=0.1, c=1.0, p=1.0, d=3, r=3),
         [1.0, 1.0, 1.0], 1100, 3, 42, range(4),
     )
-    assert _summary_digest(sat) == "cf9381f38e6c8f21797d9fffb29a746cc9abfab5e370bb09a6fd58223116bfef"
+    assert _summary_digest(sat) == "4b3033a5b54ba4a204a84bc068be473b618bd59fc6c38657acdefe9ef4958d30"
     regime_c = integrate_paths_lockstep(
         builtin_drift("linear", lam=1.0), schedule_family("constant", h=0.1, c=1.0),
         [1.0], 1100, 1, 42, range(16),
@@ -266,6 +269,59 @@ def test_per_path_summaries_equal_lockstep_bitwise(drift, sched, zeta):
                         "summary")
         assert rec.summary == s
         assert [c.n for c in s.checkpoints] == [1000]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("base", ["default", "random"])
+@pytest.mark.parametrize("drift_name", ["saturating", "cubic"])
+def test_a_paths_bits_do_not_depend_on_its_block(drift_name, base, r):
+    # Each path's shocks are one fixed-order sum over the r columns, so its
+    # summary is a function of (master_seed, path_index) alone: the same in
+    # a block of 5, alone in the lockstep engine and under ``integrate``.
+    d, steps, seed = 3, 300, 42
+    drift = builtin_drift(drift_name, d=d)
+    b = None if base == "default" else np.random.default_rng(r).standard_normal((d, r))
+    sched = schedule_family("power", h=0.1, c=1.0, p=1.0, d=d, r=r, base=b)
+    zeta = [1.0, -0.5, 0.25]
+    block = integrate_paths_lockstep(drift, sched, zeta, steps, r, seed, range(5))
+    for s in block:
+        (alone,) = integrate_paths_lockstep(drift, sched, zeta, steps, r, seed, [s.path_index])
+        rec = integrate(drift, sched, zeta, steps, derive_substream(seed, s.path_index, r),
+                        "summary")
+        assert alone == s
+        assert rec.summary == s
+
+
+@pytest.mark.parametrize("engine", ["integrate", "lockstep"])
+@pytest.mark.parametrize("drift_name", ["cubic", "linear"])
+def test_a_non_finite_shock_names_its_own_step(engine, drift_name):
+    # sigma(70) = inf, mid-chunk: the cubic stage stalls on the inf state at
+    # step 71 and the affine stage carries it on to the chunk's end; either
+    # way the failure named is the shock's step, found by the shared fold.
+    from ssbelab.diagnostics import NonFiniteError
+    from ssbelab.integrator import PathError
+    from ssbelab.schedules import tabulated_schedule
+
+    table = np.column_stack([np.arange(200), np.full(200, 0.1)])
+    table[70, 1] = np.inf
+    sched = tabulated_schedule(table, h=0.1)
+    drift = builtin_drift(drift_name)
+    with pytest.raises(PathError, match=r"failed at step 70: non-finite shock: \[-?inf\]") as excinfo:
+        if engine == "integrate":
+            integrate(drift, sched, [1.0], 200, derive_substream(3, 1, 1), "summary")
+        else:
+            integrate_paths_lockstep(drift, sched, [1.0], 200, 1, 3, range(3))
+    exc = excinfo.value
+    assert isinstance(exc.__cause__, NonFiniteError)
+    assert exc.step_index == 70 and exc.path_index in (0, 1)
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_lockstep_rejects_fewer_than_one_step(steps):
+    drift = builtin_drift("cubic")
+    sched = schedule_family("power", h=0.1, c=1.0, p=1.0)
+    with pytest.raises(ValueError, match="at least one step"):
+        integrate_paths_lockstep(drift, sched, [1.0], steps, 1, 0, range(2))
 
 
 @pytest.mark.parametrize("window", [0, -3])
@@ -314,25 +370,28 @@ def test_record_modes(tmp_path):
 
 def test_path_failure_carries_partial_record():
     from ssbelab.implicit import SolverError
+    from ssbelab.integrator import PathError
 
     anti = make_drift(lambda x: -np.asarray(x, float), 1, name="anti",
                       scalar_eval=lambda y: -y)
     sched = schedule_family("constant", h=2.0, c=0.1)
-    with pytest.raises(SolverError) as excinfo:
+    with pytest.raises(PathError) as excinfo:
         integrate(anti, sched, [1.0], 50, derive_substream(0, 0, 1))
     exc = excinfo.value
+    assert isinstance(exc.__cause__, SolverError)
+    assert "path 0 (master_seed 0) failed at step 0" in str(exc)
     assert exc.step_index == 0
     assert exc.partial_states.shape == (1, 1)
     assert exc.partial_summary.sup_norm == 1.0
 
 
 def test_ensemble_failure_identifies_path():
-    from ssbelab.integrator import EnsemblePathError
+    from ssbelab.integrator import PathError
 
     anti = make_drift(lambda x: -np.asarray(x, float), 1, name="anti",
                       scalar_eval=lambda y: -y, scalar_deriv=lambda y: np.full_like(np.asarray(y, float), -1.0))
     sched = schedule_family("constant", h=2.0, c=0.1)
-    with pytest.raises(EnsemblePathError) as excinfo:
+    with pytest.raises(PathError) as excinfo:
         integrate_paths_lockstep(anti, sched, [1.0], 20, 1, 99, range(3))
     exc = excinfo.value
     assert exc.step_index == 0
@@ -353,8 +412,7 @@ def test_pilot_decay_bound():
 
 def test_radial_ensemble_failure_names_the_path():
     from ssbelab.drifts import DriftSpec
-    from ssbelab.implicit import SolverError
-    from ssbelab.integrator import EnsemblePathError
+    from ssbelab.integrator import PathError
 
     # Gain t (1 - t^2 / 4) turns outward beyond radius 2, where the radius
     # equation has no root: a path fails at its first step from outside.
@@ -367,13 +425,13 @@ def test_radial_ensemble_failure_names_the_path():
     paths = [3, 7, 11, 19, 23]
     first = {}
     for p in paths:
-        with pytest.raises(SolverError) as excinfo:
+        with pytest.raises(PathError) as excinfo:
             integrate(bounded, sched, [0.5, 0.5, 0.5], 200, derive_substream(5, p, 3), "summary")
         first[p] = excinfo.value.step_index
     step = min(first.values())
     failing = min(p for p in paths if first[p] == step)
     assert failing != paths[0]  # the failing row is not the block's first
-    with pytest.raises(EnsemblePathError) as excinfo:
+    with pytest.raises(PathError) as excinfo:
         integrate_paths_lockstep(bounded, sched, [0.5, 0.5, 0.5], 200, 3, 5, paths)
     exc = excinfo.value
     assert (exc.path_index, exc.step_index) == (failing, step)

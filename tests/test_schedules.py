@@ -17,40 +17,40 @@ from ssbelab.schedules import (
 
 def test_frobenius_basics():
     zero = schedule_family("zero", h=1.0)
-    assert zero.frobenius(0) == 0.0
+    assert zero.frobenius_grid([0])[0] == 0.0
     const = schedule_family("constant", h=1.0, c=3.0)
-    assert const.frobenius(5) == 3.0
+    assert const.frobenius_grid([5])[0] == 3.0
     ones = schedule_family("constant", h=1.0, c=2.0, d=2, r=2,
                            base=np.ones((2, 2)))
     # Base is normalised to unit Frobenius norm, envelope carries the scale.
-    assert ones.frobenius(0) == pytest.approx(2.0)
+    assert ones.frobenius_grid([0])[0] == pytest.approx(2.0)
     assert np.allclose(ones.sigma(0), np.full((2, 2), 1.0))
 
 
 def test_power_family_values():
     p = schedule_family("power", h=0.5, c=1.0, p=1.0)
-    assert p.frobenius(0) == 1.0
-    assert p.frobenius(3) == pytest.approx(0.25)
+    assert p.frobenius_grid([0])[0] == 1.0
+    assert p.frobenius_grid([3])[0] == pytest.approx(0.25)
 
 
 def test_sampled_derivation():
     sig = sigma_family("exp_decay", c=1.0, a=1.0)
     sched = from_sigma_sampled(sig, 1.0)
     for n in range(4):
-        assert sched.frobenius(n) == pytest.approx(math.exp(-n))
+        assert sched.frobenius_grid([n])[0] == pytest.approx(math.exp(-n))
     const = from_sigma_sampled(sigma_family("constant", c=2.0), 0.5)
-    assert const.frobenius(7) == pytest.approx(2.0)
+    assert const.frobenius_grid([7])[0] == pytest.approx(2.0)
     inv = from_sigma_sampled(
         ContinuousSigma(name="inv", d=1, r=1, fn=lambda t: np.array([[1.0 / (1.0 + t)]])),
         0.5,
     )
-    assert inv.frobenius(2) == pytest.approx(0.5)
+    assert inv.frobenius_grid([2])[0] == pytest.approx(0.5)
 
 
 def test_cell_rms_exponential_cell():
     sig = sigma_family("exp_decay", c=1.0, a=1.0)
     sched = from_sigma_cell_rms(sig, 1.0)
-    assert sched.frobenius(0) == pytest.approx(0.65751985398289963, rel=1e-12)
+    assert sched.frobenius_grid([0])[0] == pytest.approx(0.65751985398289963, rel=1e-12)
 
 
 def test_cell_rms_linear_ramp():
@@ -62,13 +62,13 @@ def test_cell_rms_linear_ramp():
         envelope=lambda t: np.asarray(t, dtype=np.float64),
     )
     sched = from_sigma_cell_rms(ramp, 1.0)
-    assert sched.frobenius(0) == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-9)
+    assert sched.frobenius_grid([0])[0] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-9)
 
 
 def test_cell_rms_constant():
     sched = from_sigma_cell_rms(sigma_family("constant", c=1.5), 0.25)
     for n in (0, 3, 11):
-        assert sched.frobenius(n) == pytest.approx(1.5)
+        assert sched.frobenius_grid([n])[0] == pytest.approx(1.5)
 
 
 def test_antiderivative_matches_quadrature():
@@ -78,7 +78,7 @@ def test_antiderivative_matches_quadrature():
     blind = ContinuousSigma(name="blind", d=1, r=1, fn=sig.fn, envelope=sig.envelope)
     quad = from_sigma_cell_rms(blind, 0.7, rel_tol=1e-10)
     for n in (0, 1, 5, 20):
-        assert quad.frobenius(n) == pytest.approx(exact.frobenius(n), rel=1e-9)
+        assert quad.frobenius_grid([n])[0] == pytest.approx(exact.frobenius_grid([n])[0], rel=1e-9)
 
 
 def test_quadrature_failure_names_cell():
@@ -92,7 +92,7 @@ def test_quadrature_failure_names_cell():
         rel_tol=1e-13,
     )
     with pytest.raises(QuadratureError, match="cell n=0"):
-        sched.frobenius(0)
+        sched.frobenius_grid([0])[0]
 
 
 def test_monotone_sandwich_termwise():
@@ -167,7 +167,7 @@ def test_tabulated_roundtrip(tmp_path):
     path = tmp_path / "sched.csv"
     path.write_text(rows + "\n")
     sched = tabulated_schedule(str(path), h=0.5)
-    assert sched.frobenius(3) == pytest.approx(0.125)
+    assert sched.frobenius_grid([3])[0] == pytest.approx(0.125)
     with pytest.raises(ValueError):
         sched.sigma(6)
 
@@ -176,7 +176,7 @@ def test_tabulated_matrix_rows():
     table = [[0, 1.0, 0.0, 0.0, 1.0], [1, 0.5, 0.0, 0.0, 0.5]]
     sched = tabulated_schedule(table, h=1.0, d=2, r=2)
     assert np.allclose(sched.sigma(1), [[0.5, 0.0], [0.0, 0.5]])
-    assert sched.frobenius(0) == pytest.approx(math.sqrt(2.0))
+    assert sched.frobenius_grid([0])[0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_family_validation():
