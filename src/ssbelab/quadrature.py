@@ -1,55 +1,109 @@
-"""Adaptive Simpson quadrature with interval bisection."""
+"""Adaptive Simpson quadrature with interval bisection, over arrays of intervals."""
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
+# The halves of failing subintervals are refined this many at a time,
+# leftmost first.  An interval that fails on every pass then costs about
+# max_depth * CHUNK evaluations and a few MB, not 2**max_depth of each.
+CHUNK = 256
+
 
 class QuadratureError(RuntimeError):
-    """Raised when the requested tolerance cannot be met."""
+    """Raised when the requested tolerance cannot be met.
 
+    ``index`` is the flat position, among the intervals passed in, of the
+    interval whose subinterval failed.
+    """
 
-def _simpson(f: Callable[[float], float], a: float, fa: float, b: float, fb: float):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    a,
+    b,
     rel_tol: float = 1e-10,
     abs_floor: float = 1e-300,
     max_depth: int = 48,
-) -> float:
-    """Integrate f over [a, b] to the requested relative tolerance.
+) -> np.ndarray:
+    """Integrate f over each interval [a, b] to the requested relative tolerance.
 
-    Bisects any subinterval whose Richardson estimate disagrees with the
-    coarse Simpson value; the accepted value carries the (S2 - S1)/15
-    correction.  ``abs_floor`` keeps identically-zero integrands from
-    recursing forever.
+    ``a`` and ``b`` broadcast to the result's shape; ``f`` maps an array of
+    points to an array of values.  Each subinterval whose Richardson
+    estimate disagrees with its coarse Simpson value is bisected; the
+    accepted value carries the (S2 - S1)/15 correction.  ``abs_floor`` keeps
+    identically-zero integrands from bisecting forever.
+
+    The rule runs breadth-first: each pass evaluates f once, at the
+    midpoints of every open subinterval, and bisects only those that fail.
+    Accepted values are summed bottom-up as left + right, the order of the
+    depth-first recursion, so each interval gets that recursion's bits.  A
+    subinterval still failing at depth ``max_depth`` raises for the first
+    such one in input order, then left to right: the one the recursion
+    meets first.
     """
-    if not b >= a:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    if not (b >= a).all():
         raise ValueError("integration bounds must satisfy a <= b")
-    if b == a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson(f, a, fa, b, fb)
+    out = np.zeros(a.shape)  # an empty interval integrates to 0 without evaluating f
+    roots = np.flatnonzero(b > a)
+    a, b = a.ravel()[roots], b.ravel()[roots]
+    # inf - inf is nan, which fails the test: non-finite values end in
+    # QuadratureError, not in numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fa, fb = np.split(f(np.concatenate([a, b])), 2)
+        m = 0.5 * (a + b)
+        fm = f(m)
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        tol = rel_tol * np.maximum(np.abs(whole), abs_floor)
+        out.flat[roots] = _refine(f, (a, fa, m, fm, b, fb, whole, tol), roots, 0, abs_floor,
+                                  max_depth)
+    return out
 
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm, flm, left = _simpson(f, a, fa, m, fm)
-        rm, frm, right = _simpson(f, m, fm, b, fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol or abs(left + right) < abs_floor:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"adaptive Simpson failed to converge on [{a:g}, {b:g}]"
-            )
-        return recurse(a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1) + recurse(
-            m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1
+
+def _refine(f, interval, owner, depth, abs_floor, max_depth) -> np.ndarray:
+    """Accepted value of each subinterval (a, fa, m, fm, b, fb, whole, tol).
+
+    ``owner`` is the input interval of each; ``depth`` their bisection depth.
+    The halves of failing subintervals are refined CHUNK at a time, in
+    order, so the first to raise is the leftmost failing one.
+    """
+    a, fa, m, fm, b, fb, whole, tol = interval
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    both = left + right
+    delta = both - whole
+    value = both + delta / 15.0
+    split = np.flatnonzero(~((np.abs(delta) <= 15.0 * tol) | (np.abs(both) < abs_floor)))
+    if split.size == 0:
+        return value
+    if depth >= max_depth:
+        j = split[0]
+        raise QuadratureError(
+            f"adaptive Simpson failed to converge on [{a[j]:g}, {b[j]:g}]", int(owner[j])
         )
 
-    scale = max(abs(whole), abs_floor)
-    return recurse(a, fa, m, fm, b, fb, whole, rel_tol * scale, 0)
+    def halves(lo, hi):
+        # Half i is the left (even i) or the right (odd i) half of split[i // 2].
+        return np.column_stack([lo[split], hi[split]]).ravel()
+
+    children = (
+        halves(a, m), halves(fa, fm), halves(lm, rm), halves(flm, frm),
+        halves(m, b), halves(fm, fb), halves(left, right), np.repeat(tol[split] / 2.0, 2),
+    )
+    owner = np.repeat(owner[split], 2)
+    sub = np.concatenate([
+        _refine(f, tuple(x[i:i + CHUNK] for x in children), owner[i:i + CHUNK], depth + 1,
+                abs_floor, max_depth)
+        for i in range(0, owner.size, CHUNK)
+    ])
+    value[split] = sub[0::2] + sub[1::2]
+    return value

@@ -156,12 +156,28 @@ def fixed_order_product(X: np.ndarray, M_T) -> np.ndarray:
     return Y
 
 
+def _frobenius_rows(S: np.ndarray) -> np.ndarray:
+    """||S[k]||_F of each matrix of a (k, d, r) stack.
+
+    ``vecdot`` over the flattened rows rounds each row as ``np.linalg.norm``
+    of that matrix does; a column fold, ``einsum`` or ``norm(axis=...)`` do
+    not once d * r > 1.
+    """
+    R = S.reshape(len(S), -1)
+    return np.sqrt(np.vecdot(R, R))
+
+
 # ---------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
 class NoiseSchedule:
-    """Matrix sequence sigma(n) with optional analytic structure."""
+    """Matrix sequence sigma(n) with optional analytic structure.
+
+    ``envelope`` maps an index array to the norms ||sigma(n)||_F (times the
+    unit ``base``); ``matrix_eval`` maps an int index array of shape s to
+    the matrices sigma(n), of shape s + (d, r).
+    """
 
     kind: str
     d: int
@@ -170,7 +186,7 @@ class NoiseSchedule:
     params: dict = field(default_factory=dict)
     base: Optional[np.ndarray] = None
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    matrix_eval: Optional[Callable[[int], np.ndarray]] = None
+    matrix_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_L: Optional[float] = None
     sigma_vanishes: Optional[bool] = None
     tail_s: Optional[Callable[[float, int], float]] = None
@@ -193,16 +209,21 @@ class NoiseSchedule:
         if self.envelope is not None:
             s = float(self.envelope(np.asarray(float(n))))
             return s * self.base
-        return self.matrix_eval(int(n))
+        return self.matrix_eval(np.asarray(int(n)))
 
     def frobenius_grid(self, ns: np.ndarray) -> np.ndarray:
         """Vectorised Frobenius norms over an index array."""
         ns = np.asarray(ns)
         if self.envelope is not None:
             return np.abs(self.envelope(ns.astype(np.float64)))
-        return np.array([float(np.linalg.norm(self.sigma(int(n)))) for n in ns.ravel()]).reshape(
-            ns.shape
-        )
+        return _frobenius_rows(self._stack(ns.ravel())).reshape(ns.shape)
+
+    def _stack(self, ns: np.ndarray) -> np.ndarray:
+        """sigma(n) for each n of a flat index array, as a (k, d, r) stack."""
+        ns = ns.astype(np.int64)
+        if ns.size and ns.min() < 0:
+            raise ValueError("schedule index must be non-negative")
+        return np.asarray(self.matrix_eval(ns), dtype=np.float64).reshape(len(ns), self.d, self.r)
 
     def shocks(self, xi: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
         """Shocks sqrt(h) sigma(n) xi and norms ||sigma(n)||_F for n = n0 .. n0+k-1.
@@ -222,8 +243,8 @@ class NoiseSchedule:
             U = fixed_order_product(xi, self.base.T)
             U *= (math.sqrt(self.h) * fro).reshape(lead + (1,))
         else:
-            S = np.stack([self.sigma(int(n)) for n in ns])  # (k, d, r)
-            fro = np.array([np.linalg.norm(s) for s in S])
+            S = self._stack(ns)
+            fro = _frobenius_rows(S)
             U = fixed_order_product(xi, np.moveaxis(S, 2, 0).reshape((self.r,) + lead + (self.d,)))
             U *= math.sqrt(self.h)
         return U, fro
@@ -369,14 +390,20 @@ def tabulated_schedule(source, *, h: float, d: int = 1, r: int = 1) -> NoiseSche
     if not np.array_equal(ns, np.arange(len(ns))):
         raise ValueError("tabulated schedule indices must be contiguous from 0")
     values = table[:, 1:]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"tabulated schedule row n={bad} is not finite: {values[bad].tolist()}")
+    if values.shape[1] == 1:
+        values = np.repeat(values / math.sqrt(d * r), d * r, axis=1)
+    mats = np.array(values).reshape(len(ns), d, r)
+    mats.flags.writeable = False
 
-    def matrix_eval(n: int, values=values, d=d, r=r) -> np.ndarray:
-        if n >= len(values):
-            raise ValueError(f"tabulated schedule exhausted at n={n}")
-        row = values[n]
-        if row.size == 1:
-            return np.full((d, r), float(row[0]) / math.sqrt(d * r))
-        return row.reshape(d, r)
+    def matrix_eval(ns: np.ndarray, mats=mats) -> np.ndarray:
+        past = ns >= len(mats)
+        if past.any():
+            raise ValueError(f"tabulated schedule exhausted at n={ns.flat[np.argmax(past)]}")
+        return mats[ns]
 
     return NoiseSchedule(
         kind="tabulated", d=d, r=r, h=h, matrix_eval=matrix_eval, params={"rows": len(ns)}
@@ -573,18 +600,28 @@ def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
     if sigma.envelope is not None:
         env = lambda ns, e=sigma.envelope, h=h: e(np.asarray(ns, dtype=np.float64) * h)
         return NoiseSchedule(base=sigma.base, envelope=env, **common)
-    return NoiseSchedule(
-        matrix_eval=lambda n, s=sigma, h=h: np.asarray(s(n * h), dtype=np.float64), **common
-    )
+
+    def matrix_eval(ns: np.ndarray, s=sigma, h=h) -> np.ndarray:
+        mats = [np.asarray(s(n * h), dtype=np.float64) for n in ns.ravel().tolist()]
+        return np.array(mats).reshape(ns.shape + (s.d, s.r))
+
+    return NoiseSchedule(matrix_eval=matrix_eval, **common)
 
 
-def _cell_rms(sq: Callable[[float], float], n: int, h: float, rel_tol: float, cell: str) -> float:
-    """sqrt of the mean of ``sq`` over [nh, (n+1)h] by adaptive Simpson; a failure names ``cell``."""
+def _cell_rms(sq: Callable[[np.ndarray], np.ndarray], cells: np.ndarray, h: float, rel_tol: float,
+              entry: str = "") -> np.ndarray:
+    """sqrt of the mean of ``sq`` over each cell [nh, (n+1)h], by one adaptive Simpson call.
+
+    ``cells`` is an increasing int array, so a failure names the lowest
+    failing cell.
+    """
     try:
-        val = adaptive_simpson(sq, n * h, (n + 1) * h, rel_tol=rel_tol)
+        val = adaptive_simpson(sq, cells * h, (cells + 1) * h, rel_tol=rel_tol)
     except QuadratureError as exc:
-        raise QuadratureError(f"cell-rms quadrature failed on cell {cell}: {exc}") from exc
-    return math.sqrt(max(val, 0.0) / h)
+        raise QuadratureError(
+            f"cell-rms quadrature failed on cell n={cells[exc.index]}{entry}: {exc}", exc.index
+        ) from exc
+    return np.sqrt(np.maximum(val, 0.0) / h)
 
 
 def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10) -> NoiseSchedule:
@@ -593,6 +630,12 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
     [sigma(n)]_ij = sqrt((1/h) int_{nh}^{(n+1)h} Sigma_ij(s)^2 ds), using a
     registered antiderivative when the family has one and adaptive Simpson
     quadrature otherwise.  Quadrature failures name the offending cell.
+
+    On the quadrature route the envelope is evaluated on whole arrays of
+    points and squared with ``np.float_power``, which rounds as Python's
+    ``float ** 2`` does (numpy's ``x * x`` does not, in the last bit).
+    Cell values are computed once, every missing cell of a request in one
+    quadrature call, and kept for later requests.
     """
     common = _derived_common(sigma, h, "cell_rms")
     if sigma.envelope is not None and sigma.env_sq_cell is not None:
@@ -603,31 +646,42 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
         return NoiseSchedule(base=sigma.base, envelope=env, **common)
 
     if sigma.envelope is not None:
-        cache: dict[int, float] = {}
+        rms, done = np.empty(0), np.empty(0, dtype=bool)
 
-        def env_quad(ns, e=sigma.envelope, h=h, rel_tol=rel_tol, cache=cache):
-            ns = np.asarray(ns, dtype=np.float64)
-            out = np.empty_like(ns)
-            sq = lambda t: float(e(np.asarray(t))) ** 2
-            for idx, n in np.ndenumerate(ns):
-                key = int(n)
-                if key not in cache:
-                    cache[key] = _cell_rms(sq, key, h, rel_tol, f"n={key}")
-                out[idx] = cache[key]
-            return out
+        def env_quad(ns, e=sigma.envelope, h=h, rel_tol=rel_tol):
+            nonlocal rms, done
+            idx = np.asarray(ns).astype(np.int64)
+            if idx.size == 0:
+                return np.empty(idx.shape)
+            if idx.min() < 0:
+                raise ValueError("schedule index must be non-negative")
+            if idx.max() >= len(rms):
+                grow = max(int(idx.max()) + 1, 2 * len(rms)) - len(rms)
+                rms = np.concatenate([rms, np.empty(grow)])
+                done = np.concatenate([done, np.zeros(grow, dtype=bool)])
+            cells = np.unique(idx[~done[idx]])
+            if cells.size:
+                rms[cells] = _cell_rms(lambda t: np.float_power(e(t), 2.0), cells, h, rel_tol)
+                done[cells] = True
+            return rms[idx]
 
         return NoiseSchedule(base=sigma.base, envelope=env_quad, **common)
 
     cache_m: dict[int, np.ndarray] = {}
 
-    def matrix_eval(n: int, s=sigma, h=h, rel_tol=rel_tol) -> np.ndarray:
+    def cell(n: int, s=sigma, h=h, rel_tol=rel_tol) -> np.ndarray:
         if n not in cache_m:
             out = np.empty((s.d, s.r))
             for i, j in np.ndindex(s.d, s.r):
-                sq = lambda t, i=i, j=j: float(np.asarray(s(t))[i, j]) ** 2
-                out[i, j] = _cell_rms(sq, n, h, rel_tol, f"n={n}, entry ({i},{j})")
+                def sq(ts, i=i, j=j):
+                    return np.float_power([np.asarray(s(t))[i, j] for t in ts], 2.0)
+
+                out[i, j] = _cell_rms(sq, np.array([n]), h, rel_tol, f", entry ({i},{j})")[0]
             cache_m[n] = out
         return cache_m[n]
+
+    def matrix_eval(ns: np.ndarray, s=sigma) -> np.ndarray:
+        return np.array([cell(n) for n in ns.ravel().tolist()]).reshape(ns.shape + (s.d, s.r))
 
     return NoiseSchedule(matrix_eval=matrix_eval, **common)
 

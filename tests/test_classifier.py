@@ -14,6 +14,7 @@ from ssbelab.classifier import (
     regime_report_records,
 )
 from ssbelab.schedules import (
+    ContinuousSigma,
     _power_tail,
     from_sigma_cell_rms,
     from_sigma_sampled,
@@ -185,31 +186,72 @@ def test_default_grid_shape():
     assert grid[0] == pytest.approx(1e-2) and grid[-1] == pytest.approx(1e1)
 
 
+def _table(d, r, columns, rows=3000, seed=11):
+    rng = np.random.default_rng(seed)
+    level = 1.0 / np.sqrt(np.log(np.arange(rows) + 3.0))
+    values = level[:, None] * rng.uniform(0.5, 1.5, size=(rows, columns))
+    return tabulated_schedule(np.column_stack([np.arange(rows), values]), h=0.1, d=d, r=r)
+
+
+def _matrix_source():
+    # No envelope: the cell-rms derivation integrates each entry on its own.
+    def fn(t):
+        return np.array([[math.sqrt(2.0 / math.log(t + 3.0)), 0.3 * math.exp(-t)],
+                         [0.0, 1.0 / (1.0 + t)]])
+
+    return ContinuousSigma(name="matrix", d=2, r=2, fn=fn)
+
+
 # SHA-256 over every regime_report_records line under the policies auto, s
-# and sprime (default grid, n_trunc = 1e5).  Taken with each evidence row in
-# its own fresh arrays (numpy 2.4.6, scipy 1.17.1, x86-64 Linux); the shared
-# term buffer must reproduce them.  "power" and "power_p06" were re-recorded
-# when an underflowed power tail bound became 5e-324 instead of 0.0; no other
-# line of their records changed.
+# and sprime (default grid, truncation n_trunc).  Taken with each evidence
+# row in its own fresh arrays (numpy 2.4.6, scipy 1.17.1, x86-64 Linux); the
+# shared term buffer must reproduce them.  "power" and "power_p06" were
+# re-recorded when an underflowed power tail bound became 5e-324 instead of
+# 0.0; no other line of their records changed.  The cell-rms and tabulated
+# rows were taken with one adaptive Simpson recursion per cell and one
+# np.linalg.norm per index, so they hold the whole-array norm rules to those
+# bits.
 REPORT_DIGESTS = {
     "power": ("5e30bfc044b70dfe70f26e151ea871b2d9c01f59732e75fdba06db6c3be6e3aa",
-              lambda: schedule_family("power", h=0.1, c=1.0, p=1.0)),
+              lambda: schedule_family("power", h=0.1, c=1.0, p=1.0), 100_000),
     "power_p06": ("2a970c7de411908a2377e1f99e1607f6407fd0c5175fd2a0fa743a3a25fce678",
-                  lambda: schedule_family("power", h=0.1, c=2.0, p=0.6)),
+                  lambda: schedule_family("power", h=0.1, c=2.0, p=0.6), 100_000),
     "inverse_log": ("fac15ba63f5cb2e9cae1c7d5a1e7bdd066ee5276c220e437a76f796d549db571",
-                    lambda: schedule_family("inverse_log", h=0.1, a=2.0, b=2.0)),
+                    lambda: schedule_family("inverse_log", h=0.1, a=2.0, b=2.0), 100_000),
     "constant_0": ("e90acc97f5b87f9500c83cda728aaa667fff801ae4b41a88d3a8c7d23f658167",
-                   lambda: schedule_family("constant", h=0.1, c=0.0)),
+                   lambda: schedule_family("constant", h=0.1, c=0.0), 100_000),
     "constant_1": ("207104e81cc63e9e1b5044577b75ee62046e53d9f9e5391508758948559a151b",
-                   lambda: schedule_family("constant", h=0.1, c=1.0)),
+                   lambda: schedule_family("constant", h=0.1, c=1.0), 100_000),
     "geometric": ("b8d89dc276e2daa37cae8a841faf78677d6841664d283b29ede71599afd2ed53",
-                  lambda: schedule_family("geometric", h=0.1, c=1.0, rho=0.9)),
+                  lambda: schedule_family("geometric", h=0.1, c=1.0, rho=0.9), 100_000),
     "zero": ("e90acc97f5b87f9500c83cda728aaa667fff801ae4b41a88d3a8c7d23f658167",
-             lambda: schedule_family("zero", h=0.1)),
+             lambda: schedule_family("zero", h=0.1), 100_000),
     "sampled_exp_decay": (
         "c248c6413ab99d25a52c8f486db7ef10539e50facd7d0e46c20dcd796771bcae",
         lambda: from_sigma_sampled(sigma_family("exp_decay", c=1.0, a=1.0), 0.5),
+        100_000,
     ),
+    "cell_rms_inverse_log_t": (
+        "516846fcb85f9bcbd32564ee0abdd855b4892d01ee678dd3096363fca1b01a8f",
+        lambda: from_sigma_cell_rms(sigma_family("inverse_log_t", a=2.0, b=3.0), 0.1),
+        20_000,
+    ),
+    "cell_rms_inverse_log_t_d2": (
+        "d208c1e4be2ebf04a6856a07617c450a4c31b03177c94fa00adb9f955f01f36e",
+        lambda: from_sigma_cell_rms(
+            sigma_family("inverse_log_t", d=2, r=2, base=[[2.0, 1.0], [0.5, 1.0]], a=1.5, b=2.0),
+            0.25,
+        ),
+        20_000,
+    ),
+    "cell_rms_matrix": ("62c12089452508a18755c84e00cf918277b854baa9d993593f6c28453bee4883",
+                        lambda: from_sigma_cell_rms(_matrix_source(), 0.1), 300),
+    "tabulated_column": ("d5e3733c35280dc02aac621f7f5cfc158613e2faa2bf55822606d8f473106966",
+                         lambda: _table(1, 1, 1), 20_000),
+    "tabulated_column_d2": ("a5e81466d247c17b57aaac420ea38bd07fa38abec8367c4bcfb3b4b5ac4fea9b",
+                            lambda: _table(2, 2, 1), 20_000),
+    "tabulated_3x3": ("6e2052618b0bf73df036ffef8bf04c8c16885d5efdb64c0fc8a4b0b4ffb82b62",
+                      lambda: _table(3, 3, 9), 20_000),
 }
 
 
@@ -217,11 +259,11 @@ REPORT_DIGESTS = {
 def test_regime_report_records_keep_their_bytes(name):
     import hashlib
 
-    digest, build = REPORT_DIGESTS[name]
+    digest, build, n_trunc = REPORT_DIGESTS[name]
     sched = build()
     parts = []
     for policy in ("auto", "s", "sprime"):
-        rec = regime_report_records(classify(sched, policy=policy))
+        rec = regime_report_records(classify(sched, policy=policy, n_trunc=n_trunc))
         parts += [f"{policy}:{k}={v}" for k, v in rec.items()]
     assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == digest
 

@@ -52,6 +52,29 @@ def test_classify_constant_schedule(tmp_path, capsys):
     assert (tmp_path / "regime_report.txt").exists()
 
 
+def test_classify_rejects_a_non_finite_table(tmp_path, capsys):
+    # The inf row would otherwise count as a 0.5 term of S.
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{n},{'inf' if n == 70 else 0.1}\n" for n in range(2000)))
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"schedule.kind = tabulated\nschedule.path = {table}\nrun.h = 0.1\n")
+    rc = main(["classify", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "row n=70 is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "regime_report.kv").exists()
+
+
+def test_classify_fails_on_a_non_finite_envelope(tmp_path, capsys):
+    # sigma_a = inf makes the integrand inf on every point of every cell.
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("schedule.kind = sigma_cell_rms\nschedule.sigma = inverse_log_t\n"
+                   "schedule.sigma_a = inf\nschedule.sigma_b = 3.0\nrun.h = 0.1\n")
+    rc = main(["classify", str(cfg), "--out", str(tmp_path / "out"),
+               "--set", "classify.truncation=2000"])
+    assert rc == 2
+    assert "cell-rms quadrature failed on cell n=0: " in capsys.readouterr().err
+
+
 def test_simulate_writes_path_csv(cfg_file, tmp_path, capsys):
     out = tmp_path / "sim"
     rc = main(["simulate", cfg_file, "--out", str(out), "--set", "run.steps=50"])

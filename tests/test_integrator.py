@@ -300,11 +300,11 @@ def test_a_non_finite_shock_names_its_own_step(engine, drift_name):
     # way the failure named is the shock's step, found by the shared fold.
     from ssbelab.diagnostics import NonFiniteError
     from ssbelab.integrator import PathError
-    from ssbelab.schedules import tabulated_schedule
+    from ssbelab.schedules import NoiseSchedule
 
-    table = np.column_stack([np.arange(200), np.full(200, 0.1)])
-    table[70, 1] = np.inf
-    sched = tabulated_schedule(table, h=0.1)
+    sched = NoiseSchedule(kind="opaque", d=1, r=1, h=0.1,
+                          matrix_eval=lambda ns: np.where(ns == 70, np.inf, 0.1).reshape(
+                              ns.shape + (1, 1)))
     drift = builtin_drift(drift_name)
     with pytest.raises(PathError, match=r"failed at step 70: non-finite shock: \[-?inf\]") as excinfo:
         if engine == "integrate":

@@ -83,7 +83,7 @@ def test_antiderivative_matches_quadrature():
 
 def test_quadrature_failure_names_cell():
     def nasty(t):
-        return np.asarray(1.0 if t < 0.5 else 0.0)
+        return np.where(np.asarray(t) < 0.5, 1.0, 0.0)
 
     sched = from_sigma_cell_rms(
         ContinuousSigma(name="nasty", d=1, r=1, fn=lambda t: np.array([[float(nasty(t))]]),
@@ -93,6 +93,16 @@ def test_quadrature_failure_names_cell():
     )
     with pytest.raises(QuadratureError, match="cell n=0"):
         sched.frobenius_grid([0])[0]
+    # Of the failing cells of one request, the lowest is named.
+    steps = lambda t: np.where((np.asarray(t) > 3.5) & (np.asarray(t) < 5.5), 1.0, 0.0)
+    sched = from_sigma_cell_rms(
+        ContinuousSigma(name="steps", d=1, r=1, fn=lambda t: np.array([[float(steps(t))]]),
+                        envelope=steps),
+        1.0,
+        rel_tol=1e-13,
+    )
+    with pytest.raises(QuadratureError, match="cell n=3: "):
+        sched.frobenius_grid([5, 4, 3])
 
 
 def test_monotone_sandwich_termwise():
@@ -136,7 +146,7 @@ def tabulated_like_invlog(a, b):
         d=1,
         r=1,
         h=1.0,
-        matrix_eval=lambda n: np.array([[math.sqrt(a / math.log(n + b))]]),
+        matrix_eval=lambda ns: np.sqrt(a / np.log(ns + b)).reshape(ns.shape + (1, 1)),
     )
 
 
@@ -148,7 +158,7 @@ def test_log_tail_limit_empirical_diverging():
         d=1,
         r=1,
         h=1.0,
-        matrix_eval=lambda n: np.array([[1.0 + 0.001 * n**0.25]]),
+        matrix_eval=lambda ns: (1.0 + 0.001 * ns**0.25).reshape(ns.shape + (1, 1)),
     )
     rep = log_tail_limit(growing, probe_indices=np.unique(np.geomspace(2, 10**5, 30).astype(int)))
     assert rep.trend == "diverging" and math.isinf(rep.L)
@@ -177,6 +187,16 @@ def test_tabulated_matrix_rows():
     sched = tabulated_schedule(table, h=1.0, d=2, r=2)
     assert np.allclose(sched.sigma(1), [[0.5, 0.0], [0.0, 0.5]])
     assert sched.frobenius_grid([0])[0] == pytest.approx(math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("d, columns", [(1, 1), (2, 1), (2, 4)])
+def test_tabulated_rejects_a_non_finite_row(bad, d, columns):
+    table = np.column_stack([np.arange(2000), np.full((2000, columns), 0.1)])
+    table[70, columns] = bad
+    table[900, 1] = bad
+    with pytest.raises(ValueError, match=r"row n=70 is not finite"):
+        tabulated_schedule(table, h=0.1, d=d, r=d)
 
 
 def test_family_validation():
@@ -212,3 +232,20 @@ def test_tail_bounds_are_true_bounds():
             actual_tail = far.value - near.value
             assert bound is not None and math.isfinite(bound)
             assert actual_tail <= bound + 1e-15, (sched.kind, kind)
+
+
+def test_matrix_shocks_keep_their_bytes():
+    # SHA-256 of the shocks and norms of a full 3 x 3 table, for a block of
+    # paths and for a lone path; taken with one np.linalg.norm per index
+    # (numpy 2.4.6, x86-64 Linux), so the stacked norm rule must reproduce it.
+    import hashlib
+
+    rng = np.random.default_rng(5)
+    rows = 400
+    table = np.column_stack([np.arange(rows), rng.uniform(-1.0, 1.0, size=(rows, 9))])
+    sched = tabulated_schedule(table, h=0.1, d=3, r=3)
+    digest = hashlib.sha256()
+    for xi in (rng.standard_normal((300, 5, 3)), rng.standard_normal((300, 3))):
+        U, fro = sched.shocks(xi, 7)
+        digest.update(U.tobytes() + fro.tobytes())
+    assert digest.hexdigest() == "b0938015ec1d4b4d6a64147af324afa0a185c0549fd547e84a9829c78ecaf894"
