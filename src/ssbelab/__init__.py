@@ -17,7 +17,6 @@ from ssbelab.schedules import (
     NoiseSchedule,
     from_sigma_cell_rms,
     from_sigma_sampled,
-    log_tail_limit,
     schedule_family,
     sigma_family,
 )

@@ -25,8 +25,12 @@ engine with one error, ``PathError``, naming path, master_seed and step.
 ``integrate`` generates one path with its full, thinned or summary record.
 ``integrate_paths_lockstep`` advances a block of paths in parallel arrays
 (one substream per path, noise drawn blockwise in each path's own order),
-which is what makes desk-scale ensembles cheap; it reproduces ``integrate``
-path for path.
+which is what makes desk-scale ensembles cheap.  It draws the noise
+``integrate`` draws, path for path, and returns the same summary bit for
+bit for affine drifts and for the built-in drifts at d > 1.  A
+componentwise, non-affine drift at d = 1 is the exception: ``integrate``
+takes ``solve_scalar`` and the block ``solve_componentwise``, which stop
+at different iterates, so the summaries differ in their low digits.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ are analytic:
 
 * ``analytic_L``      the limit of ||sigma(n)||_F^2 log n (0, finite, or inf),
 * ``sigma_vanishes``  whether the Frobenius norm tends to zero,
-* tail majorants      rigorous upper bounds on the remainders of the two
-                      classifier series past a truncation index, built from
-                      the Mills envelope Q(x) <= e^{-x^2/2}/(x sqrt(2 pi)).
+* ``tail``            a rigorous upper bound tail(eps, n, kind) on the
+                      remainder of either classifier series past a
+                      truncation index, built from the Mills envelope
+                      Q(x) <= e^{-x^2/2}/(x sqrt(2 pi)).
 
+The branch that builds a family attaches all three.
 Families keep a unit-Frobenius base matrix so the scalar envelope s(n) is
-exactly the Frobenius norm.  Numerical fallbacks (empirical trend probes,
-plain partial sums) exist for tabulated schedules with no structure.
+exactly the Frobenius norm.  A tabulated schedule carries none of this
+metadata; the classifier judges it from plain partial sums and its own
+empirical probe of the norms.
 
 Continuous sources Sigma(t) produce schedules two ways: pointwise sampling
 sigma(n) = Sigma(n h), or cell root-mean-square values
@@ -26,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,15 +123,7 @@ def _invlog_tail(a: float, b: float, u: float, eps: float, n: int, kind: str) ->
     return fro_next * power_sum
 
 
-def _tails(bound: Callable, *args) -> tuple[Callable, Callable]:
-    """The (s, sprime) remainder bounds (eps, n) -> bound(*args, eps, n, kind)."""
-    return (
-        lambda eps, n: bound(*args, eps, n, "s"),
-        lambda eps, n: bound(*args, eps, n, "sprime"),
-    )
-
-
-def _zero_tail(eps: float, n: int) -> float:
+def _zero_tail(eps: float, n: int, kind: str) -> float:
     return 0.0
 
 
@@ -176,7 +172,9 @@ class NoiseSchedule:
 
     ``envelope`` maps an index array to the norms ||sigma(n)||_F (times the
     unit ``base``); ``matrix_eval`` maps an int index array of shape s to
-    the matrices sigma(n), of shape s + (d, r).
+    the matrices sigma(n), of shape s + (d, r).  ``tail(eps, n, kind)``,
+    where the family has one, bounds the remainder past n of the series
+    ``kind`` ('s' or 'sprime').
     """
 
     kind: str
@@ -189,8 +187,7 @@ class NoiseSchedule:
     matrix_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_L: Optional[float] = None
     sigma_vanishes: Optional[bool] = None
-    tail_s: Optional[Callable[[float, int], float]] = None
-    tail_sprime: Optional[Callable[[float, int], float]] = None
+    tail: Optional[Callable[[float, int, str], float]] = None
 
     def __post_init__(self) -> None:
         if self.h <= 0:
@@ -251,10 +248,9 @@ class NoiseSchedule:
 
     def series_tail_bound(self, eps: float, n_trunc: int, kind: str = "s") -> Optional[float]:
         """Rigorous remainder bound past n_trunc, or None when unavailable."""
-        fn = self.tail_s if kind == "s" else self.tail_sprime
-        if fn is None:
+        if self.tail is None:
             return None
-        return fn(float(eps), int(n_trunc))
+        return self.tail(float(eps), int(n_trunc), kind)
 
 
 def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, **params) -> NoiseSchedule:
@@ -266,36 +262,35 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
     geometric(c, rho)     sigma(n) = c rho^n, 0 < rho < 1
     inverse_log(a, b)     sigma(n)^2 = a / log(n + b), b > 1
     """
-    if name == "zero":
+
+    def build(env, L, tail, prm):
         return NoiseSchedule(
-            kind="zero",
+            kind=name,
             d=d,
             r=r,
             h=h,
+            params=prm,
             base=base,
-            envelope=lambda ns: np.zeros_like(np.asarray(ns, dtype=np.float64)),
-            analytic_L=0.0,
-            sigma_vanishes=True,
-            tail_s=_zero_tail,
-            tail_sprime=_zero_tail,
+            envelope=env,
+            analytic_L=L,
+            sigma_vanishes=L < math.inf,  # a finite L forces ||sigma(n)||_F -> 0
+            tail=tail,
         )
+
+    if name == "zero":
+        _no_extra(params)
+        zeros = lambda ns: np.zeros_like(np.asarray(ns, dtype=np.float64))
+        return build(zeros, 0.0, _zero_tail, {})
     if name == "constant":
         c = float(params.pop("c"))
         _no_extra(params)
         if c < 0:
             raise ValueError("constant schedule needs c >= 0")
-        return NoiseSchedule(
-            kind="constant",
-            d=d,
-            r=r,
-            h=h,
-            params={"c": c},
-            base=base,
-            envelope=lambda ns, c=c: np.full_like(np.asarray(ns, dtype=np.float64), c),
-            analytic_L=math.inf if c > 0 else 0.0,
-            sigma_vanishes=c == 0.0,
-            tail_s=_zero_tail if c == 0.0 else None,
-            tail_sprime=_zero_tail if c == 0.0 else None,
+        return build(
+            lambda ns, c=c: np.full_like(np.asarray(ns, dtype=np.float64), c),
+            math.inf if c > 0 else 0.0,
+            _zero_tail if c == 0.0 else None,
+            {"c": c},
         )
     if name == "power":
         c = float(params.pop("c", 1.0))
@@ -303,19 +298,11 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         _no_extra(params)
         if c <= 0 or p <= 0:
             raise ValueError("power schedule needs c > 0 and p > 0")
-        tail_s, tail_sprime = _tails(_power_tail, c, p, 1.0, 1.0)
-        return NoiseSchedule(
-            kind="power",
-            d=d,
-            r=r,
-            h=h,
-            params={"c": c, "p": p},
-            base=base,
-            envelope=lambda ns, c=c, p=p: c * (np.asarray(ns, dtype=np.float64) + 1.0) ** -p,
-            analytic_L=0.0,
-            sigma_vanishes=True,
-            tail_s=tail_s,
-            tail_sprime=tail_sprime,
+        return build(
+            lambda ns, c=c, p=p: c * (np.asarray(ns, dtype=np.float64) + 1.0) ** -p,
+            0.0,
+            partial(_power_tail, c, p, 1.0, 1.0),
+            {"c": c, "p": p},
         )
     if name == "geometric":
         c = float(params.pop("c", 1.0))
@@ -323,19 +310,11 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         _no_extra(params)
         if c <= 0 or not 0.0 < rho < 1.0:
             raise ValueError("geometric schedule needs c > 0 and 0 < rho < 1")
-        tail_s, tail_sprime = _tails(_geometric_tail, c, rho)
-        return NoiseSchedule(
-            kind="geometric",
-            d=d,
-            r=r,
-            h=h,
-            params={"c": c, "rho": rho},
-            base=base,
-            envelope=lambda ns, c=c, rho=rho: c * rho ** np.asarray(ns, dtype=np.float64),
-            analytic_L=0.0,
-            sigma_vanishes=True,
-            tail_s=tail_s,
-            tail_sprime=tail_sprime,
+        return build(
+            lambda ns, c=c, rho=rho: c * rho ** np.asarray(ns, dtype=np.float64),
+            0.0,
+            partial(_geometric_tail, c, rho),
+            {"c": c, "rho": rho},
         )
     if name == "inverse_log":
         a = float(params.pop("a"))
@@ -343,21 +322,11 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         _no_extra(params)
         if a <= 0 or b <= 1.0:
             raise ValueError("inverse_log schedule needs a > 0 and b > 1")
-        tail_s, tail_sprime = _tails(_invlog_tail, a, b, 1.0)
-        return NoiseSchedule(
-            kind="inverse_log",
-            d=d,
-            r=r,
-            h=h,
-            params={"a": a, "b": b},
-            base=base,
-            envelope=lambda ns, a=a, b=b: np.sqrt(
-                a / np.log(np.asarray(ns, dtype=np.float64) + b)
-            ),
-            analytic_L=a,
-            sigma_vanishes=True,
-            tail_s=tail_s,
-            tail_sprime=tail_sprime,
+        return build(
+            lambda ns, a=a, b=b: np.sqrt(a / np.log(np.asarray(ns, dtype=np.float64) + b)),
+            a,
+            partial(_invlog_tail, a, b, 1.0),
+            {"a": a, "b": b},
         )
     raise ValueError(f"unknown schedule family: {name!r}")
 
@@ -421,7 +390,10 @@ class ContinuousSigma:
     ``env_sq_cell(t0, h)`` returns the exact integral of the squared scalar
     envelope over [t0, t0 + h]; families register cancellation-free closed
     forms (an antiderivative difference would lose all precision once the
-    envelope has decayed).
+    envelope has decayed).  ``tail_for(h)`` is the tail bound (as
+    ``NoiseSchedule.tail``) of the schedules derived at step h: for
+    non-increasing ||Sigma||_F^2 the cell-rms value at n lies below the
+    sampled value at n, so the sampled-form bound holds for both derivations.
     """
 
     name: str
@@ -435,7 +407,7 @@ class ContinuousSigma:
     analytic_L: Optional[float] = None
     sigma_vanishes: Optional[bool] = None
     params: dict = field(default_factory=dict)
-    tail_family: Optional[tuple] = None  # (family, params...) for derived bounds
+    tail_for: Optional[Callable[[float], Callable[[float, int, str], float]]] = None
 
     def __post_init__(self) -> None:
         if self.envelope is not None and self.base is None:
@@ -455,7 +427,7 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
     """
     unit = _unit_base(base, d, r)
 
-    def build(env, env_sq_cell, monotone, L, vanishes, fam, prm):
+    def build(env, env_sq_cell, L, tail_for, prm):
         return ContinuousSigma(
             name=name,
             d=d,
@@ -464,11 +436,11 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
             envelope=env,
             env_sq_cell=env_sq_cell,
             base=unit,
-            monotone_sq_fro=monotone,
+            monotone_sq_fro=True,  # every family here has non-increasing ||Sigma||_F^2
             analytic_L=L,
-            sigma_vanishes=vanishes,
+            sigma_vanishes=L < math.inf,
             params=prm,
-            tail_family=fam,
+            tail_for=tail_for,
         )
 
     if name == "exp_decay":
@@ -484,10 +456,8 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
             / (2.0 * a)
             * np.exp(-2.0 * a * np.asarray(t0, dtype=np.float64))
             * -math.expm1(-2.0 * a * h),
-            True,
             0.0,
-            True,
-            ("exp_decay", c, a),
+            lambda h, c=c, a=a: partial(_geometric_tail, c, math.exp(-a * h)),
             {"c": c, "a": a},
         )
     if name == "constant":
@@ -498,10 +468,8 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
         return build(
             lambda t, c=c: np.full_like(np.asarray(t, dtype=np.float64), c),
             lambda t0, h, c=c: np.full_like(np.asarray(t0, dtype=np.float64), c * c * h),
-            True,
             math.inf if c > 0 else 0.0,
-            c == 0.0,
-            ("constant", c),
+            (lambda h: _zero_tail) if c == 0.0 else None,
             {"c": c},
         )
     if name == "power_decay":
@@ -526,10 +494,8 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
         return build(
             lambda t, c=c, p=p: c * (1.0 + np.asarray(t, dtype=np.float64)) ** -p,
             cell,
-            True,
             0.0,
-            True,
-            ("power_decay", c, p),
+            lambda h, c=c, p=p: partial(_power_tail, c, p, h, 1.0),
             {"c": c, "p": p},
         )
     if name == "inverse_log_t":
@@ -543,45 +509,16 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
         return build(
             lambda t, a=a, b=b: np.sqrt(a / np.log(np.asarray(t, dtype=np.float64) + b)),
             None,
-            True,
             a,
-            True,
-            ("inverse_log_t", a, b),
+            lambda h, a=a, b=b: partial(_invlog_tail, a, b, h),
             {"a": a, "b": b},
         )
     raise ValueError(f"unknown continuous sigma family: {name!r}")
 
 
-def _derived_tails(sigma: ContinuousSigma, h: float):
-    """Tail majorants for schedules derived from a continuous family.
-
-    For non-increasing ||Sigma||_F^2 the cell-rms value at n lies below the
-    sampled value at n, so the sampled-form majorant is rigorous for both
-    derivations.
-    """
-    if sigma.tail_family is None:
-        return None, None
-    fam = sigma.tail_family
-    if fam[0] == "exp_decay":
-        _, c, a = fam
-        return _tails(_geometric_tail, c, math.exp(-a * h))
-    if fam[0] == "power_decay":
-        _, c, p = fam
-        return _tails(_power_tail, c, p, h, 1.0)
-    if fam[0] == "inverse_log_t":
-        _, a, b = fam
-        return _tails(_invlog_tail, a, b, h)
-    if fam == ("constant", 0.0):
-        return _zero_tail, _zero_tail
-    return None, None
-
-
-def _derived_common(sigma: ContinuousSigma, h: float, derivation: str) -> dict:
-    """The NoiseSchedule fields both derivations take from the source alike."""
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    tail_s, tail_sprime = _derived_tails(sigma, h)
-    return dict(
+def _derived(sigma: ContinuousSigma, h: float, derivation: str, **fields) -> NoiseSchedule:
+    """The schedule derived from ``sigma`` at step h, with the source's analytic fields."""
+    sched = NoiseSchedule(
         kind=f"{derivation}[{sigma.name}]",
         d=sigma.d,
         r=sigma.r,
@@ -589,23 +526,25 @@ def _derived_common(sigma: ContinuousSigma, h: float, derivation: str) -> dict:
         params=dict(sigma.params),
         analytic_L=sigma.analytic_L,
         sigma_vanishes=sigma.sigma_vanishes,
-        tail_s=tail_s,
-        tail_sprime=tail_sprime,
+        **fields,
     )
+    if sigma.tail_for is not None:
+        # After __post_init__ has rejected h <= 0, which could overflow exp(-a h).
+        sched.tail = sigma.tail_for(h)
+    return sched
 
 
 def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
     """Pointwise derivation sigma(n) = Sigma(n h)."""
-    common = _derived_common(sigma, h, "sampled")
     if sigma.envelope is not None:
         env = lambda ns, e=sigma.envelope, h=h: e(np.asarray(ns, dtype=np.float64) * h)
-        return NoiseSchedule(base=sigma.base, envelope=env, **common)
+        return _derived(sigma, h, "sampled", base=sigma.base, envelope=env)
 
     def matrix_eval(ns: np.ndarray, s=sigma, h=h) -> np.ndarray:
         mats = [np.asarray(s(n * h), dtype=np.float64) for n in ns.ravel().tolist()]
         return np.array(mats).reshape(ns.shape + (s.d, s.r))
 
-    return NoiseSchedule(matrix_eval=matrix_eval, **common)
+    return _derived(sigma, h, "sampled", matrix_eval=matrix_eval)
 
 
 def _cell_rms(sq: Callable[[np.ndarray], np.ndarray], cells: np.ndarray, h: float, rel_tol: float,
@@ -637,13 +576,12 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
     Cell values are computed once, every missing cell of a request in one
     quadrature call, and kept for later requests.
     """
-    common = _derived_common(sigma, h, "cell_rms")
     if sigma.envelope is not None and sigma.env_sq_cell is not None:
         def env(ns, cell=sigma.env_sq_cell, h=h):
             t0 = np.asarray(ns, dtype=np.float64) * h
             return np.sqrt(np.maximum(cell(t0, h), 0.0) / h)
 
-        return NoiseSchedule(base=sigma.base, envelope=env, **common)
+        return _derived(sigma, h, "cell_rms", base=sigma.base, envelope=env)
 
     if sigma.envelope is not None:
         rms, done = np.empty(0), np.empty(0, dtype=bool)
@@ -665,7 +603,7 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
                 done[cells] = True
             return rms[idx]
 
-        return NoiseSchedule(base=sigma.base, envelope=env_quad, **common)
+        return _derived(sigma, h, "cell_rms", base=sigma.base, envelope=env_quad)
 
     cache_m: dict[int, np.ndarray] = {}
 
@@ -683,67 +621,4 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
     def matrix_eval(ns: np.ndarray, s=sigma) -> np.ndarray:
         return np.array([cell(n) for n in ns.ravel().tolist()]).reshape(ns.shape + (s.d, s.r))
 
-    return NoiseSchedule(matrix_eval=matrix_eval, **common)
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TailLimitReport:
-    L: Optional[float]
-    method: str  # 'analytic' or 'empirical'
-    trend: str  # 'converged' | 'diverging' | 'oscillating' | 'inconclusive'
-    probes: tuple[int, ...] = ()
-    values: tuple[float, ...] = ()
-
-
-def default_probe_indices(largest: int = 10**6, count: int = 40) -> np.ndarray:
-    pts = np.unique(np.geomspace(2, largest, count).astype(np.int64))
-    return pts
-
-
-def log_tail_limit(schedule: NoiseSchedule, probe_indices=None) -> TailLimitReport:
-    """The limit L of ||sigma(n)||_F^2 log n, exact when registered.
-
-    Without analytic metadata the probe values decide a trend only; slow
-    drifts are reported as inconclusive rather than guessed at.
-    """
-    if schedule.analytic_L is not None:
-        return TailLimitReport(L=float(schedule.analytic_L), method="analytic", trend="converged")
-    if probe_indices is None:
-        probe_indices = default_probe_indices()
-    probes = np.asarray(probe_indices, dtype=np.int64)
-    if probes.size < 5 or (np.diff(probes) <= 0).any():
-        raise ValueError("probe indices must be increasing with at least 5 points")
-    if probes[0] < 2:
-        raise ValueError("probes start at n >= 2 so log n is positive")
-    if probes[-1] < 10**4:
-        raise ValueError("largest probe index must be at least 1e4")
-    fro = schedule.frobenius_grid(probes)
-    vals = fro**2 * np.log(probes.astype(np.float64))
-    tail = vals[-5:]
-    scale = max(float(np.abs(tail).max()), 1e-300)
-    spread = float(tail.max() - tail.min()) / scale
-    if spread < 0.05:
-        return TailLimitReport(
-            L=float(tail[-3:].mean()),
-            method="empirical",
-            trend="converged",
-            probes=tuple(int(p) for p in probes),
-            values=tuple(float(v) for v in vals),
-        )
-    diffs = np.diff(vals)
-    if (diffs > 0).all() and vals[-1] > 5.0 * max(float(vals[0]), 1e-300):
-        trend, L = "diverging", math.inf
-    elif int(np.sum(np.diff(np.sign(diffs[-10:])) != 0)) >= 3:
-        trend, L = "oscillating", None
-    else:
-        trend, L = "inconclusive", None
-    return TailLimitReport(
-        L=L,
-        method="empirical",
-        trend=trend,
-        probes=tuple(int(p) for p in probes),
-        values=tuple(float(v) for v in vals),
-    )
+    return _derived(sigma, h, "cell_rms", matrix_eval=matrix_eval)

@@ -52,6 +52,14 @@ def test_classify_constant_schedule(tmp_path, capsys):
     assert (tmp_path / "regime_report.txt").exists()
 
 
+def test_zero_schedule_rejects_parameters(tmp_path, capsys):
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("schedule.kind = zero\nschedule.c = 0.5\nrun.h = 0.1\n")
+    rc = main(["classify", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unexpected schedule params: ['c']" in capsys.readouterr().err
+
+
 def test_classify_rejects_a_non_finite_table(tmp_path, capsys):
     # The inf row would otherwise count as a 0.5 term of S.
     table = tmp_path / "table.csv"

@@ -127,6 +127,29 @@ def test_an_interval_failing_everywhere_stays_bounded(fill, lo):
     assert peak < 16e6
 
 
+def test_noise_at_every_scale_ends_at_the_evaluation_budget():
+    # sin(1e17 t) is noise down to roundoff: subintervals of an ulp or two
+    # pass and fail at random, none fails at max_depth, and only the
+    # budget of 2 * CHUNK * max_depth evaluations per interval ends the call.
+    points = [0]
+
+    def f(t):
+        points[0] += t.size
+        if points[0] > 10**6:
+            raise RuntimeError("no evaluation budget")
+        return np.sin(1e17 * t)
+
+    a = np.array([1.0, 2.0])
+    with pytest.raises(QuadratureError) as got:
+        adaptive_simpson(f, a, a + np.array([0.0, 0.1]))
+    budget = 2 * CHUNK * 48
+    assert str(got.value) == (
+        f"adaptive Simpson gave up on [2, 2.1] after more than {budget} evaluations"
+    )
+    assert got.value.index == 1
+    assert budget < points[0] <= 3 + budget + 2 * CHUNK
+
+
 INTEGRANDS = {
     "cubic": lambda c: lambda t: ((c * t - 1.0) * t + 2.0) * t - c,
     "exp": lambda c: lambda t: np.exp(-c * t),

@@ -8,7 +8,6 @@ from ssbelab.schedules import (
     ContinuousSigma,
     from_sigma_cell_rms,
     from_sigma_sampled,
-    log_tail_limit,
     schedule_family,
     sigma_family,
     tabulated_schedule,
@@ -121,57 +120,6 @@ def test_monotone_sandwich_termwise():
         assert (f_c[:-1] <= f_s[:-1] + 1e-12).all()
 
 
-def test_log_tail_limit_analytic():
-    invlog = schedule_family("inverse_log", h=0.1, a=2.0, b=2.0)
-    rep = log_tail_limit(invlog)
-    assert rep.method == "analytic" and rep.L == 2.0
-    assert log_tail_limit(schedule_family("power", h=1.0, c=1.0, p=1.0)).L == 0.0
-    assert math.isinf(log_tail_limit(schedule_family("constant", h=1.0, c=0.5)).L)
-
-
-def test_log_tail_limit_empirical_converged():
-    # Same inverse-log law but presented as a bare table-like evaluator.
-    raw = tabulated_like_invlog(a=2.0, b=2.0)
-    rep = log_tail_limit(raw)
-    assert rep.method == "empirical"
-    assert rep.trend == "converged"
-    assert rep.L == pytest.approx(2.0, rel=0.05)
-
-
-def tabulated_like_invlog(a, b):
-    from ssbelab.schedules import NoiseSchedule
-
-    return NoiseSchedule(
-        kind="opaque",
-        d=1,
-        r=1,
-        h=1.0,
-        matrix_eval=lambda ns: np.sqrt(a / np.log(ns + b)).reshape(ns.shape + (1, 1)),
-    )
-
-
-def test_log_tail_limit_empirical_diverging():
-    from ssbelab.schedules import NoiseSchedule
-
-    growing = NoiseSchedule(
-        kind="opaque",
-        d=1,
-        r=1,
-        h=1.0,
-        matrix_eval=lambda ns: (1.0 + 0.001 * ns**0.25).reshape(ns.shape + (1, 1)),
-    )
-    rep = log_tail_limit(growing, probe_indices=np.unique(np.geomspace(2, 10**5, 30).astype(int)))
-    assert rep.trend == "diverging" and math.isinf(rep.L)
-
-
-def test_log_tail_probe_validation():
-    sched = tabulated_like_invlog(1.0, 2.0)
-    with pytest.raises(ValueError):
-        log_tail_limit(sched, probe_indices=[2, 10, 100, 1000, 5000])  # largest < 1e4
-    with pytest.raises(ValueError):
-        log_tail_limit(sched, probe_indices=[1, 10, 100, 10**4, 10**5])  # starts below 2
-
-
 def test_tabulated_roundtrip(tmp_path):
     rows = "\n".join(f"{n},{0.5 ** n}" for n in range(6))
     path = tmp_path / "sched.csv"
@@ -210,6 +158,12 @@ def test_family_validation():
         schedule_family("nope", h=1.0)
     with pytest.raises(ValueError):
         schedule_family("constant", h=0.0, c=1.0)
+    with pytest.raises(ValueError, match=r"unexpected schedule params: \['c'\]"):
+        schedule_family("zero", h=1.0, c=0.5)
+    # h is checked before the tail bound's exp(-a h), which overflows at h = -1000.
+    for h in (0.0, -1000.0):
+        with pytest.raises(ValueError, match="step size h must be positive"):
+            from_sigma_sampled(sigma_family("exp_decay", a=1.0), h)
 
 
 def test_tail_bounds_are_true_bounds():
