@@ -38,14 +38,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ssbelab.normal import tail_q_grid
+from ssbelab.normal import _SQRT2, ERFC_ZERO, tail_q_grid
 from ssbelab.schedules import ContinuousSigma, NoiseSchedule, from_sigma_cell_rms
+
+# exp(t) == 0.0 exactly for every t < -745.1332; the tests pin this.
+EXP_ZERO = -746.0
 
 
 def default_epsilon_grid(eps_min: float = 1e-2, eps_max: float = 1e1, points: int = 13) -> np.ndarray:
     """Logarithmic grid, ``points`` points from eps_min to eps_max."""
-    if eps_min <= 0 or eps_max <= 0:
-        raise ValueError(f"epsilon grid must be positive, got [{eps_min!r}, {eps_max!r}]")
+    for key, value in (("eps_min", eps_min), ("eps_max", eps_max)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"epsilon grid must be positive and finite, got {key} = {value!r}")
     return np.geomspace(eps_min, eps_max, points)
 
 
@@ -70,23 +74,67 @@ def _s_terms(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     return tail_q_grid(out, out=out)
 
 
+def _sprime_exponent(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """t = -eps^2 / (2 fro^2) into ``out``; returns the mask of terms exp does not cut.
+
+    t is computed over the whole array, unmasked (a masked numpy op costs
+    about twice an unmasked one).  exp(t) is exactly 0.0 for every t below
+    -745.1332, so a term is cut where fro <= 0 or t < ``EXP_ZERO``.
+    """
+    with np.errstate(under="ignore", over="ignore", divide="ignore", invalid="ignore"):
+        np.multiply(fro, fro, out=out)
+        np.divide(-0.5 * eps * eps, out, out=out)
+    # ~(t < cut) keeps a NaN exponent live, as the whole-array formula does.
+    live = fro > 0
+    live &= ~(out < EXP_ZERO)
+    return live
+
+
 def _sprime_terms(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
-    pos = fro > 0
+    """Terms fro * exp(-eps^2 / (2 fro^2)), 0.0 where the norm is not positive.
+
+    exp and the product are evaluated only on the terms ``_sprime_exponent``
+    does not cut; the rest are written as 0.0, the value the whole-array
+    formula gives them, so the buffer is bit for bit that formula's.
+    """
+    live = _sprime_exponent(fro, eps, out)
+    with np.errstate(under="ignore", over="ignore"):
+        if live.all():
+            np.exp(out, out=out)
+            return np.multiply(fro, out, out=out)
+        idx = np.flatnonzero(live)
+        vals = np.exp(out[idx])
+        np.multiply(fro[idx], vals, out=vals)
     out.fill(0.0)
-    with np.errstate(under="ignore", over="ignore", divide="ignore"):
-        np.multiply(fro, fro, out=out, where=pos)
-        np.divide(-0.5 * eps * eps, out, out=out, where=pos)
-        np.exp(out, out=out, where=pos)
-        np.multiply(fro, out, out=out, where=pos)
+    out[idx] = vals
     return out
 
 
+_KERNELS = {"s": _s_terms, "sprime": _sprime_terms}
+
+
+def _live_range(fro: np.ndarray, eps: float, kind: str, scratch: np.ndarray) -> slice:
+    """Index range outside which every ``kind`` term is exactly 0.0, at eps and above.
+
+    A term is cut at eps when eps / fro / sqrt(2) >= ``ERFC_ZERO`` (S; a
+    zero norm gives inf) or by ``_sprime_exponent`` (S').  IEEE division and
+    multiplication are monotone, so eps / fro and eps^2 / fro^2 never fall
+    as eps grows: a term cut at eps is cut at every larger eps.
+    """
+    if kind == "s":
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(eps, fro, out=scratch)
+        live = np.divide(scratch, _SQRT2, out=scratch) < ERFC_ZERO
+    else:
+        live = _sprime_exponent(fro, eps, scratch)
+    idx = np.flatnonzero(live)
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
 def _partial(
-    schedule: NoiseSchedule, fro: np.ndarray, eps: float, kind: str, n_trunc: int, buf: np.ndarray
-):
-    """The ``kind`` series' terms at eps, written into ``buf``, and their SeriesPartial."""
-    terms = (_s_terms if kind == "s" else _sprime_terms)(fro, eps, buf)
-    return terms, SeriesPartial(
+    schedule: NoiseSchedule, terms: np.ndarray, eps: float, kind: str, n_trunc: int
+) -> SeriesPartial:
+    return SeriesPartial(
         value=float(terms.sum()),
         last_term=float(terms[-1]),
         tail_bound=schedule.series_tail_bound(eps, n_trunc, kind),
@@ -98,9 +146,9 @@ def _partial_sum(schedule: NoiseSchedule, epsilon: float, n_trunc: int, kind: st
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if n_trunc < 0:
-        raise ValueError("truncation index must be non-negative")
+        raise ValueError(f"truncation index must be non-negative, got {n_trunc!r}")
     fro = _frobenius_grid(schedule, n_trunc)
-    return _partial(schedule, fro, epsilon, kind, n_trunc, np.empty_like(fro))[1]
+    return _partial(schedule, _KERNELS[kind](fro, epsilon, np.empty_like(fro)), epsilon, kind, n_trunc)
 
 
 def partial_sum_S(schedule: NoiseSchedule, epsilon: float, n_trunc: int) -> SeriesPartial:
@@ -172,7 +220,7 @@ def _sigma_vanishes_empirically(schedule: NoiseSchedule, n_probe: int) -> Option
     return None
 
 
-def _divergence_signature(fro: np.ndarray, terms: np.ndarray, n_trunc: int) -> bool:
+def _divergence_signature(terms: np.ndarray, n_trunc: int) -> bool:
     """Terms at or above n^{-1/2} across the upper probe range."""
     lo = max(100, n_trunc // 100)
     if lo >= n_trunc:
@@ -181,17 +229,30 @@ def _divergence_signature(fro: np.ndarray, terms: np.ndarray, n_trunc: int) -> b
     return bool((terms[idx] >= 1.0 / np.sqrt(idx.astype(np.float64))).all())
 
 
-def _evidence_for(
-    schedule: NoiseSchedule, fro: np.ndarray, eps: float, kind: str, n_trunc: int, buf: np.ndarray
-) -> EpsilonEvidence:
-    terms, partial = _partial(schedule, fro, eps, kind, n_trunc, buf)
-    if partial.tail_bound is not None and math.isfinite(partial.tail_bound):
-        verdict = "finite"
-    elif _divergence_signature(fro, terms, n_trunc):
-        verdict = "infinite"
-    else:
-        verdict = "unknown"
-    return EpsilonEvidence(epsilon=float(eps), verdict=verdict, partial=partial)
+def _evidence(
+    schedule: NoiseSchedule, fro: np.ndarray, grid: np.ndarray, kind: str, n_trunc: int, buf: np.ndarray
+) -> list[EpsilonEvidence]:
+    """Evidence of the ``kind`` series at each eps of the ascending grid.
+
+    ``buf`` holds each row's terms in turn: the full n_trunc + 1 of them,
+    so every sum keeps its pairwise order.  Only the range that
+    ``_live_range`` leaves open at grid[0] is evaluated; the rest stays
+    0.0, the value every row's kernel would write there.
+    """
+    live = _live_range(fro, grid[0], kind, buf)
+    buf.fill(0.0)
+    evidence = []
+    for eps in grid:
+        _KERNELS[kind](fro[live], eps, buf[live])
+        partial = _partial(schedule, buf, eps, kind, n_trunc)
+        if partial.tail_bound is not None and math.isfinite(partial.tail_bound):
+            verdict = "finite"
+        elif _divergence_signature(buf, n_trunc):
+            verdict = "infinite"
+        else:
+            verdict = "unknown"
+        evidence.append(EpsilonEvidence(epsilon=float(eps), verdict=verdict, partial=partial))
+    return evidence
 
 
 def _assemble(evidence: list[EpsilonEvidence]) -> tuple[str, Optional[float], Optional[tuple]]:
@@ -229,8 +290,10 @@ def classify(
     if policy not in ("auto", "s", "sprime"):
         raise ValueError(f"unknown policy {policy!r}")
     grid = np.asarray(epsilon_grid if epsilon_grid is not None else default_epsilon_grid(), dtype=float)
-    if grid.size == 0 or (grid <= 0).any() or (np.diff(grid) <= 0).any():
-        raise ValueError("epsilon grid must be positive, sorted and non-empty")
+    if grid.size == 0 or not np.isfinite(grid).all() or (grid <= 0).any() or (np.diff(grid) <= 0).any():
+        raise ValueError("epsilon grid must be positive, finite, sorted and non-empty")
+    if n_trunc < 0:
+        raise ValueError(f"truncation index must be non-negative, got {n_trunc!r}")
     notes: list[str] = []
 
     rows = schedule.params.get("rows")
@@ -244,9 +307,8 @@ def classify(
     # per row cost a page-faulting mmap each in a process that is still cold.
     buf = np.empty_like(fro)
     kind = "sprime" if policy == "sprime" else "s"
-    evidence = [_evidence_for(schedule, fro, e, kind, n_trunc, buf) for e in grid]
-    alt_kind = "s" if kind == "sprime" else "sprime"
-    alt_evidence = [_evidence_for(schedule, fro, e, alt_kind, n_trunc, buf) for e in grid]
+    evidence = _evidence(schedule, fro, grid, kind, n_trunc, buf)
+    alt_evidence = _evidence(schedule, fro, grid, "s" if kind == "sprime" else "sprime", n_trunc, buf)
     agreement = _routes_agree(evidence, alt_evidence)
 
     if policy == "auto" and schedule.analytic_L is not None:

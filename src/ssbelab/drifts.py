@@ -22,6 +22,7 @@ gain g with f(x) = g(||x||) x/||x||; the implicit solver exploits both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -161,8 +162,8 @@ def builtin_drift(name: str, **params) -> DriftSpec:
         lam = float(params.pop("lam", 1.0))
         if params:
             raise ValueError(f"unexpected linear params: {sorted(params)}")
-        if lam <= 0:
-            raise ValueError("linear drift requires lam > 0")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"linear drift requires a finite lam > 0, got {lam!r}")
 
         def sc_eval(x, lam=lam):
             return lam * np.asarray(x, dtype=np.float64)
@@ -215,8 +216,8 @@ def builtin_drift(name: str, **params) -> DriftSpec:
         c = float(params.pop("c", 1.0))
         if params:
             raise ValueError(f"unexpected saturating params: {sorted(params)}")
-        if c <= 0:
-            raise ValueError("saturating drift requires c > 0")
+        if not 0 < c < math.inf:
+            raise ValueError(f"saturating drift requires a finite c > 0, got {c!r}")
 
         def ev(x, c=c):
             x = np.asarray(x, dtype=np.float64)

@@ -264,6 +264,10 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
     """
 
     def build(env, L, tail, prm):
+        for key, value in prm.items():
+            # NaN passes every `<= 0` check, and inf makes an envelope of NaN or inf.
+            if not math.isfinite(value):
+                raise ValueError(f"{name} schedule needs a finite {key}, got {value!r}")
         return NoiseSchedule(
             kind=name,
             d=d,

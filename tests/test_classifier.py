@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erfc
 
 from ssbelab.classifier import (
+    EXP_ZERO,
+    _evidence,
+    _live_range,
+    _s_terms,
+    _sprime_terms,
     classify,
     default_epsilon_grid,
     format_regime_report,
@@ -13,6 +19,7 @@ from ssbelab.classifier import (
     partial_sum_Sprime,
     regime_report_records,
 )
+from ssbelab.normal import ERFC_ZERO
 from ssbelab.schedules import (
     ContinuousSigma,
     _power_tail,
@@ -104,6 +111,14 @@ def test_classify_grid_validation():
         classify(sched, epsilon_grid=[-1.0, 1.0])
     with pytest.raises(ValueError):
         classify(sched, policy="bogus")
+    for grid in ([1.0, math.inf], [math.nan], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            classify(sched, epsilon_grid=grid)
+    with pytest.raises(ValueError, match="truncation index must be non-negative"):
+        classify(sched, n_trunc=-1)
+    for bounds in ({"eps_min": math.nan}, {"eps_max": math.inf}, {"eps_min": -math.inf}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            default_epsilon_grid(**bounds)
 
 
 def test_classify_evidence_routes_match_analytic():
@@ -293,3 +308,82 @@ def test_power_tail_bound_stays_finite_at_extreme_parameters(build, n_trunc):
 def test_power_tail_bound_stays_positive_when_the_direct_form_underflows(c, p, kind):
     # Every remaining term is positive, so 0.0 would undercut the remainder.
     assert _power_tail(c, p, 1.0, 1.0, 0.01, 100_000, kind) > 0.0
+
+
+def _s_terms_whole_array(fro, eps):
+    # The whole-array formula: Q(eps / fro) at every term, inf where fro <= 0.
+    x = np.full_like(fro, np.inf)
+    with np.errstate(over="ignore"):
+        np.divide(eps, fro, out=x, where=fro > 0)
+    return 0.5 * erfc(x / math.sqrt(2.0))
+
+
+def _sprime_terms_whole_array(fro, eps):
+    pos = fro > 0
+    out = np.zeros_like(fro)
+    with np.errstate(under="ignore", over="ignore", divide="ignore"):
+        np.multiply(fro, fro, out=out, where=pos)
+        np.divide(-0.5 * eps * eps, out, out=out, where=pos)
+        np.exp(out, out=out, where=pos)
+        np.multiply(fro, out, out=out, where=pos)
+    return out
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else 0.0)
+    return float(x)
+
+
+@st.composite
+def _norms_and_eps(draw):
+    """Norms mixing zeros, denormals, 1e-300..1e3 and values within ulps of the cuts, shuffled."""
+    eps = draw(st.floats(1e-3, 1e2))
+    cuts = [eps / (z * math.sqrt(2.0)) for z in (ERFC_ZERO, 26.6418)]  # q = eps / fro / sqrt(2)
+    cuts += [eps / math.sqrt(-2.0 * t) for t in (EXP_ZERO, -745.1332)]  # t = -eps^2 / (2 fro^2)
+    value = st.one_of(
+        st.just(0.0),
+        st.floats(5e-324, 2.2250738585072014e-308),
+        st.floats(-300.0, 3.0).map(lambda e: 10.0**e),
+        st.builds(_ulps, st.sampled_from(cuts), st.integers(-4, 4)),
+        st.floats(25.0, 28.0).map(lambda z: eps / (z * math.sqrt(2.0))),  # erfc underflowing
+    )
+    fro = draw(st.lists(value, min_size=1, max_size=300))
+    return np.array(draw(st.permutations(fro))), eps
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_norms_and_eps())
+def test_term_kernels_equal_the_whole_array_formulas_bit_for_bit(case):
+    fro, eps = case
+    for kernel, oracle in ((_s_terms, _s_terms_whole_array), (_sprime_terms, _sprime_terms_whole_array)):
+        got = kernel(fro, eps, np.empty_like(fro))
+        assert np.array_equal(_bits(got), _bits(oracle(fro, eps)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_norms_and_eps(), steps=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=6))
+def test_evidence_rows_equal_the_whole_array_sums_bit_for_bit(case, steps):
+    # Rows past grid[0] evaluate only the range left open at grid[0].
+    fro, eps = case
+    grid = np.unique(eps * np.cumprod([1.0] + steps))
+    sched = schedule_family("zero", h=1.0)
+    n_trunc = fro.size - 1
+    # Shuffled, and decreasing as a decaying schedule is, which puts the
+    # range's end at a cut.
+    for norms in (fro, np.sort(fro)[::-1]):
+        for kind, oracle in (("s", _s_terms_whole_array), ("sprime", _sprime_terms_whole_array)):
+            outside = np.ones(norms.size, dtype=bool)
+            outside[_live_range(norms, grid[0], kind, np.empty_like(norms))] = False
+            buf = np.empty_like(norms)
+            rows = _evidence(sched, norms, grid, kind, n_trunc, buf)
+            for row, e in zip(rows, grid):
+                want = oracle(norms, e)
+                assert not _bits(want[outside]).any()
+                assert _bits(row.partial.value) == _bits(want.sum())
+                assert _bits(row.partial.last_term) == _bits(want[-1])
+            assert np.array_equal(_bits(buf), _bits(want))

@@ -194,6 +194,44 @@ def test_zero_eps_min_exits_2(tmp_path, capsys):
     assert "epsilon grid must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair, message", [
+    ("classify.truncation=-1", "truncation index must be non-negative, got -1"),
+    ("classify.eps_min=nan", "epsilon grid must be positive and finite, got eps_min = nan"),
+    ("classify.eps_max=inf", "epsilon grid must be positive and finite, got eps_max = inf"),
+], ids=["truncation", "eps_min", "eps_max"])
+def test_bad_classify_key_exits_2(tmp_path, capsys, pair, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("schedule.kind = power\nschedule.c = 1.0\nschedule.p = 1.0\nrun.h = 0.1\n")
+    assert main(["classify", str(cfg), "--out", str(tmp_path), "--set", pair]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "regime_report.kv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", "schedule.kind = power\nschedule.c = {}\nschedule.p = 1.0", "power schedule needs a finite c"),
+    ("classify", "schedule.kind = power\nschedule.p = {}", "power schedule needs a finite p"),
+    ("classify", "schedule.kind = constant\nschedule.c = {}", "constant schedule needs a finite c"),
+    ("classify", "schedule.kind = geometric\nschedule.c = {}\nschedule.rho = 0.5",
+     "geometric schedule needs a finite c"),
+    ("classify", "schedule.kind = inverse_log\nschedule.a = {}", "inverse_log schedule needs a finite a"),
+    ("classify", "schedule.kind = inverse_log\nschedule.a = 2.0\nschedule.b = {}",
+     "inverse_log schedule needs a finite b"),
+    ("simulate", "drift.name = linear\ndrift.lam = {}\nschedule.kind = zero",
+     "linear drift requires a finite lam > 0"),
+    ("simulate", "drift.name = saturating\ndrift.c = {}\nschedule.kind = zero",
+     "saturating drift requires a finite c > 0"),
+], ids=["power_c", "power_p", "constant_c", "geometric_c", "inverse_log_a", "inverse_log_b",
+        "linear_lam", "saturating_c"])
+def test_non_finite_family_parameter_exits_2(tmp_path, capsys, command, text, message, value):
+    # NaN passes a `c <= 0` check: classify read such a schedule as regime A.
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(text.format(value) + "\nrun.h = 0.1\nrun.steps = 10\nrun.zeta = 1.0\n")
+    assert main([command, str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{message}, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "regime_report.kv").exists() and not (tmp_path / "path.csv").exists()
+
+
 def test_cli_import_leaves_scipy_optimize_and_signal_unloaded():
     code = "import sys, ssbelab.cli; print(sorted({'scipy.optimize', 'scipy.signal'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -65,6 +65,11 @@ def test_unknown_family_and_bad_params():
         builtin_drift("linear", lam=-1.0)
     with pytest.raises(ValueError):
         builtin_drift("saturating", c=0.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite lam"):
+            builtin_drift("linear", lam=value)
+        with pytest.raises(ValueError, match="finite c"):
+            builtin_drift("saturating", c=value)
 
 
 def test_batched_eval_shapes():

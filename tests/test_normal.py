@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from oracle_tables import LOG_TAIL_TABLE, PHI_TABLE
 
+from ssbelab.classifier import EXP_ZERO
 from ssbelab.normal import (
+    ERFC_ZERO,
     log_tail_q,
     phi_cdf,
     tail_q,
@@ -106,3 +109,14 @@ def test_grid_form_matches_scalar():
         assert q == pytest.approx(tail_q(float(x)), rel=1e-13, abs=1e-300)
     with pytest.raises(ValueError):
         tail_q_grid(np.array([1.0, np.nan]))
+
+
+def test_underflow_cuts_are_exact():
+    # The term kernels write 0.0 past these cuts instead of calling erfc or
+    # exp; a library whose underflow point moves past a cut fails here.
+    z = np.concatenate([np.linspace(ERFC_ZERO, 40.0, 500_001), np.geomspace(40.0, 1e308, 100_001), [np.inf]])
+    assert not erfc(z).any()
+    assert erfc(26.6) > 0.0
+    t = np.concatenate([np.linspace(EXP_ZERO, -800.0, 500_001), -np.geomspace(800.0, 1e308, 100_001), [-np.inf]])
+    assert not np.exp(t).any()
+    assert np.exp(-745.0) > 0.0

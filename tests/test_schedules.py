@@ -160,6 +160,12 @@ def test_family_validation():
         schedule_family("constant", h=0.0, c=1.0)
     with pytest.raises(ValueError, match=r"unexpected schedule params: \['c'\]"):
         schedule_family("zero", h=1.0, c=0.5)
+    for name, params in (("constant", {"c": 1.0}), ("power", {"c": 1.0, "p": 1.0}),
+                         ("geometric", {"c": 1.0, "rho": 0.5}), ("inverse_log", {"a": 1.0, "b": 2.0})):
+        for key in params:
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} schedule needs"):
+                    schedule_family(name, h=1.0, **{**params, key: value})
     # h is checked before the tail bound's exp(-a h), which overflows at h = -1000.
     for h in (0.0, -1000.0):
         with pytest.raises(ValueError, match="step size h must be positive"):
