@@ -105,12 +105,12 @@ def cmd_classify(args) -> int:
 def cmd_affine(args) -> int:
     cfg = _load(args)
     if "affine.A" in cfg:
-        A = cfg_mod.parse_matrix(cfg["affine.A"])
+        A = cfg_mod.as_matrix(cfg, "affine.A")
     elif "affine.matrix_csv" in cfg:
         A = np.loadtxt(cfg["affine.matrix_csv"], delimiter=",", ndmin=2)
     else:
         raise ConfigError("affine command needs affine.A or affine.matrix_csv")
-    h = cfg_mod.as_float(cfg, "run.h", required=True)
+    h = cfg_mod.step_size(cfg)
     system = affine_mod.build_affine_system(A, h)
     emap = affine_mod.eigen_map_check(A, h)
     lines = [f"config.{k} = {v}" for k, v in sorted(cfg.items())]

@@ -5,7 +5,7 @@ other key is rejected:
 
     drift.name       linear | cubic | saturating | arctan
     drift.d          state dimension (default 1)
-    drift.lam/.c/.A  family parameters (A as rows "a,b;c,d")
+    drift.lam/.c/.A  family parameters (A as rows "a,b;c,d", finite entries)
 
     schedule.kind    zero | constant | power | geometric | inverse_log |
                      tabulated | sigma_sampled | sigma_cell_rms
@@ -15,7 +15,7 @@ other key is rejected:
                      (exp_decay | constant | power_decay | inverse_log_t)
     schedule.sigma_* parameters of the continuous family
 
-    run.h            step size
+    run.h            step size, finite and > 0
     run.r            noise dimension (default 1)
     run.steps        steps per path
     run.paths        number of paths
@@ -23,7 +23,7 @@ other key is rejected:
     run.master_seed  unsigned 64-bit seed
     run.path_index   substream of the simulated path (default 0)
     run.record_mode  full | summary | thin:k
-    run.window_fraction   trailing window as a fraction of steps
+    run.window_fraction   trailing window as a fraction of steps, in [0, 1]
     run.tol          implicit-solve residual tolerance
 
     thresholds.converge / .escape / .bounded_cap / .osc_min / .fraction
@@ -43,6 +43,7 @@ CLI flags override any key via ``--set key=value``.
 from __future__ import annotations
 
 import difflib
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -173,13 +174,29 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def as_matrix(cfg, key) -> np.ndarray:
+    """The inline matrix at ``key``, whose entries must be finite."""
+    A = parse_matrix(cfg[key])
+    if not np.isfinite(A).all():
+        raise ConfigError(f"{key} must have finite entries, got {cfg[key]!r}")
+    return A
+
+
+def step_size(cfg) -> float:
+    """run.h, a finite number > 0."""
+    h = as_float(cfg, "run.h", required=True)
+    if not (h > 0 and math.isfinite(h)):
+        raise ConfigError(f"run.h must be a finite number > 0, got {h!r}")
+    return h
+
+
 def build_drift(cfg: dict[str, str]) -> DriftSpec:
     name = _get(cfg, "drift.name", required=True)
     d = as_int(cfg, "drift.d", 1)
     try:
         if name == "linear":
             if "drift.A" in cfg:
-                return builtin_drift("linear", A=parse_matrix(cfg["drift.A"]))
+                return builtin_drift("linear", A=as_matrix(cfg, "drift.A"))
             return builtin_drift("linear", lam=as_float(cfg, "drift.lam", 1.0), d=d)
         if name == "cubic":
             return builtin_drift("cubic", d=d)
@@ -211,10 +228,10 @@ def build_continuous_sigma(cfg: dict[str, str], d: int, r: int):
 
 def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
     kind = _get(cfg, "schedule.kind", required=True)
-    h = as_float(cfg, "run.h", required=True)
+    h = step_size(cfg)
     d = as_int(cfg, "drift.d", 1)
     if "drift.A" in cfg:
-        d = parse_matrix(cfg["drift.A"]).shape[0]
+        d = as_matrix(cfg, "drift.A").shape[0]
     r = as_int(cfg, "run.r", 1)
     try:
         if kind in ("zero", "constant", "power", "geometric", "inverse_log"):
@@ -273,7 +290,10 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
     zeta = as_floats(cfg, "run.zeta", required=True)
     if zeta.shape != (d,):
         raise ConfigError(f"run.zeta must have shape ({d},), got {zeta.size} components")
-    window = default_window(steps, as_float(cfg, "run.window_fraction", 0.01))
+    fraction = as_float(cfg, "run.window_fraction", 0.01)
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"run.window_fraction must be a number in [0, 1], got {fraction!r}")
+    window = default_window(steps, fraction)
     thresholds = Thresholds(
         **{f.name: as_float(cfg, f"thresholds.{f.name}", f.default) for f in fields(Thresholds)}
     )

@@ -17,12 +17,15 @@ of 1000).  Alongside the extremes the state tracks:
 Snapshots are taken at logarithmically spaced checkpoints so trend
 evidence survives without storing whole paths.
 
-The statistics have one implementation, the chunked fold of
-``BatchDiagnostics``: it buffers ``BatchDiagnostics.CHUNK`` steps of a
-block of m paths and folds them in whole-chunk numpy calls, bit-identical
-to a per-step fold.  The lockstep engine feeds it a block;
-``DiagnosticState`` is its one-path view (m = 1), which ``integrate`` feeds
-one (d,) state at a time.
+The statistics have one implementation, ``BatchDiagnostics.fold``: it
+takes k consecutive steps of a block of m paths as (k, m, d) arrays and
+folds them in whole-chunk numpy calls, bit-identical to a per-step fold.
+The fold holds no step buffers of its own.  The chunk arrays belong to the
+engine that wrote them and are only read here: ``integrate`` passes its
+record's own slices, or one noise block of scratch rows, and the lockstep
+engine its (CHUNK, m, d) state and stage arrays with the shocks as
+``NoiseSchedule.shocks`` returned them.  ``DiagnosticState`` is the
+one-path view (m = 1).
 """
 
 from __future__ import annotations
@@ -83,20 +86,17 @@ class PathSummary:
 class BatchDiagnostics:
     """Diagnostics of a block of m paths advanced in lockstep.
 
-    ``update`` only copies one step's states, stages, shocks and sigma norm
-    into fixed (CHUNK, m, d) buffers.  Every CHUNK steps, and before any
-    summary, ``_flush`` folds the buffered steps into the running
-    statistics with whole-chunk calls: ``np.cumsum`` for the sums and
+    ``fold`` folds a chunk of steps into the running statistics with
+    whole-chunk calls: ``np.cumsum`` for the sums and
     ``np.maximum.accumulate`` for the sup, with checkpoint snapshots read
     at their exact step.  A cumsum adds in step order and a maximum is
     exact, so every statistic is the same sequence of float operations as a
-    per-step fold.  ``n`` counts the folded steps.  A flush that folded a
-    state of non-finite norm, the sign of a non-finite shock or state,
-    raises NonFiniteError naming its step, after the fold, so the
-    statistics stay readable.  Both engines meet every such failure here.
+    per-step fold, however the steps are split into chunks.  ``n`` counts
+    the folded steps.  A fold that met a state of non-finite norm, the sign
+    of a non-finite shock or state, raises NonFiniteError naming its step,
+    after the fold, so the statistics stay readable.  Both engines meet
+    every such failure here.
     """
-
-    CHUNK = 64
 
     def __init__(self, m: int, d: int, h: float, window: int):
         if window < 1:
@@ -112,11 +112,6 @@ class BatchDiagnostics:
         self.ring = np.empty((self.window, m))
         self.ring_len = 0
         self.snapshots: list[tuple[int, dict[str, np.ndarray]]] = []
-        self._x = np.empty((self.CHUNK, m, d))
-        self._xs = np.empty((self.CHUNK, m, d))
-        self._u = np.empty((self.CHUNK, m, d))
-        self._fro = np.empty(self.CHUNK)
-        self._k = 0
 
     def start(self, x0: np.ndarray) -> None:
         norms = np.linalg.norm(x0, axis=1)
@@ -126,14 +121,10 @@ class BatchDiagnostics:
         _check_finite(norms[None], 0)
 
     def update(self, x_new: np.ndarray, x_star_prev: np.ndarray, u_new: np.ndarray, fro_prev: float) -> None:
-        k = self._k
-        self._x[k] = x_new
-        self._xs[k] = x_star_prev
-        self._u[k] = u_new
-        self._fro[k] = fro_prev
-        self._k = k + 1
-        if self._k == self.CHUNK:
-            self._flush()
+        """Fold one step: the states, stages and shocks of the block, and sigma's norm."""
+        shape = (1, self.m, self.d)
+        x, xs, u = (np.reshape(a, shape) for a in (x_new, x_star_prev, u_new))
+        self.fold(x, xs, u, np.array([fro_prev], dtype=np.float64))
 
     @staticmethod
     def _fold(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -141,18 +132,20 @@ class BatchDiagnostics:
         terms[0] += acc
         return np.cumsum(terms, axis=0, out=terms)
 
-    def _flush(self) -> None:
-        k = self._k
+    def fold(self, x: np.ndarray, xs: np.ndarray, u: np.ndarray, fro: np.ndarray) -> None:
+        """Fold steps n+1 .. n+k: X(n+j+1) = x[j], x*(n+j) = xs[j], U(n+j+1) = u[j].
+
+        ``x``, ``xs`` and ``u`` have shape (k, m, d) and ``fro[j]`` is
+        ||sigma(n+j)||_F.  The arrays are read, never kept or written.
+        """
+        k = len(x)
         if k == 0:
             return
-        self._k = 0
         m, d, n0 = self.m, self.d, self.n
         # (k * m, d) rows: the same row reductions a single step makes.
-        x = self._x[:k].reshape(k * m, d)
-        xs = self._xs[:k].reshape(k * m, d)
-        u = self._u[:k].reshape(k * m, d)
-        fro = self._fro[:k, None]
-        norms = np.linalg.norm(x, axis=1).reshape(k, m)
+        xs_rows, u_rows = xs.reshape(k * m, d), u.reshape(k * m, d)
+        fro = fro[:, None]
+        norms = np.linalg.norm(x.reshape(k * m, d), axis=1).reshape(k, m)
         sup = np.maximum.accumulate(norms, axis=0)
         np.maximum(sup, self.sup, out=sup)
         first = max(0, k - self.window)
@@ -160,10 +153,11 @@ class BatchDiagnostics:
         self.ring[rows] = norms[first:]
         self.ring_len += k
         sum_sq = self._fold(self.sum_sq, norms * norms)
-        M = self._fold(self.M, 2.0 * np.einsum("ij,ij->i", xs, u).reshape(k, m))
-        xs_sq = np.einsum("ij,ij->i", xs, xs).reshape(k, m)
+        M = self._fold(self.M, 2.0 * np.einsum("ij,ij->i", xs_rows, u_rows).reshape(k, m))
+        xs_sq = np.einsum("ij,ij->i", xs_rows, xs_rows).reshape(k, m)
         QV = self._fold(self.QV, 4.0 * self.h * xs_sq * fro * fro)
-        shock_sq = self._fold(self.shock_sq, np.einsum("ij,ij->i", u, u).reshape(k, m) / self.h)
+        u_sq = np.einsum("ij,ij->i", u_rows, u_rows).reshape(k, m)
+        shock_sq = self._fold(self.shock_sq, u_sq / self.h)
         self.n = n0 + k
         for cn in CHECKPOINTS:
             if n0 < cn <= self.n:
@@ -185,21 +179,24 @@ class BatchDiagnostics:
         self.M = M[-1].copy()
         self.QV = QV[-1].copy()
         self.shock_sq = shock_sq[-1].copy()
-        _check_finite(norms, n0, self._u[:k])
+        _check_finite(norms, n0, u)
 
-    def first_failure(self, exc: Exception, step: int) -> tuple[Exception, int]:
+    def first_failure(self, exc: Exception, step: int, *chunk: np.ndarray) -> tuple[Exception, int]:
         """The failure to report for ``exc``, raised at ``step``, and its step.
 
-        A non-finite state among the buffered steps, flushed here, came first.
+        ``chunk`` is the engine's current (x, xs, u, fro) chunk, which
+        starts at step ``n``.  Its steps before ``step`` completed; they are
+        folded here, and a non-finite state among them came first.
         """
-        try:
-            self._flush()
-        except NonFiniteError as earlier:
-            exc = earlier
+        k = step - self.n
+        if k:
+            try:
+                self.fold(*(a[:k] for a in chunk))
+            except NonFiniteError as earlier:
+                exc = earlier
         return exc, exc.step_index if isinstance(exc, NonFiniteError) else step
 
     def summaries(self, path_indices, final_norms: np.ndarray) -> list[PathSummary]:
-        self._flush()
         filled = min(self.ring_len, self.window)
         wmin = self.ring[:filled].min(axis=0)
         wmax = self.ring[:filled].max(axis=0)
@@ -228,10 +225,10 @@ class BatchDiagnostics:
 
 
 class DiagnosticState(BatchDiagnostics):
-    """One path's diagnostics: the batch fold at m = 1, fed (d,) states."""
+    """One path's diagnostics: the batch fold at m = 1, started from a (d,) state."""
 
     # An entry in this class's own dict: perfbench's tracer wraps methods
-    # per class, and this keeps one span per integrate step.
+    # per class, and looks this one up by name.
     update = BatchDiagnostics.update
 
     def __init__(self, d: int, h: float, window: int):

@@ -133,6 +133,8 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             d = A.shape[0]
             if A.shape != (d, d):
                 raise ValueError("A must be square")
+            if not np.isfinite(A).all():
+                raise ValueError(f"linear drift needs a finite A, got {A.tolist()}")
             eigs = np.linalg.eigvals(A)
             if not (eigs.real < 0).all():
                 raise ValueError("linear drift requires all eigenvalues of A in Re < 0")

@@ -16,7 +16,13 @@ block of radial states through ``solve_radial`` row by row; any other
 state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
 
 Both take the shock from one rule too, ``NoiseSchedule.shocks``, and
-fold diagnostics through one ``BatchDiagnostics``.  Neither product
+fold diagnostics through one ``BatchDiagnostics.fold``.  Each engine owns
+the arrays it writes its steps into and hands them to the fold whole, once
+per chunk: ``integrate`` once per NOISE_BLOCK steps, passing a full
+record's own X, X_star and U slices, or else one block of scratch states
+and stages; the lockstep engine once per CHUNK steps, passing its
+(CHUNK, m, d) state and stage arrays and the shocks as ``shocks``
+returned them.  Neither product
 rounds differently for one path and for a block, so a path's values
 depend on ``(master_seed, path_index)`` alone, not on the block it runs in.
 A failed stage solve, or a shock or state that is not finite, stops either
@@ -61,6 +67,10 @@ from ssbelab.schedules import fixed_order_product
 
 # Steps of noise drawn per stream at a time.
 NOISE_BLOCK = 4096
+# Steps the lockstep engine assembles shocks for and folds at a time.
+CHUNK = 64
+# Rows of path.csv formatted at a time.
+CSV_ROWS = 1024
 
 ROOT_SELECTION_POLICY = "bracket root toward the origin (scalar); Newton basin of y0=x (vector)"
 
@@ -202,46 +212,58 @@ def integrate(
     diag = DiagnosticState(d=d, h=h, window=window)
 
     full = mode == "full"
+    thin = mode == "thin"
     X = X_star = U = stored = None
     if full:
         X, X_star, U = np.empty((steps + 1, d)), np.empty((steps, d)), np.empty((steps, d))
         X[0] = zeta
-    thin_rows: list[tuple[int, np.ndarray]] = [(0, zeta.copy())] if mode == "thin" else []
+    else:
+        # One noise block of states and stages, folded and then overwritten.
+        X_blk = np.empty((min(NOISE_BLOCK, steps), d))
+        Xs_blk = np.empty_like(X_blk)
+    thin_rows: list[tuple[int, np.ndarray]] = [(0, zeta.copy())] if thin else []
 
     x = zeta.copy()
     step = 0
+    chunk = ()
     # Overflow is not warned about: the fold's check names the step.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             diag.start(zeta)
             while step < steps:
-                xi = stream.draw_block(min(NOISE_BLOCK, steps - step))
-                U_blk, fro_blk = schedule.shocks(xi, step)
-                for u, fro in zip(U_blk, fro_blk):
+                n0, k = step, min(NOISE_BLOCK, steps - step)
+                u_blk, fro = schedule.shocks(stream.draw_block(k), n0)
+                if full:
+                    U[n0 : n0 + k] = u_blk
+                    x_blk, xs_blk = X[n0 + 1 : n0 + k + 1], X_star[n0 : n0 + k]
+                else:
+                    x_blk, xs_blk = X_blk[:k], Xs_blk[:k]
+                chunk = (x_blk[:, None], xs_blk[:, None], u_blk[:, None], fro)
+                for j, u in enumerate(u_blk):
                     x_star = stage(x)
                     x = x_star + u
-                    if full:
-                        X[step + 1], X_star[step], U[step] = x, x_star, u
-                    elif mode == "thin" and ((step + 1) % stride == 0 or step + 1 == steps):
-                        thin_rows.append((step + 1, x.copy()))
-                    diag.update(x, x_star, u, fro)
+                    xs_blk[j] = x_star
+                    x_blk[j] = x
                     step += 1
+                    if thin and (step % stride == 0 or step == steps):
+                        thin_rows.append((step, x))
+                diag.fold(*chunk)
             # The row norm lockstep takes: without ``axis`` numpy uses
             # x.dot(x), which may round differently for d > 1.
             summary = summarize(diag, stream.path_index, float(np.linalg.norm(x, axis=-1)))
         except (SolverError, NonFiniteError) as exc:
-            cause, at = diag.first_failure(exc, step)
+            cause, at = diag.first_failure(exc, step, *chunk)
             err = PathError(cause, stream.path_index, stream.master_seed, at)
             err.partial_summary = summarize(diag, stream.path_index, np.linalg.norm(x, axis=-1))
             err.partial_states = (
                 X[: step + 1].copy() if full
-                else np.vstack([row for _, row in thin_rows]) if mode == "thin" else None
+                else np.vstack([row for _, row in thin_rows]) if thin else None
             )
             raise err from cause
 
     if full:
         stored = np.arange(steps + 1)
-    elif mode == "thin":
+    elif thin:
         stored = np.array([i for i, _ in thin_rows])
         X = np.vstack([row for _, row in thin_rows])
     return PathRecord(
@@ -298,9 +320,11 @@ def integrate_paths_lockstep(
 
     diag = BatchDiagnostics(m, d, schedule.h, window)
     X = np.tile(zeta, (m, 1))
+    # One chunk of states and stages, folded and then overwritten.
+    X_chunk, Xs_chunk = np.empty((CHUNK, m, d)), np.empty((CHUNK, m, d))
 
-    chunk = BatchDiagnostics.CHUNK
     step = 0
+    chunk = ()
     # Overflow is not warned about: the fold's check names the step.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -309,16 +333,19 @@ def integrate_paths_lockstep(
                 # (block, m, r): each path's next vectors from its own stream.
                 block = min(NOISE_BLOCK, steps - step)
                 noise = np.stack([s.draw_block(block) for s in streams], axis=1)
-                for c in range(0, block, chunk):
-                    U, fro = schedule.shocks(noise[c : c + chunk], step)
-                    for u, f in zip(U, fro):
+                for c in range(0, block, CHUNK):
+                    U, fro = schedule.shocks(noise[c : c + CHUNK], step)
+                    k = len(U)
+                    chunk = (X_chunk[:k], Xs_chunk[:k], U, fro)
+                    for j in range(k):
                         x_star = stage(X)
-                        X = x_star + u
-                        diag.update(X, x_star, u, f)
+                        Xs_chunk[j] = x_star
+                        X = np.add(x_star, U[j], out=X_chunk[j])
                         step += 1
+                    diag.fold(*chunk)
             return diag.summaries(path_indices, np.linalg.norm(X, axis=1))
         except (SolverError, NonFiniteError) as exc:
-            cause, at = diag.first_failure(exc, step)
+            cause, at = diag.first_failure(exc, step, *chunk)
             err = PathError(cause, path_indices[cause.row_index], master_seed, at)
             err.partial_summaries = diag.summaries(path_indices, np.linalg.norm(X, axis=1))
             raise err from cause
@@ -379,7 +406,8 @@ def dump_path_csv(record: PathRecord, path) -> None:
     Row n carries X(n); the stage columns hold Xstar(n) for n < N and the
     shock columns hold U(n) (the shock that produced X(n)) for n >= 1;
     absent entries are written as nan.  Thinned records carry every k-th
-    row plus the final one.
+    row plus the final one.  Values are written as ``repr`` of the float,
+    a column at a time, CSV_ROWS rows at a time.
     """
     if record.X is None:
         raise ValueError("summary-only records have no rows to dump")
@@ -401,15 +429,16 @@ def dump_path_csv(record: PathRecord, path) -> None:
         fh.write(f"# record_mode: {record.record_mode}\n")
         fh.write(f"# root_selection: {record.selection_policy}\n")
         fh.write(",".join(cols) + "\n")
-        for row_i, n in enumerate(record.stored_steps):
-            vals = [str(int(n))]
-            vals += [repr(float(v)) for v in record.X[row_i]]
-            if full and n < record.N:
-                vals += [repr(float(v)) for v in record.X_star[n]]
+        for lo in range(0, len(record.stored_steps), CSV_ROWS):
+            ns = record.stored_steps[lo : lo + CSV_ROWS]
+            if full:
+                stage = record.X_star[np.minimum(ns, record.N - 1)]
+                shock = record.U[np.maximum(ns - 1, 0)]
+                stage[ns == record.N] = np.nan
+                shock[ns == 0] = np.nan
             else:
-                vals += ["nan"] * d
-            if full and n >= 1:
-                vals += [repr(float(v)) for v in record.U[n - 1]]
-            else:
-                vals += ["nan"] * d
-            fh.write(",".join(vals) + "\n")
+                stage = shock = np.full((len(ns), d), np.nan)
+            # repr(nan) is "nan", the text of an absent entry.
+            vals = np.concatenate([record.X[lo : lo + CSV_ROWS], stage, shock], axis=1)
+            text = [list(map(str, ns.tolist()))] + [list(map(repr, col)) for col in vals.T.tolist()]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")

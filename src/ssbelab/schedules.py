@@ -190,8 +190,8 @@ class NoiseSchedule:
     tail: Optional[Callable[[float, int, str], float]] = None
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("step size h must be positive")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError(f"step size h must be positive and finite, got {self.h!r}")
         if self.d < 1 or self.r < 1:
             raise ValueError("dimensions must be positive")
         if (self.envelope is None) == (self.matrix_eval is None):
@@ -253,6 +253,16 @@ class NoiseSchedule:
         return self.tail(float(eps), int(n_trunc), kind)
 
 
+def _require_finite(what: str, params: dict) -> None:
+    """Reject a non-finite family parameter.
+
+    NaN passes every `<= 0` check, and inf makes an envelope of NaN or inf.
+    """
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{what} needs a finite {key}, got {value!r}")
+
+
 def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, **params) -> NoiseSchedule:
     """Closed-form schedule families.
 
@@ -264,10 +274,7 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
     """
 
     def build(env, L, tail, prm):
-        for key, value in prm.items():
-            # NaN passes every `<= 0` check, and inf makes an envelope of NaN or inf.
-            if not math.isfinite(value):
-                raise ValueError(f"{name} schedule needs a finite {key}, got {value!r}")
+        _require_finite(f"{name} schedule", prm)
         return NoiseSchedule(
             kind=name,
             d=d,
@@ -432,6 +439,7 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
     unit = _unit_base(base, d, r)
 
     def build(env, env_sq_cell, L, tail_for, prm):
+        _require_finite(f"{name} sigma", prm)
         return ContinuousSigma(
             name=name,
             d=d,

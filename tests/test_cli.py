@@ -73,10 +73,11 @@ def test_classify_rejects_a_non_finite_table(tmp_path, capsys):
 
 
 def test_classify_fails_on_a_non_finite_envelope(tmp_path, capsys):
-    # sigma_a = inf makes the integrand inf on every point of every cell.
+    # sigma_a = 1e308 is finite, but the integrand a / log(b + t) overflows
+    # to inf on every point of every cell.
     cfg = tmp_path / "q.cfg"
     cfg.write_text("schedule.kind = sigma_cell_rms\nschedule.sigma = inverse_log_t\n"
-                   "schedule.sigma_a = inf\nschedule.sigma_b = 3.0\nrun.h = 0.1\n")
+                   "schedule.sigma_a = 1e308\nschedule.sigma_b = 3.0\nrun.h = 0.1\n")
     rc = main(["classify", str(cfg), "--out", str(tmp_path / "out"),
                "--set", "classify.truncation=2000"])
     assert rc == 2
@@ -352,3 +353,72 @@ def test_unknown_key_exits_2(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert "'run.stpes'" in err and "did you mean 'run.steps'" in err
     assert not (tmp_path / "regime_report.kv").exists()
+
+
+# SHA-256 of path.csv as written at seed 42: full records at d = 1 and
+# d = 3, a thinned record, and two noise blocks (5000 > 4096 steps).
+PATH_CSV_DIGESTS = {
+    "regime_a_full": ("configs/regime_a.cfg", ["run.steps=5000"],
+                      "532ac792b704e337d2cf1de9edc32e5294ed5c0c090102504135ea65aa615869"),
+    "radial_d3_full": ("perfbench/configs/radial_d3.cfg", ["run.steps=1500"],
+                       "ff51e6768c10b32b656619020ea4a46f8353e460a91bb1435a907a4a7d1c2000"),
+    "regime_b_thin7": ("configs/regime_b.cfg", ["run.steps=5000", "run.record_mode=thin:7"],
+                       "6f37376007fd26aab785e2b71b32cd9859396962e36022d28177c79357c93dfe"),
+    "arctan_full": ("configs/scalar_arctan.cfg", ["run.steps=5000"],
+                    "27a5d18ee77010cec31faed99bfa498a0311bffc26e243f210f39467f2e0f574"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CSV_DIGESTS))
+def test_simulate_path_csv_keeps_its_bytes(tmp_path, capsys, name):
+    import hashlib
+
+    config, pairs, digest = PATH_CSV_DIGESTS[name]
+    argv = ["simulate", str(ROOT / config), "--out", str(tmp_path)]
+    argv += [arg for pair in pairs for arg in ("--set", pair)]
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "path.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+@pytest.mark.parametrize("h", ["nan", "inf", "0", "-0.1"])
+def test_step_size_must_be_finite_and_positive(tmp_path, capsys, command, h):
+    # NaN passed the `h <= 0` check: classify read regime A and simulate stalled.
+    argv = [command, str(ROOT / "configs/regime_a.cfg"), "--out", str(tmp_path),
+            "--set", f"run.h={h}", "--set", "run.steps=10"]
+    assert main(argv) == 2
+    assert f"run.h must be a finite number > 0, got {float(h)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "regime_report.kv").exists() and not (tmp_path / "path.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+@pytest.mark.parametrize("fraction", ["inf", "nan", "-1", "1e308"])
+def test_window_fraction_must_be_in_the_unit_interval(tmp_path, capsys, command, fraction):
+    # inf and 1e308 raised OverflowError in default_window; nan failed in int().
+    argv = [command, str(ROOT / "configs/regime_a.cfg"), "--out", str(tmp_path),
+            "--set", f"run.window_fraction={fraction}", "--set", "run.steps=10"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"run.window_fraction must be a number in [0, 1], got {float(fraction)!r}" in err
+    assert not (tmp_path / "path.csv").exists() and not (tmp_path / "ensemble.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["sigma_c", "sigma_a"])
+def test_non_finite_sigma_family_parameter_exits_2(tmp_path, capsys, key):
+    # NaN norms were cut as zero norms: classify read regime A.
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("schedule.kind = sigma_sampled\nschedule.sigma = exp_decay\n"
+                   "schedule.sigma_c = 1.0\nschedule.sigma_a = 1.0\nrun.h = 0.1\n")
+    assert main(["classify", str(cfg), "--out", str(tmp_path), "--set", f"schedule.{key}=nan"]) == 2
+    assert f"exp_decay sigma needs a finite {key[-1]}, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "regime_report.kv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment", "classify"])
+def test_non_finite_drift_matrix_names_the_key(tmp_path, capsys, command):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("drift.name = linear\nschedule.kind = constant\nschedule.c = 0.1\n"
+                   "run.h = 0.1\nrun.steps = 10\nrun.zeta = 1.0,1.0\nrun.master_seed = 1\n")
+    argv = [command, str(cfg), "--out", str(tmp_path), "--set", "drift.A=nan,0;0,-1"]
+    assert main(argv) == 2
+    assert "drift.A must have finite entries, got 'nan,0;0,-1'" in capsys.readouterr().err

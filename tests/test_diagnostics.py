@@ -11,7 +11,7 @@ from ssbelab.diagnostics import (
 )
 from ssbelab.drifts import builtin_drift, make_drift
 from ssbelab.gaussian import derive_substream
-from ssbelab.integrator import PathError, integrate, integrate_paths_lockstep
+from ssbelab.integrator import CHUNK, PathError, integrate, integrate_paths_lockstep
 from ssbelab.schedules import schedule_family, tabulated_schedule
 
 
@@ -130,15 +130,12 @@ class _PerStepBatch(BatchDiagnostics):
             )
 
 
-def _feed(accs, rng, m, d, steps):
-    for _ in range(steps):
-        x = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0)
-        xs = rng.standard_normal((m, d))
-        u = 0.3 * rng.standard_normal((m, d))
-        fro = float(rng.uniform(0.0, 2.0))
-        for acc in accs:
-            acc.update(x, xs, u, fro)
-    return x
+def _random_steps(rng, m, d, steps):
+    """(x, xs, u, fro) of ``steps`` random steps: (steps, m, d) arrays and (steps,) norms."""
+    x = rng.standard_normal((steps, m, d)) * rng.uniform(0.1, 3.0, (steps, 1, 1))
+    xs = rng.standard_normal((steps, m, d))
+    u = 0.3 * rng.standard_normal((steps, m, d))
+    return x, xs, u, rng.uniform(0.0, 2.0, steps)
 
 
 @pytest.mark.parametrize(
@@ -146,24 +143,40 @@ def _feed(accs, rng, m, d, steps):
     [(1, 1030, 10), (3, 1100, 100), (1, 37, 5), (3, 200, 1000)],
 )
 def test_chunked_fold_is_bit_identical_to_per_step(d, steps, window):
-    assert steps % BatchDiagnostics.CHUNK != 0
+    # The same steps fed three ways: one ``update`` per step, ``fold`` over
+    # random uneven chunks (an empty one among them), and the reference.
     m, h = 7, 0.1
     rng = np.random.default_rng(steps + d)
-    chunked = BatchDiagnostics(m, d, h, window)
+    stepwise = BatchDiagnostics(m, d, h, window)
+    split = BatchDiagnostics(m, d, h, window)
     reference = _PerStepBatch(m, d, h, window)
     x0 = rng.standard_normal((m, d))
-    chunked.start(x0)
-    reference.start(x0)
-    half = steps // 2
-    x = _feed((chunked, reference), rng, m, d, half)
-    # A summary taken mid-chunk flushes first and the run goes on from there.
-    assert chunked.summaries(range(m), np.ones(m)) == reference.summaries(range(m), np.ones(m))
-    x = _feed((chunked, reference), rng, m, d, steps - half)
-    norms = np.linalg.norm(x, axis=1)
-    got = chunked.summaries(range(m), norms)
-    assert got == reference.summaries(range(m), norms)
-    assert chunked.n == steps
-    assert [c.n for c in got[0].checkpoints] == [n for n in CHECKPOINTS if n <= steps]
+    for acc in (stepwise, split, reference):
+        acc.start(x0)
+    data = _random_steps(rng, m, d, steps)
+    cuts = np.sort(rng.choice(np.arange(1, steps), size=min(steps - 1, 12), replace=False))
+    half = int(cuts[len(cuts) // 2])
+
+    def feed(a, b):
+        for t in range(a, b):
+            stepwise.update(*(arr[t] for arr in data))
+            reference.update(*(arr[t] for arr in data))
+        bounds = [a, a] + [int(c) for c in cuts if a < c < b] + [b]
+        for lo, hi in zip(bounds, bounds[1:]):
+            split.fold(*(arr[lo:hi] for arr in data))
+
+    feed(0, half)
+    # A summary taken mid-run reads the folded steps and the run goes on from there.
+    want = reference.summaries(range(m), np.ones(m))
+    assert stepwise.summaries(range(m), np.ones(m)) == want
+    assert split.summaries(range(m), np.ones(m)) == want
+    feed(half, steps)
+    norms = np.linalg.norm(data[0][-1], axis=1)
+    want = reference.summaries(range(m), norms)
+    assert stepwise.summaries(range(m), norms) == want
+    assert split.summaries(range(m), norms) == want
+    assert stepwise.n == split.n == steps
+    assert [c.n for c in want[0].checkpoints] == [n for n in CHECKPOINTS if n <= steps]
 
 
 def test_lockstep_failure_mid_chunk_keeps_completed_steps():
@@ -180,6 +193,6 @@ def test_lockstep_failure_mid_chunk_keeps_completed_steps():
     with pytest.raises(PathError) as excinfo:
         integrate_paths_lockstep(drift, sched, [1.0], 200, 1, 3, range(3), window=50)
     exc = excinfo.value
-    assert exc.step_index == 101 and 101 % BatchDiagnostics.CHUNK != 0
+    assert exc.step_index == 101 and 101 % CHUNK != 0
     completed = integrate_paths_lockstep(drift, sched, [1.0], 101, 1, 3, range(3), window=50)
     assert exc.partial_summaries == completed

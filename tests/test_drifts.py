@@ -37,6 +37,13 @@ def test_linear_matrix_requires_stability():
         builtin_drift("linear", A=np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_linear_matrix_must_be_finite(bad):
+    # Checked before eigvals, which fails on it with a LinAlgError message.
+    with pytest.raises(ValueError, match="linear drift needs a finite A"):
+        builtin_drift("linear", A=np.array([[bad, 0.0], [0.0, -1.0]]))
+
+
 def test_flag_hierarchy_enforced():
     with pytest.raises(ValueError):
         DriftSpec(name="bad", d=1, eval=lambda x: x, dissipative=False, uniform_mean_reverting=True)

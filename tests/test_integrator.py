@@ -445,3 +445,68 @@ def test_radial_ensemble_failure_names_the_path():
     assert (exc.path_index, exc.step_index) == (failing, step)
     assert exc.__cause__.row_index == paths.index(failing)
     assert len(exc.partial_summaries) == len(paths)
+
+
+_NOISE_BLOCK_CASES = [
+    (builtin_drift("cubic"), schedule_family("power", h=0.1, c=1.0, p=1.0), [1.0]),
+    (builtin_drift("linear", lam=1.0), schedule_family("inverse_log", h=0.1, a=2.0, b=2.0), [1.0]),
+    (builtin_drift("saturating", c=1.0, d=3),
+     schedule_family("power", h=0.1, c=1.0, p=1.0, d=3, r=3), [1.0, 1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("mode", ["full", "thin:7", "thin:1", "summary"])
+@pytest.mark.parametrize("case", range(len(_NOISE_BLOCK_CASES)), ids=["cubic", "linear", "radial_d3"])
+def test_noise_block_size_does_not_change_a_record(monkeypatch, case, mode):
+    import ssbelab.integrator as integrator
+
+    drift, sched, zeta = _NOISE_BLOCK_CASES[case]
+    steps, r = 1010, sched.r
+
+    def run():
+        rec = integrate(drift, sched, zeta, steps, derive_substream(42, 3, r), mode)
+        block = integrate_paths_lockstep(drift, sched, zeta, steps, r, 42, range(3))
+        return rec, block
+
+    rec, block = run()
+    monkeypatch.setattr(integrator, "NOISE_BLOCK", 7)
+    rec7, block7 = run()
+    assert rec7.summary == rec.summary and block7 == block
+    assert [c.n for c in rec.summary.checkpoints] == [1000]
+    for field in ("X", "X_star", "U", "stored_steps"):
+        a, b = getattr(rec, field), getattr(rec7, field)
+        assert (a is None and b is None) or (a.shape == b.shape and (a == b).all())
+
+
+@pytest.mark.parametrize("noise_block", [None, 7])
+def test_integrate_failure_mid_block_keeps_completed_steps(monkeypatch, noise_block):
+    # As the lockstep case: sigma(100) throws X(101) outside the zone where
+    # the stage has a root, so the solve fails at step 101, inside a block.
+    import ssbelab.integrator as integrator
+    from ssbelab.implicit import SolverError
+    from ssbelab.integrator import PathError
+    from ssbelab.schedules import tabulated_schedule
+
+    if noise_block is not None:
+        monkeypatch.setattr(integrator, "NOISE_BLOCK", noise_block)
+        assert 101 % noise_block != 0
+    drift = make_drift(
+        lambda x: np.where(np.abs(np.asarray(x, float)) <= 5.0, x, -np.asarray(x, float)),
+        1,
+        name="breaks_beyond_5",
+    )
+    table = np.column_stack([np.arange(200), np.full(200, 0.1)])
+    table[100, 1] = 1e4
+    sched = tabulated_schedule(table, h=0.1)
+    with pytest.raises(PathError) as excinfo:
+        integrate(drift, sched, [1.0], 200, derive_substream(3, 1, 1), "full", window=50)
+    exc = excinfo.value
+    assert isinstance(exc.__cause__, SolverError)
+    assert str(exc) == (
+        "path 1 (master_seed 3) failed at step 101: "
+        "no sign change between 0 and x; drift is not dissipative there"
+    )
+    assert exc.step_index == 101
+    done = integrate(drift, sched, [1.0], 101, derive_substream(3, 1, 1), "full", window=50)
+    assert exc.partial_summary == done.summary
+    assert (exc.partial_states == done.X).all() and exc.partial_states.shape == (102, 1)

@@ -167,9 +167,15 @@ def test_family_validation():
                 with pytest.raises(ValueError, match=f"{name} schedule needs"):
                     schedule_family(name, h=1.0, **{**params, key: value})
     # h is checked before the tail bound's exp(-a h), which overflows at h = -1000.
-    for h in (0.0, -1000.0):
-        with pytest.raises(ValueError, match="step size h must be positive"):
+    for h in (0.0, -1000.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step size h must be positive and finite"):
             from_sigma_sampled(sigma_family("exp_decay", a=1.0), h)
+    for name, params in (("exp_decay", {"c": 1.0, "a": 1.0}), ("constant", {"c": 1.0}),
+                         ("power_decay", {"c": 1.0, "p": 1.0}), ("inverse_log_t", {"a": 1.0, "b": 3.0})):
+        for key in params:
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} sigma needs a finite {key}"):
+                    sigma_family(name, **{**params, key: value})
 
 
 def test_tail_bounds_are_true_bounds():
