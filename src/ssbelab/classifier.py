@@ -26,8 +26,8 @@ so the decision procedure is layered and honest:
    divergence; anything else stays unknown.  The per-eps verdicts are
    assembled into a regime or reported as inconclusive.
 
-Decisions from the S and S' routes are recorded side by side; they must
-agree whenever both commit.
+The evidence reported is that of S (of S' under policy 'sprime'); the other
+series contributes verdicts only, and they must agree whenever both commit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ssbelab.normal import _SQRT2, ERFC_ZERO, tail_q_grid
+from ssbelab.normal import _SQRT2, ERFC_ZERO, tail_q_unchecked
 from ssbelab.schedules import ContinuousSigma, NoiseSchedule, from_sigma_cell_rms
 
 # exp(t) == 0.0 exactly for every t < -745.1332; the tests pin this.
@@ -65,39 +65,48 @@ def _frobenius_grid(schedule: NoiseSchedule, n_trunc: int) -> np.ndarray:
     return schedule.frobenius_grid(np.arange(n_trunc + 1))
 
 
-def _s_terms(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
-    # Denormal norms overflow the ratio to inf, which is the right limit
-    # (the term becomes Q(inf) = 0); silence the intermediate warnings.
-    out.fill(np.inf)
-    with np.errstate(over="ignore"):
-        np.divide(eps, fro, out=out, where=fro > 0)
-    return tail_q_grid(out, out=out)
+def _dead(fro: np.ndarray) -> np.ndarray:
+    """Indices of the norms that are not positive, NaN among them; their terms are 0.0."""
+    return np.flatnonzero(~(fro > 0))
 
 
-def _sprime_exponent(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+def _s_terms(fro: np.ndarray, eps: float, out: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """Terms Q(eps / fro) into ``out``, 0.0 at ``dead`` (``_dead(fro)``).
+
+    eps / fro is taken unmasked and inf (Q(inf) = 0) is written at
+    ``dead``, so no ratio is NaN and the Q step needs no NaN scan.
+    Denormal norms overflow the ratio to inf, which is the right limit.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(eps, fro, out=out)
+    out[dead] = np.inf
+    return tail_q_unchecked(out, out=out)
+
+
+def _sprime_exponent(fro: np.ndarray, eps: float, out: np.ndarray, dead: np.ndarray) -> np.ndarray:
     """t = -eps^2 / (2 fro^2) into ``out``; returns the mask of terms exp does not cut.
 
     t is computed over the whole array, unmasked (a masked numpy op costs
     about twice an unmasked one).  exp(t) is exactly 0.0 for every t below
-    -745.1332, so a term is cut where fro <= 0 or t < ``EXP_ZERO``.
+    -745.1332, so a term is cut at ``dead`` or where t < ``EXP_ZERO``.
     """
     with np.errstate(under="ignore", over="ignore", divide="ignore", invalid="ignore"):
         np.multiply(fro, fro, out=out)
         np.divide(-0.5 * eps * eps, out, out=out)
     # ~(t < cut) keeps a NaN exponent live, as the whole-array formula does.
-    live = fro > 0
-    live &= ~(out < EXP_ZERO)
+    live = ~(out < EXP_ZERO)
+    live[dead] = False
     return live
 
 
-def _sprime_terms(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+def _sprime_terms(fro: np.ndarray, eps: float, out: np.ndarray, dead: np.ndarray) -> np.ndarray:
     """Terms fro * exp(-eps^2 / (2 fro^2)), 0.0 where the norm is not positive.
 
     exp and the product are evaluated only on the terms ``_sprime_exponent``
     does not cut; the rest are written as 0.0, the value the whole-array
     formula gives them, so the buffer is bit for bit that formula's.
     """
-    live = _sprime_exponent(fro, eps, out)
+    live = _sprime_exponent(fro, eps, out, dead)
     with np.errstate(under="ignore", over="ignore"):
         if live.all():
             np.exp(out, out=out)
@@ -126,7 +135,7 @@ def _live_range(fro: np.ndarray, eps: float, kind: str, scratch: np.ndarray) -> 
             np.divide(eps, fro, out=scratch)
         live = np.divide(scratch, _SQRT2, out=scratch) < ERFC_ZERO
     else:
-        live = _sprime_exponent(fro, eps, scratch)
+        live = _sprime_exponent(fro, eps, scratch, _dead(fro))
     idx = np.flatnonzero(live)
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
@@ -148,7 +157,8 @@ def _partial_sum(schedule: NoiseSchedule, epsilon: float, n_trunc: int, kind: st
     if n_trunc < 0:
         raise ValueError(f"truncation index must be non-negative, got {n_trunc!r}")
     fro = _frobenius_grid(schedule, n_trunc)
-    return _partial(schedule, _KERNELS[kind](fro, epsilon, np.empty_like(fro)), epsilon, kind, n_trunc)
+    terms = _KERNELS[kind](fro, epsilon, np.empty_like(fro), _dead(fro))
+    return _partial(schedule, terms, epsilon, kind, n_trunc)
 
 
 def partial_sum_S(schedule: NoiseSchedule, epsilon: float, n_trunc: int) -> SeriesPartial:
@@ -220,17 +230,40 @@ def _sigma_vanishes_empirically(schedule: NoiseSchedule, n_probe: int) -> Option
     return None
 
 
-def _divergence_signature(terms: np.ndarray, n_trunc: int) -> bool:
-    """Terms at or above n^{-1/2} across the upper probe range."""
+def _probes(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """At most 12 probe indices n over the upper range, and their bars n^{-1/2}."""
     lo = max(100, n_trunc // 100)
     if lo >= n_trunc:
-        return False
+        return np.empty(0, dtype=np.int64), np.empty(0)
     idx = np.unique(np.geomspace(lo, n_trunc, 12).astype(np.int64))
-    return bool((terms[idx] >= 1.0 / np.sqrt(idx.astype(np.float64))).all())
+    return idx, 1.0 / np.sqrt(idx.astype(np.float64))
+
+
+def _verdicts(
+    schedule: NoiseSchedule, fro: np.ndarray, grid: np.ndarray, kind: str, n_trunc: int, probes: tuple
+) -> list[str]:
+    """The ``kind`` series' verdict at each eps: finite under a finite tail bound,
+    infinite when its terms at all ``probes`` (``_probes(n_trunc)``) reach their
+    bars, else unknown.  The kernel runs on the probe norms alone, no sum is formed.
+    """
+    idx, bars = probes
+    fro_probe = fro[idx]
+    dead, out = _dead(fro_probe), np.empty_like(fro_probe)
+    verdicts = []
+    for eps in grid:
+        tail = schedule.series_tail_bound(eps, n_trunc, kind)
+        if tail is not None and math.isfinite(tail):
+            verdicts.append("finite")
+        elif bars.size and (_KERNELS[kind](fro_probe, eps, out, dead) >= bars).all():
+            verdicts.append("infinite")
+        else:
+            verdicts.append("unknown")
+    return verdicts
 
 
 def _evidence(
-    schedule: NoiseSchedule, fro: np.ndarray, grid: np.ndarray, kind: str, n_trunc: int, buf: np.ndarray
+    schedule: NoiseSchedule, fro: np.ndarray, grid: np.ndarray, kind: str, n_trunc: int, buf: np.ndarray,
+    probes: tuple,
 ) -> list[EpsilonEvidence]:
     """Evidence of the ``kind`` series at each eps of the ascending grid.
 
@@ -239,18 +272,14 @@ def _evidence(
     ``_live_range`` leaves open at grid[0] is evaluated; the rest stays
     0.0, the value every row's kernel would write there.
     """
+    verdicts = _verdicts(schedule, fro, grid, kind, n_trunc, probes)
     live = _live_range(fro, grid[0], kind, buf)
     buf.fill(0.0)
+    dead = _dead(fro[live])
     evidence = []
-    for eps in grid:
-        _KERNELS[kind](fro[live], eps, buf[live])
+    for eps, verdict in zip(grid, verdicts):
+        _KERNELS[kind](fro[live], eps, buf[live], dead)
         partial = _partial(schedule, buf, eps, kind, n_trunc)
-        if partial.tail_bound is not None and math.isfinite(partial.tail_bound):
-            verdict = "finite"
-        elif _divergence_signature(buf, n_trunc):
-            verdict = "infinite"
-        else:
-            verdict = "unknown"
         evidence.append(EpsilonEvidence(epsilon=float(eps), verdict=verdict, partial=partial))
     return evidence
 
@@ -306,10 +335,11 @@ def classify(
     # the next overwrites them, and fresh (n_trunc + 1)-float temporaries
     # per row cost a page-faulting mmap each in a process that is still cold.
     buf = np.empty_like(fro)
+    probes = _probes(n_trunc)
     kind = "sprime" if policy == "sprime" else "s"
-    evidence = _evidence(schedule, fro, grid, kind, n_trunc, buf)
-    alt_evidence = _evidence(schedule, fro, grid, "s" if kind == "sprime" else "sprime", n_trunc, buf)
-    agreement = _routes_agree(evidence, alt_evidence)
+    evidence = _evidence(schedule, fro, grid, kind, n_trunc, buf, probes)
+    cross = _verdicts(schedule, fro, grid, "s" if kind == "sprime" else "sprime", n_trunc, probes)
+    agreement = all(e.verdict == v or "unknown" in (e.verdict, v) for e, v in zip(evidence, cross))
 
     if policy == "auto" and schedule.analytic_L is not None:
         regime, eps_prime = _regime_from_L(float(schedule.analytic_L))
@@ -349,16 +379,6 @@ def classify(
         agreement=agreement,
         notes=tuple(notes),
     )
-
-
-def _routes_agree(ev_a: list[EpsilonEvidence], ev_b: list[EpsilonEvidence]) -> bool:
-    """Committed per-eps verdicts must never contradict across routes."""
-    for a, b in zip(ev_a, ev_b):
-        if "unknown" in (a.verdict, b.verdict):
-            continue
-        if a.verdict != b.verdict:
-            return False
-    return True
 
 
 def format_regime_report(report: RegimeReport, schedule: NoiseSchedule) -> str:

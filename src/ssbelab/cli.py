@@ -58,7 +58,7 @@ def _epsilon_grid(cfg):
         for arg, key, read in (
             ("eps_min", "classify.eps_min", cfg_mod.as_float),
             ("eps_max", "classify.eps_max", cfg_mod.as_float),
-            ("points", "classify.eps_points", cfg_mod.as_int),
+            ("points", "classify.eps_points", cfg_mod.as_count),
         )
         if key in cfg
     }

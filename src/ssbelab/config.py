@@ -4,7 +4,7 @@ Schema (dotted keys, one ``key = value`` per line, ``#`` comments); any
 other key is rejected:
 
     drift.name       linear | cubic | saturating | arctan
-    drift.d          state dimension (default 1)
+    drift.d          state dimension (default 1), >= 1
     drift.lam/.c/.A  family parameters (A as rows "a,b;c,d", finite entries)
 
     schedule.kind    zero | constant | power | geometric | inverse_log |
@@ -16,20 +16,20 @@ other key is rejected:
     schedule.sigma_* parameters of the continuous family
 
     run.h            step size, finite and > 0
-    run.r            noise dimension (default 1)
-    run.steps        steps per path
-    run.paths        number of paths
+    run.r            noise dimension (default 1), >= 1
+    run.steps        steps per path, >= 1
+    run.paths        number of paths, >= 1
     run.zeta         initial state, comma-separated
     run.master_seed  unsigned 64-bit seed
     run.path_index   substream of the simulated path (default 0)
     run.record_mode  full | summary | thin:k
     run.window_fraction   trailing window as a fraction of steps, in [0, 1]
-    run.tol          implicit-solve residual tolerance
+    run.tol          implicit-solve residual tolerance, finite and >= 0
 
     thresholds.converge / .escape / .bounded_cap / .osc_min / .fraction
                      verdict thresholds (pilot-calibrated defaults)
 
-    classify.eps_min / .eps_max / .eps_points / .truncation
+    classify.eps_min / .eps_max / .eps_points (>= 1) / .truncation
 
     consistency.h_grid   comma-separated step sizes
 
@@ -153,6 +153,13 @@ def as_int(cfg, key, default=None, required=False):
     return _as(int, "an integer", cfg, key, default, required)
 
 
+def as_count(cfg, key, default=None, required=False):
+    v = as_int(cfg, key, default, required)
+    if v is not None and v < 1:
+        raise ConfigError(f"{key} must be >= 1, got {v!r}")
+    return v
+
+
 def as_floats(cfg, key, default=None, required=False):
     v = _get(cfg, key, default, required)
     if v is None:
@@ -192,7 +199,7 @@ def step_size(cfg) -> float:
 
 def build_drift(cfg: dict[str, str]) -> DriftSpec:
     name = _get(cfg, "drift.name", required=True)
-    d = as_int(cfg, "drift.d", 1)
+    d = as_count(cfg, "drift.d", 1)
     try:
         if name == "linear":
             if "drift.A" in cfg:
@@ -229,10 +236,10 @@ def build_continuous_sigma(cfg: dict[str, str], d: int, r: int):
 def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
     kind = _get(cfg, "schedule.kind", required=True)
     h = step_size(cfg)
-    d = as_int(cfg, "drift.d", 1)
+    d = as_count(cfg, "drift.d", 1)
     if "drift.A" in cfg:
         d = as_matrix(cfg, "drift.A").shape[0]
-    r = as_int(cfg, "run.r", 1)
+    r = as_count(cfg, "run.r", 1)
     try:
         if kind in ("zero", "constant", "power", "geometric", "inverse_log"):
             params = {}
@@ -250,7 +257,7 @@ def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
             return from_sigma_cell_rms(build_continuous_sigma(cfg, d, r), h)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
     raise ConfigError(f"unknown schedule.kind: {kind!r}")
 
@@ -281,12 +288,8 @@ class RunSettings:
 
 
 def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSettings:
-    steps = as_int(cfg, "run.steps", required=True)
-    if steps < 1:
-        raise ConfigError("run.steps must be >= 1")
-    paths = as_int(cfg, "run.paths", 1)
-    if paths < 1:
-        raise ConfigError("run.paths must be >= 1")
+    steps = as_count(cfg, "run.steps", required=True)
+    paths = as_count(cfg, "run.paths", 1)
     zeta = as_floats(cfg, "run.zeta", required=True)
     if zeta.shape != (d,):
         raise ConfigError(f"run.zeta must have shape ({d},), got {zeta.size} components")
@@ -294,6 +297,9 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"run.window_fraction must be a number in [0, 1], got {fraction!r}")
     window = default_window(steps, fraction)
+    tol = as_float(cfg, "run.tol", 1e-12)
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"run.tol must be a finite number >= 0, got {tol!r}")
     thresholds = Thresholds(
         **{f.name: as_float(cfg, f"thresholds.{f.name}", f.default) for f in fields(Thresholds)}
     )
@@ -301,14 +307,14 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
     if not 0 <= seed < 2**64:
         raise ConfigError("run.master_seed must be an unsigned 64-bit integer")
     return RunSettings(
-        r=as_int(cfg, "run.r", 1),
+        r=as_count(cfg, "run.r", 1),
         steps=steps,
         paths=paths,
         zeta=zeta,
         master_seed=seed,
         record_mode=_get(cfg, "run.record_mode", "summary"),
         window=window,
-        tol=as_float(cfg, "run.tol", 1e-12),
+        tol=tol,
         thresholds=thresholds,
         out_dir=output_dir(cfg, out_flag),
         echo=dict(cfg),

@@ -92,10 +92,10 @@ class BatchDiagnostics:
     at their exact step.  A cumsum adds in step order and a maximum is
     exact, so every statistic is the same sequence of float operations as a
     per-step fold, however the steps are split into chunks.  ``n`` counts
-    the folded steps.  A fold that met a state of non-finite norm, the sign
-    of a non-finite shock or state, raises NonFiniteError naming its step,
-    after the fold, so the statistics stay readable.  Both engines meet
-    every such failure here.
+    the folded steps, ``last_norms`` the norms of the states they reached.
+    A chunk holding a state of non-finite norm (the sign of a non-finite
+    shock or state) is folded up to the step before it, and NonFiniteError
+    names that step.  Both engines meet every such failure here.
     """
 
     def __init__(self, m: int, d: int, h: float, window: int):
@@ -115,6 +115,7 @@ class BatchDiagnostics:
 
     def start(self, x0: np.ndarray) -> None:
         norms = np.linalg.norm(x0, axis=1)
+        self.last_norms = norms
         self.sup = norms.copy()
         self.ring[self.ring_len % self.window] = norms
         self.ring_len += 1
@@ -143,9 +144,13 @@ class BatchDiagnostics:
             return
         m, d, n0 = self.m, self.d, self.n
         # (k * m, d) rows: the same row reductions a single step makes.
+        norms = np.linalg.norm(x.reshape(k * m, d), axis=1).reshape(k, m)
+        if not np.isfinite(norms).all():
+            t = int(np.argmin(np.isfinite(norms).all(axis=1)))
+            self.fold(*(a[:t] for a in (x, xs, u, fro)))
+            _check_finite(norms, n0, u)
         xs_rows, u_rows = xs.reshape(k * m, d), u.reshape(k * m, d)
         fro = fro[:, None]
-        norms = np.linalg.norm(x.reshape(k * m, d), axis=1).reshape(k, m)
         sup = np.maximum.accumulate(norms, axis=0)
         np.maximum(sup, self.sup, out=sup)
         first = max(0, k - self.window)
@@ -174,27 +179,28 @@ class BatchDiagnostics:
                         },
                     )
                 )
+        self.last_norms = norms[-1].copy()
         self.sup = sup[-1].copy()
         self.sum_sq = sum_sq[-1].copy()
         self.M = M[-1].copy()
         self.QV = QV[-1].copy()
         self.shock_sq = shock_sq[-1].copy()
-        _check_finite(norms, n0, u)
 
     def first_failure(self, exc: Exception, step: int, *chunk: np.ndarray) -> tuple[Exception, int]:
         """The failure to report for ``exc``, raised at ``step``, and its step.
 
-        ``chunk`` is the engine's current (x, xs, u, fro) chunk, which
-        starts at step ``n``.  Its steps before ``step`` completed; they are
-        folded here, and a non-finite state among them came first.
+        The fold raised a NonFiniteError after folding the steps before it.
+        The stage raised a SolverError: the steps of the engine's (x, xs, u,
+        fro) ``chunk``, which starts at step ``n``, before ``step`` completed;
+        they are folded here, and a non-finite state among them came first.
         """
-        k = step - self.n
-        if k:
-            try:
-                self.fold(*(a[:k] for a in chunk))
-            except NonFiniteError as earlier:
-                exc = earlier
-        return exc, exc.step_index if isinstance(exc, NonFiniteError) else step
+        if isinstance(exc, NonFiniteError):
+            return exc, exc.step_index
+        try:
+            self.fold(*(a[: step - self.n] for a in chunk))
+        except NonFiniteError as earlier:
+            return earlier, earlier.step_index
+        return exc, step
 
     def summaries(self, path_indices, final_norms: np.ndarray) -> list[PathSummary]:
         filled = min(self.ring_len, self.window)

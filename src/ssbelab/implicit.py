@@ -61,7 +61,6 @@ class ImplicitSolution:
     x_star: object  # float for scalar solves, (d,) ndarray for vector solves
     iterations: int
     residual: float
-    method: str
 
 
 def _scalar_f(drift):
@@ -90,7 +89,7 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
         raise ValueError("step size h must be positive")
     x = float(x)
     if x == 0.0:
-        return ImplicitSolution(0.0, 0, 0.0, "bisection")
+        return ImplicitSolution(0.0, 0, 0.0)
     tol = _residual_floor(tol, x)
     f = _scalar_f(drift)
     df = drift.scalar_deriv
@@ -100,9 +99,9 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     glo = lo - x + h * float(f(lo))
     ghi = hi - x + h * float(f(hi))
     if glo == 0.0:
-        return ImplicitSolution(lo, 0, 0.0, "bisection")
+        return ImplicitSolution(lo, 0, 0.0)
     if ghi == 0.0:
-        return ImplicitSolution(hi, 0, 0.0, "bisection")
+        return ImplicitSolution(hi, 0, 0.0)
     if glo * ghi > 0.0:
         raise SolverError(
             "no sign change between 0 and x; drift is not dissipative there",
@@ -114,12 +113,11 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     gy = y - x + h * float(f(y))
     ag = abs(gy)
     best_y, best_g = y, ag
-    method = "bisection"
     newton_used = 0
     for it in range(1, MAX_BISECT + 1):
         if ag <= tol:
             _check_contract(drift, abs(x), abs(y))
-            return ImplicitSolution(y, it, ag, method)
+            return ImplicitSolution(y, it, ag)
         # Try a Newton step from the current point; keep it only if it
         # stays inside the bracket, otherwise bisect.
         stepped = False
@@ -137,7 +135,6 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
                         else:
                             lo, glo = y_new, g_new
                         y, gy, ag = y_new, g_new, ag_new
-                        method = "newton"
                         stepped = True
         if not stepped:
             if gy * glo < 0.0:
@@ -147,14 +144,13 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
             y = 0.5 * (lo + hi)
             gy = y - x + h * float(f(y))
             ag = abs(gy)
-            method = "bisection"
         if ag < best_g:
             best_y, best_g = y, ag
         if lo == hi:
             break
     if best_g <= tol:
         _check_contract(drift, abs(x), abs(best_y))
-        return ImplicitSolution(best_y, MAX_BISECT, best_g, method)
+        return ImplicitSolution(best_y, MAX_BISECT, best_g)
     raise SolverError(
         f"scalar implicit solve stalled at residual {best_g:.3e}",
         best=best_y,
@@ -346,32 +342,28 @@ def solve_vector(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL) -> Im
     if x.shape != (drift.d,):
         raise ValueError(f"state must have shape ({drift.d},)")
     if not x.any():
-        return ImplicitSolution(np.zeros_like(x), 0, 0.0, "newton")
+        return ImplicitSolution(np.zeros_like(x), 0, 0.0)
 
     if drift.componentwise:
         y, iters, resid = solve_componentwise(drift, h, x, tol)
-        sol = ImplicitSolution(y, iters, resid, "newton")
+        sol = ImplicitSolution(y, iters, resid)
     elif drift.radial:
         Y, iters, resid = solve_radial(drift, h, x[None], tol)
-        return ImplicitSolution(Y[0], iters, resid, "bisection")
+        return ImplicitSolution(Y[0], iters, resid)
     else:
         if drift.jac is not None:
             y, iters, resid = _newton_vector(drift, h, x, tol, drift.jac)
-            method = "newton"
         else:
             y, iters, resid = _fixed_point_vector(drift, h, x, tol)
-            method = "damped_fixed_point"
         if resid > tol:
             # Rescue with the other route; finite differences are the
             # last resort when no Jacobian is declared.
             if drift.jac is not None:
                 y2, it2, r2 = _fixed_point_vector(drift, h, x, tol)
-                alt = "damped_fixed_point"
             else:
                 y2, it2, r2 = _newton_vector(drift, h, x, tol, None)
-                alt = "newton"
             if r2 < resid:
-                y, iters, resid, method = y2, it2, r2, alt
+                y, iters, resid = y2, it2, r2
         if resid > tol:
             raise SolverError(
                 f"vector implicit solve stalled at residual {resid:.3e} "
@@ -379,6 +371,6 @@ def solve_vector(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL) -> Im
                 best=y,
                 residual=resid,
             )
-        sol = ImplicitSolution(y, iters, resid, method)
+        sol = ImplicitSolution(y, iters, resid)
     _check_contract(drift, float(np.linalg.norm(x)), float(np.linalg.norm(sol.x_star)))
     return sol

@@ -254,10 +254,10 @@ def integrate(
         except (SolverError, NonFiniteError) as exc:
             cause, at = diag.first_failure(exc, step, *chunk)
             err = PathError(cause, stream.path_index, stream.master_seed, at)
-            err.partial_summary = summarize(diag, stream.path_index, np.linalg.norm(x, axis=-1))
+            err.partial_summary = summarize(diag, stream.path_index, diag.last_norms[0])
             err.partial_states = (
-                X[: step + 1].copy() if full
-                else np.vstack([row for _, row in thin_rows]) if thin else None
+                X[: at + 1].copy() if full
+                else np.vstack([row for i, row in thin_rows if i <= at]) if thin else None
             )
             raise err from cause
 
@@ -347,7 +347,7 @@ def integrate_paths_lockstep(
         except (SolverError, NonFiniteError) as exc:
             cause, at = diag.first_failure(exc, step, *chunk)
             err = PathError(cause, path_indices[cause.row_index], master_seed, at)
-            err.partial_summaries = diag.summaries(path_indices, np.linalg.norm(X, axis=1))
+            err.partial_summaries = diag.summaries(path_indices, diag.last_norms)
             raise err from cause
 
 

@@ -102,6 +102,11 @@ def tail_q_grid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("normal tail argument is NaN")
+    return tail_q_unchecked(x, out)
+
+
+def tail_q_unchecked(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``tail_q_grid`` of a float64 array the caller knows holds no NaN, unchecked."""
     q = np.divide(x, _SQRT2, out=out)
     live = q < ERFC_ZERO
     if live.all():

@@ -26,8 +26,8 @@ exact cell integral when the family has one, else adaptive quadrature.
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -350,18 +350,18 @@ def _no_extra(params: dict) -> None:
 def tabulated_schedule(source, *, h: float, d: int = 1, r: int = 1) -> NoiseSchedule:
     """Schedule from a CSV of rows (n, value) or (n, v_11 .. v_dr).
 
+    Blank lines and ``#`` comments are skipped; a cell that is not a
+    number, a ragged row or a file without rows raises ValueError.
     Indices must be contiguous from 0; evaluating past the table raises.
     No analytic structure is attached, so classification of tabulated
     schedules relies on bounded numerical evidence only.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        rows = []
-        with open(source, newline="") as fh:
-            for rec in csv.reader(fh):
-                if not rec or rec[0].lstrip().startswith("#"):
-                    continue
-                rows.append([float(v) for v in rec])
-        table = np.asarray(rows, dtype=np.float64)
+        # Lines are left-stripped so that an indented comment is a comment;
+        # a file without rows is the error below, not loadtxt's warning.
+        with open(source) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt((line.lstrip() for line in fh), delimiter=",", comments="#", ndmin=2)
     else:
         table = np.asarray(source, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] not in (2, 1 + d * r):

@@ -7,10 +7,13 @@ from scipy.special import erfc
 
 from ssbelab.classifier import (
     EXP_ZERO,
+    _dead,
     _evidence,
     _live_range,
+    _probes,
     _s_terms,
     _sprime_terms,
+    _verdicts,
     classify,
     default_epsilon_grid,
     format_regime_report,
@@ -357,12 +360,16 @@ def _bits(a):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=_norms_and_eps())
-def test_term_kernels_equal_the_whole_array_formulas_bit_for_bit(case):
+@given(case=_norms_and_eps(), dead_every=st.integers(2, 7))
+def test_term_kernels_equal_the_whole_array_formulas_bit_for_bit(case, dead_every):
     fro, eps = case
-    for kernel, oracle in ((_s_terms, _s_terms_whole_array), (_sprime_terms, _sprime_terms_whole_array)):
-        got = kernel(fro, eps, np.empty_like(fro))
-        assert np.array_equal(_bits(got), _bits(oracle(fro, eps)))
+    # Norms that are not positive, NaN among them, at every dead_every-th index.
+    with_dead = fro.copy()
+    with_dead[::dead_every] = np.resize([0.0, -0.0, -1.0, np.nan], with_dead[::dead_every].size)
+    for norms in (fro, with_dead):
+        for kernel, oracle in ((_s_terms, _s_terms_whole_array), (_sprime_terms, _sprime_terms_whole_array)):
+            got = kernel(norms, eps, np.empty_like(norms), _dead(norms))
+            assert np.array_equal(_bits(got), _bits(oracle(norms, eps)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -380,10 +387,65 @@ def test_evidence_rows_equal_the_whole_array_sums_bit_for_bit(case, steps):
             outside = np.ones(norms.size, dtype=bool)
             outside[_live_range(norms, grid[0], kind, np.empty_like(norms))] = False
             buf = np.empty_like(norms)
-            rows = _evidence(sched, norms, grid, kind, n_trunc, buf)
+            rows = _evidence(sched, norms, grid, kind, n_trunc, buf, _probes(n_trunc))
             for row, e in zip(rows, grid):
                 want = oracle(norms, e)
                 assert not _bits(want[outside]).any()
                 assert _bits(row.partial.value) == _bits(want.sum())
                 assert _bits(row.partial.last_term) == _bits(want[-1])
             assert np.array_equal(_bits(buf), _bits(want))
+
+
+@st.composite
+def _verdict_cases(draw):
+    """Decreasing or constant norms over n_trunc + 1 terms, with zeros, and an ascending grid.
+
+    n_trunc below 100 leaves no probes; zeros may land on the probes.
+    """
+    n_trunc = draw(st.one_of(st.integers(0, 99), st.integers(100, 3000)))
+    n = np.arange(n_trunc + 1, dtype=np.float64)
+    profile = draw(st.sampled_from(["constant", "inverse_log", "power"]))
+    fro = 10.0 ** draw(st.floats(-3.0, 3.0)) * {
+        "constant": np.ones_like(n), "inverse_log": 1.0 / np.sqrt(np.log(n + 3.0)), "power": 1.0 / (n + 1.0),
+    }[profile]
+    zeros = draw(st.lists(st.integers(0, n_trunc), max_size=5))
+    zeros += list(_probes(n_trunc)[0][: draw(st.one_of(st.just(0), st.integers(1, 12)))])
+    fro[zeros] = 0.0
+    steps = draw(st.lists(st.floats(1.0, 10.0), max_size=6))
+    grid = np.unique(10.0 ** draw(st.floats(-3.0, 2.0)) * np.cumprod([1.0] + steps))
+    return fro, grid, n_trunc
+
+
+def _verdicts_whole_array(sched, fro, grid, kind, n_trunc):
+    # A finite tail bound, else every term at the probes read off the whole
+    # array of terms: at or above n^{-1/2} at all of them, or unknown.
+    terms = {"s": _s_terms_whole_array, "sprime": _sprime_terms_whole_array}[kind]
+    lo = max(100, n_trunc // 100)
+    idx = np.unique(np.geomspace(lo, n_trunc, 12).astype(np.int64)) if lo < n_trunc else None
+    verdicts = []
+    for eps in grid:
+        tail = sched.series_tail_bound(eps, n_trunc, kind)
+        if tail is not None and math.isfinite(tail):
+            verdicts.append("finite")
+        elif idx is not None and (terms(fro, eps)[idx] >= 1.0 / np.sqrt(idx.astype(np.float64))).all():
+            verdicts.append("infinite")
+        else:
+            verdicts.append("unknown")
+    return verdicts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_verdict_cases())
+def test_cross_check_verdicts_equal_the_whole_array_verdicts(case):
+    # The cross-check route evaluates the probe terms alone; the evidence
+    # rows report the same verdicts next to their sums.
+    fro, grid, n_trunc = case
+    probes = _probes(n_trunc)
+    # No tail bound (constant), and one finite only at the larger eps (inverse_log).
+    schedules = (schedule_family("constant", h=0.1, c=1.0), schedule_family("inverse_log", h=0.1, a=2.0, b=2.0))
+    for sched in schedules:
+        for kind in ("s", "sprime"):
+            want = _verdicts_whole_array(sched, fro, grid, kind, n_trunc)
+            assert _verdicts(sched, fro, grid, kind, n_trunc, probes) == want
+            rows = _evidence(sched, fro, grid, kind, n_trunc, np.empty_like(fro), probes)
+            assert [row.verdict for row in rows] == want

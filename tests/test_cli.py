@@ -72,6 +72,23 @@ def test_classify_rejects_a_non_finite_table(tmp_path, capsys):
     assert not (tmp_path / "out" / "regime_report.kv").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,0.1\n1,abc\n", "could not convert string 'abc'"),
+    ("0,0.1\n1,0.1,0.2\n", "the number of columns changed from 2 to 3"),
+    ("", "tabulated schedule needs columns"),
+    (None, "No such file or directory"),
+], ids=["non_numeric", "ragged", "empty", "missing"])
+def test_classify_rejects_a_malformed_table(tmp_path, capsys, text, message):
+    table = tmp_path / "table.csv"
+    if text is not None:
+        table.write_text(text)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"schedule.kind = tabulated\nschedule.path = {table}\nrun.h = 0.1\n")
+    assert main(["classify", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "regime_report.kv").exists()
+
+
 def test_classify_fails_on_a_non_finite_envelope(tmp_path, capsys):
     # sigma_a = 1e308 is finite, but the integrand a / log(b + t) overflows
     # to inf on every point of every cell.
@@ -422,3 +439,33 @@ def test_non_finite_drift_matrix_names_the_key(tmp_path, capsys, command):
     argv = [command, str(cfg), "--out", str(tmp_path), "--set", "drift.A=nan,0;0,-1"]
     assert main(argv) == 2
     assert "drift.A must have finite entries, got 'nan,0;0,-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, pair, message", [
+    # run.r = 0 and drift.d = 0 raised ZeroDivisionError in the cell-rms derivation.
+    ("perfbench/configs/cell_rms_invlog.cfg", "run.r=0", "run.r must be >= 1, got 0"),
+    ("perfbench/configs/cell_rms_invlog.cfg", "drift.d=0", "drift.d must be >= 1, got 0"),
+    ("configs/regime_b.cfg", "classify.eps_points=-1", "classify.eps_points must be >= 1, got -1"),
+    ("configs/regime_b.cfg", "classify.eps_points=0", "classify.eps_points must be >= 1, got 0"),
+], ids=["run_r", "drift_d", "eps_points", "eps_points_0"])
+def test_classify_dimension_and_grid_keys_name_themselves(tmp_path, capsys, config, pair, message):
+    assert main(["classify", str(ROOT / config), "--out", str(tmp_path), "--set", pair]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "regime_report.kv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+@pytest.mark.parametrize("tol", ["-inf", "inf", "nan", "-1e-12"])
+def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, command, tol):
+    # -inf was accepted: simulate exited 0.
+    argv = [command, str(ROOT / "configs/regime_a.cfg"), "--out", str(tmp_path),
+            "--set", f"run.tol={tol}", "--set", "run.steps=10"]
+    assert main(argv) == 2
+    assert f"run.tol must be a finite number >= 0, got {float(tol)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "path.csv").exists() and not (tmp_path / "ensemble.csv").exists()
+
+
+def test_zero_tol_stays_valid(tmp_path):
+    argv = ["simulate", str(ROOT / "configs/regime_a.cfg"), "--out", str(tmp_path),
+            "--set", "run.tol=0", "--set", "run.steps=10"]
+    assert main(argv) == 0

@@ -510,3 +510,34 @@ def test_integrate_failure_mid_block_keeps_completed_steps(monkeypatch, noise_bl
     done = integrate(drift, sched, [1.0], 101, derive_substream(3, 1, 1), "full", window=50)
     assert exc.partial_summary == done.summary
     assert (exc.partial_states == done.X).all() and exc.partial_states.shape == (102, 1)
+
+
+@pytest.mark.parametrize("engine", ["integrate", "lockstep"])
+@pytest.mark.parametrize("drift_name", ["linear", "cubic"])
+def test_a_non_finite_state_leaves_the_summary_of_the_steps_before_it(engine, drift_name):
+    # sigma(150) = inf, mid-chunk and mid-block: the affine stage carries the
+    # inf state on and the cubic stage stalls on it, but the partial summary
+    # folds steps 0 .. 149 only, as a run stopped there does, and keeps
+    # the states it reached.
+    from ssbelab.integrator import PathError
+    from ssbelab.schedules import NoiseSchedule
+
+    sched = NoiseSchedule(kind="opaque", d=1, r=1, h=0.1,
+                          matrix_eval=lambda ns: np.where(ns == 150, np.inf, 0.1).reshape(
+                              ns.shape + (1, 1)))
+    drift = builtin_drift(drift_name)
+
+    def run(steps):
+        if engine == "integrate":
+            return integrate(drift, sched, [1.0], steps, derive_substream(3, 1, 1), "full", window=50)
+        return integrate_paths_lockstep(drift, sched, [1.0], steps, 1, 3, range(3), window=50)
+
+    with pytest.raises(PathError, match="failed at step 150: non-finite shock") as excinfo:
+        run(300)
+    exc = excinfo.value
+    done = run(150)
+    if engine == "integrate":
+        assert exc.partial_summary == done.summary
+        assert exc.partial_states.shape == (151, 1) and (exc.partial_states == done.X).all()
+    else:
+        assert exc.partial_summaries == done

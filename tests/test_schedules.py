@@ -130,6 +130,17 @@ def test_tabulated_roundtrip(tmp_path):
         sched.sigma(6)
 
 
+def test_tabulated_file_skips_blank_and_comment_lines_and_keeps_every_bit(tmp_path):
+    values = np.random.default_rng(3).lognormal(sigma=30.0, size=(60, 4))
+    lines = [f"{n}," + ",".join(repr(float(v)) for v in row) for n, row in enumerate(values)]
+    lines[10:10] = ["", "# a comment", "   # an indented comment"]
+    path = tmp_path / "sched.csv"
+    path.write_text("# n,v11,v12,v21,v22\n\n" + "\n".join(lines) + "\n")
+    sched = tabulated_schedule(path, h=0.1, d=2, r=2)
+    want = np.array([[float(v) for v in line.split(",")[1:]] for line in lines if line[:1].isdigit()])
+    assert np.array_equal(sched.matrix_eval(np.arange(60)).reshape(60, 4).view(np.int64), want.view(np.int64))
+
+
 def test_tabulated_matrix_rows():
     table = [[0, 1.0, 0.0, 0.0, 1.0], [1, 0.5, 0.0, 0.0, 0.5]]
     sched = tabulated_schedule(table, h=1.0, d=2, r=2)
