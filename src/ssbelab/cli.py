@@ -110,7 +110,7 @@ def cmd_affine(args) -> int:
         A = np.loadtxt(cfg["affine.matrix_csv"], delimiter=",", ndmin=2)
     else:
         raise ConfigError("affine command needs affine.A or affine.matrix_csv")
-    h = cfg_mod.step_size(cfg)
+    h = cfg_mod.as_positive(cfg, "run.h", required=True)
     system = affine_mod.build_affine_system(A, h)
     emap = affine_mod.eigen_map_check(A, h)
     lines = [f"config.{k} = {v}" for k, v in sorted(cfg.items())]
@@ -156,6 +156,9 @@ def cmd_consistency(args) -> int:
     run = cfg_mod.build_run(cfg, drift.d, args.out)
     sigma = cfg_mod.build_continuous_sigma(cfg, drift.d, run.r)
     h_grid = cfg_mod.as_floats(cfg, "consistency.h_grid", required=True)
+    if not (np.isfinite(h_grid) & (h_grid > 0)).all():
+        given = cfg["consistency.h_grid"]
+        raise ConfigError(f"consistency.h_grid must hold finite numbers > 0, got {given!r}")
     report = run_consistency_suite(sigma, drift, list(h_grid), run, epsilon_grid=_epsilon_grid(cfg))
     records = consistency_report_records(report)
     os.makedirs(run.out_dir, exist_ok=True)

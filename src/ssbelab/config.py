@@ -19,19 +19,21 @@ other key is rejected:
     run.r            noise dimension (default 1), >= 1
     run.steps        steps per path, >= 1
     run.paths        number of paths, >= 1
-    run.zeta         initial state, comma-separated
+    run.zeta         initial state, comma-separated, finite
     run.master_seed  unsigned 64-bit seed
     run.path_index   substream of the simulated path (default 0)
-    run.record_mode  full | summary | thin:k
+    run.record_mode  full | summary | thin:k with k >= 1
     run.window_fraction   trailing window as a fraction of steps, in [0, 1]
     run.tol          implicit-solve residual tolerance, finite and >= 0
 
     thresholds.converge / .escape / .bounded_cap / .osc_min / .fraction
-                     verdict thresholds (pilot-calibrated defaults)
+                     / .osc_fraction   verdict thresholds (pilot-calibrated
+                     defaults): the norms finite and > 0, the fractions
+                     in [0, 1]
 
     classify.eps_min / .eps_max / .eps_points (>= 1) / .truncation
 
-    consistency.h_grid   comma-separated step sizes
+    consistency.h_grid   comma-separated step sizes, each finite and > 0
 
     affine.A / .matrix_csv   matrix for the affine command, inline or as CSV
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ssbelab.drifts import DriftSpec, builtin_drift
-from ssbelab.integrator import default_window
+from ssbelab.integrator import _parse_record_mode, default_window
 from ssbelab.schedules import (
     NoiseSchedule,
     from_sigma_cell_rms,
@@ -153,6 +155,22 @@ def as_int(cfg, key, default=None, required=False):
     return _as(int, "an integer", cfg, key, default, required)
 
 
+def as_positive(cfg, key, default=None, required=False):
+    """A finite number > 0."""
+    v = as_float(cfg, key, default, required)
+    if v is not None and not 0.0 < v < math.inf:
+        raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
+    return v
+
+
+def as_fraction(cfg, key, default):
+    """A number in [0, 1]."""
+    v = as_float(cfg, key, default)
+    if not 0.0 <= v <= 1.0:
+        raise ConfigError(f"{key} must be a number in [0, 1], got {v!r}")
+    return v
+
+
 def as_count(cfg, key, default=None, required=False):
     v = as_int(cfg, key, default, required)
     if v is not None and v < 1:
@@ -187,14 +205,6 @@ def as_matrix(cfg, key) -> np.ndarray:
     if not np.isfinite(A).all():
         raise ConfigError(f"{key} must have finite entries, got {cfg[key]!r}")
     return A
-
-
-def step_size(cfg) -> float:
-    """run.h, a finite number > 0."""
-    h = as_float(cfg, "run.h", required=True)
-    if not (h > 0 and math.isfinite(h)):
-        raise ConfigError(f"run.h must be a finite number > 0, got {h!r}")
-    return h
 
 
 def build_drift(cfg: dict[str, str]) -> DriftSpec:
@@ -235,7 +245,7 @@ def build_continuous_sigma(cfg: dict[str, str], d: int, r: int):
 
 def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
     kind = _get(cfg, "schedule.kind", required=True)
-    h = step_size(cfg)
+    h = as_positive(cfg, "run.h", required=True)
     d = as_count(cfg, "drift.d", 1)
     if "drift.A" in cfg:
         d = as_matrix(cfg, "drift.A").shape[0]
@@ -293,16 +303,23 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
     zeta = as_floats(cfg, "run.zeta", required=True)
     if zeta.shape != (d,):
         raise ConfigError(f"run.zeta must have shape ({d},), got {zeta.size} components")
-    fraction = as_float(cfg, "run.window_fraction", 0.01)
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"run.window_fraction must be a number in [0, 1], got {fraction!r}")
-    window = default_window(steps, fraction)
+    if not np.isfinite(zeta).all():
+        raise ConfigError(f"run.zeta must be finite, got {cfg['run.zeta']!r}")
+    record_mode = _get(cfg, "run.record_mode", "summary")
+    try:
+        _parse_record_mode(record_mode)
+    except ValueError as exc:
+        raise ConfigError(f"run.record_mode: {exc}") from None
+    window = default_window(steps, as_fraction(cfg, "run.window_fraction", 0.01))
     tol = as_float(cfg, "run.tol", 1e-12)
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"run.tol must be a finite number >= 0, got {tol!r}")
-    thresholds = Thresholds(
-        **{f.name: as_float(cfg, f"thresholds.{f.name}", f.default) for f in fields(Thresholds)}
-    )
+    # Fractions of paths lie in [0, 1]; the norm thresholds are finite and > 0.
+    thresholds = Thresholds(**{
+        f.name: (as_fraction if f.name.endswith("fraction") else as_positive)(
+            cfg, f"thresholds.{f.name}", f.default)
+        for f in fields(Thresholds)
+    })
     seed = as_int(cfg, "run.master_seed", required=True)
     if not 0 <= seed < 2**64:
         raise ConfigError("run.master_seed must be an unsigned 64-bit integer")
@@ -312,7 +329,7 @@ def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSe
         paths=paths,
         zeta=zeta,
         master_seed=seed,
-        record_mode=_get(cfg, "run.record_mode", "summary"),
+        record_mode=record_mode,
         window=window,
         tol=tol,
         thresholds=thresholds,

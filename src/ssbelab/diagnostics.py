@@ -18,14 +18,14 @@ Snapshots are taken at logarithmically spaced checkpoints so trend
 evidence survives without storing whole paths.
 
 The statistics have one implementation, ``BatchDiagnostics.fold``: it
-takes k consecutive steps of a block of m paths as (k, m, d) arrays and
-folds them in whole-chunk numpy calls, bit-identical to a per-step fold.
-The fold holds no step buffers of its own.  The chunk arrays belong to the
-engine that wrote them and are only read here: ``integrate`` passes its
-record's own slices, or one noise block of scratch rows, and the lockstep
-engine its (CHUNK, m, d) state and stage arrays with the shocks as
+takes k consecutive steps of a block of m paths as (k, m, d) arrays, or
+(k, d) at m = 1, and folds them in whole-chunk numpy calls, bit-identical
+to a per-step fold.  The fold holds no step buffers of its own.  The
+engines' shared step loop (``integrator._step_loop``) calls it once per
+chunk; the chunk arrays belong to that loop and are only read here: a full
+record's own slices or scratch rows, with the shocks as
 ``NoiseSchedule.shocks`` returned them.  ``DiagnosticState`` is the
-one-path view (m = 1).
+one-path view (m = 1), started from a (d,) state.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class BatchDiagnostics:
     the folded steps, ``last_norms`` the norms of the states they reached.
     A chunk holding a state of non-finite norm (the sign of a non-finite
     shock or state) is folded up to the step before it, and NonFiniteError
-    names that step.  Both engines meet every such failure here.
+    names that step.  The step loop meets every such failure here.
     """
 
     def __init__(self, m: int, d: int, h: float, window: int):
@@ -136,13 +136,15 @@ class BatchDiagnostics:
     def fold(self, x: np.ndarray, xs: np.ndarray, u: np.ndarray, fro: np.ndarray) -> None:
         """Fold steps n+1 .. n+k: X(n+j+1) = x[j], x*(n+j) = xs[j], U(n+j+1) = u[j].
 
-        ``x``, ``xs`` and ``u`` have shape (k, m, d) and ``fro[j]`` is
-        ||sigma(n+j)||_F.  The arrays are read, never kept or written.
+        ``x``, ``xs`` and ``u`` have shape (k, m, d), or (k, d) at m = 1, and
+        ``fro[j]`` is ||sigma(n+j)||_F.  The arrays are read, never kept or
+        written.
         """
         k = len(x)
         if k == 0:
             return
         m, d, n0 = self.m, self.d, self.n
+        x, xs, u = (a.reshape(k, m, d) for a in (x, xs, u))
         # (k * m, d) rows: the same row reductions a single step makes.
         norms = np.linalg.norm(x.reshape(k * m, d), axis=1).reshape(k, m)
         if not np.isfinite(norms).all():
@@ -190,8 +192,8 @@ class BatchDiagnostics:
         """The failure to report for ``exc``, raised at ``step``, and its step.
 
         The fold raised a NonFiniteError after folding the steps before it.
-        The stage raised a SolverError: the steps of the engine's (x, xs, u,
-        fro) ``chunk``, which starts at step ``n``, before ``step`` completed;
+        The stage raised a SolverError: the steps of the step loop's (x, xs,
+        u, fro) ``chunk``, which starts at step ``n``, before ``step`` completed;
         they are folded here, and a non-finite state among them came first.
         """
         if isinstance(exc, NonFiniteError):

@@ -15,18 +15,18 @@ componentwise states goes through ``solve_componentwise`` whole and a
 block of radial states through ``solve_radial`` row by row; any other
 state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
 
-Both take the shock from one rule too, ``NoiseSchedule.shocks``, and
-fold diagnostics through one ``BatchDiagnostics.fold``.  Each engine owns
-the arrays it writes its steps into and hands them to the fold whole, once
-per chunk: ``integrate`` once per NOISE_BLOCK steps, passing a full
-record's own X, X_star and U slices, or else one block of scratch states
-and stages; the lockstep engine once per CHUNK steps, passing its
-(CHUNK, m, d) state and stage arrays and the shocks as ``shocks``
-returned them.  Neither product
-rounds differently for one path and for a block, so a path's values
-depend on ``(master_seed, path_index)`` alone, not on the block it runs in.
-A failed stage solve, or a shock or state that is not finite, stops either
-engine with one error, ``PathError``, naming path, master_seed and step.
+Both run one step loop, ``_step_loop``, on a (d,) state or an (m, d)
+block.  Per NOISE_BLOCK steps it draws the noise; per chunk it assembles
+the shocks through ``NoiseSchedule.shocks``, runs the stage for each step
+into arrays the engine supplies and folds the chunk through one
+``BatchDiagnostics.fold``.  ``integrate`` folds once per NOISE_BLOCK steps,
+into a full record's own X, X_star and U slices or else into scratch rows;
+the lockstep engine once per CHUNK steps, into (CHUNK, m, d) scratch.
+The shock and the affine stage round a lone row as each row of a block
+(``fixed_order_product``), so a path's values depend on
+``(master_seed, path_index)`` alone, not on the block it runs in.  A
+failed stage solve, or a shock or state that is not finite, stops the
+loop with one error, ``PathError``, naming path, master_seed and step.
 
 ``integrate`` generates one path with its full, thinned or summary record.
 ``integrate_paths_lockstep`` advances a block of paths in parallel arrays
@@ -48,13 +48,8 @@ from typing import Optional
 import numpy as np
 
 from ssbelab.affine import build_C
-from ssbelab.diagnostics import (
-    BatchDiagnostics,
-    DiagnosticState,
-    NonFiniteError,
-    PathSummary,
-    summarize,
-)
+from ssbelab.diagnostics import BatchDiagnostics, NonFiniteError, PathSummary
+from ssbelab.diagnostics import summarize  # noqa: F401  (perfbench's tracer wraps it here)
 from ssbelab.gaussian import GaussianStream, derive_substream
 from ssbelab.implicit import (
     SolverError,
@@ -95,17 +90,14 @@ class PathRecord:
     selection_policy: str = ROOT_SELECTION_POLICY
 
 
-def _parse_record_mode(record_mode: str, steps: int) -> tuple[str, int]:
-    if record_mode == "full":
-        return "full", 1
-    if record_mode == "summary":
-        return "summary", 0
-    if record_mode.startswith("thin:"):
-        k = int(record_mode.split(":", 1)[1])
-        if k < 1:
-            raise ValueError("thinning stride must be >= 1")
-        return "thin", k
-    raise ValueError(f"unknown record mode {record_mode!r}")
+def _parse_record_mode(record_mode: str) -> tuple[str, int]:
+    """("full", 1), ("summary", 0), or ("thin", k) for "thin:k" with an integer k >= 1."""
+    if record_mode in ("full", "summary"):
+        return record_mode, int(record_mode == "full")
+    kind, _, k = record_mode.partition(":")
+    if kind == "thin" and k.strip().isdecimal() and int(k) >= 1:
+        return "thin", int(k)
+    raise ValueError(f"record mode must be full, summary or thin:k, k >= 1, got {record_mode!r}")
 
 
 def default_window(steps: int, frac: float = 0.01) -> int:
@@ -173,9 +165,9 @@ def stage_rule(drift, h: float, tol: float, block: bool):
 class PathError(RuntimeError):
     """A path failed; the message names the path, its master_seed and the step.
 
-    The cause, a SolverError or NonFiniteError, is chained.  ``integrate``
-    attaches the ``partial_summary`` and ``partial_states`` of the steps it
-    completed, the lockstep engine their ``partial_summaries``.
+    The cause, a SolverError or NonFiniteError, is chained.  Both engines
+    attach the ``partial_summaries`` of the steps completed; ``integrate``
+    also their ``partial_summary`` and the ``partial_states`` of its record.
     """
 
     def __init__(self, cause, path_index: int, master_seed: int, step_index: int):
@@ -185,6 +177,58 @@ class PathError(RuntimeError):
         self.path_index = path_index
         self.master_seed = master_seed
         self.step_index = step_index
+
+
+def _step_loop(schedule, x, steps, window, ids, master_seed, stage, draw, chunk,
+               rows=None, keep=None):
+    """Advance ``x`` by ``steps`` steps; return the summaries of the paths ``ids``.
+
+    The one step loop of both engines.  ``x`` is one path's (d,) state or
+    a block's (m, d) states, and ``stage`` maps it to its implicit stage.
+    Per NOISE_BLOCK steps ``draw(k)`` returns k steps of noise, (k, r) or
+    (k, m, r).  Per ``chunk`` of those steps the shocks u are assembled,
+    each step's state and stage are written into the arrays ``rows(n0, u)``
+    returns for the chunk starting at step n0 (by default one chunk of
+    scratch rows), and the chunk is folded; ``keep(x_rows, n0, n)`` then
+    reads the states of the steps folded, n0+1 .. n.  A failed stage or a
+    non-finite state raises PathError with the ``partial_summaries``.
+    """
+    m, d = len(ids), schedule.d
+    window = default_window(steps) if window is None else int(window)
+    diag = BatchDiagnostics(m, d, schedule.h, window)
+    if rows is None:
+        # One chunk of states and stages, folded and then overwritten.
+        scratch = np.empty((2, min(chunk, steps)) + x.shape)
+        rows = lambda n0, u: (scratch[0, : len(u)], scratch[1, : len(u)])
+    step, part = 0, ()
+    # Overflow is not warned about: the fold's check names the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            diag.start(x.reshape(m, d))
+            while step < steps:
+                noise = draw(min(NOISE_BLOCK, steps - step))
+                for c in range(0, len(noise), chunk):
+                    u, fro = schedule.shocks(noise[c : c + chunk], step)
+                    n0, (x_rows, xs_rows) = step, rows(step, u)
+                    part = (x_rows, xs_rows, u, fro)
+                    for j in range(len(u)):
+                        xs_rows[j] = x_star = stage(x)
+                        x = np.add(x_star, u[j], out=x_rows[j])
+                        step += 1
+                    diag.fold(*part)
+                    if keep:
+                        keep(x_rows, n0, step)
+            # The row norm of a lone state too: without ``axis`` numpy uses
+            # x.dot(x), which may round differently for d > 1.
+            return diag.summaries(ids, np.linalg.norm(x.reshape(m, d), axis=1))
+        except (SolverError, NonFiniteError) as exc:
+            cause, at = diag.first_failure(exc, step, *part)
+            if keep and part:
+                keep(x_rows, n0, at)
+            # A lone state's solve names no row: it is row 0.
+            err = PathError(cause, ids[getattr(cause, "row_index", 0)], master_seed, at)
+            err.partial_summaries = diag.summaries(ids, diag.last_norms)
+            raise err from cause
 
 
 def integrate(
@@ -204,70 +248,37 @@ def integrate(
     """
     d = drift.d
     zeta = _check_inputs(drift, schedule, zeta, steps, stream.r)
-    mode, stride = _parse_record_mode(record_mode, steps)
-    h = schedule.h
-    window = default_window(steps) if window is None else int(window)
-    stage = stage_rule(drift, h, tol, block=False)
-
-    diag = DiagnosticState(d=d, h=h, window=window)
-
-    full = mode == "full"
-    thin = mode == "thin"
-    X = X_star = U = stored = None
-    if full:
+    mode, stride = _parse_record_mode(record_mode)
+    X = X_star = U = stored = rows = keep = None
+    if mode == "full":
         X, X_star, U = np.empty((steps + 1, d)), np.empty((steps, d)), np.empty((steps, d))
-        X[0] = zeta
-    else:
-        # One noise block of states and stages, folded and then overwritten.
-        X_blk = np.empty((min(NOISE_BLOCK, steps), d))
-        Xs_blk = np.empty_like(X_blk)
-    thin_rows: list[tuple[int, np.ndarray]] = [(0, zeta.copy())] if thin else []
-
-    x = zeta.copy()
-    step = 0
-    chunk = ()
-    # Overflow is not warned about: the fold's check names the step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            diag.start(zeta)
-            while step < steps:
-                n0, k = step, min(NOISE_BLOCK, steps - step)
-                u_blk, fro = schedule.shocks(stream.draw_block(k), n0)
-                if full:
-                    U[n0 : n0 + k] = u_blk
-                    x_blk, xs_blk = X[n0 + 1 : n0 + k + 1], X_star[n0 : n0 + k]
-                else:
-                    x_blk, xs_blk = X_blk[:k], Xs_blk[:k]
-                chunk = (x_blk[:, None], xs_blk[:, None], u_blk[:, None], fro)
-                for j, u in enumerate(u_blk):
-                    x_star = stage(x)
-                    x = x_star + u
-                    xs_blk[j] = x_star
-                    x_blk[j] = x
-                    step += 1
-                    if thin and (step % stride == 0 or step == steps):
-                        thin_rows.append((step, x))
-                diag.fold(*chunk)
-            # The row norm lockstep takes: without ``axis`` numpy uses
-            # x.dot(x), which may round differently for d > 1.
-            summary = summarize(diag, stream.path_index, float(np.linalg.norm(x, axis=-1)))
-        except (SolverError, NonFiniteError) as exc:
-            cause, at = diag.first_failure(exc, step, *chunk)
-            err = PathError(cause, stream.path_index, stream.master_seed, at)
-            err.partial_summary = summarize(diag, stream.path_index, diag.last_norms[0])
-            err.partial_states = (
-                X[: at + 1].copy() if full
-                else np.vstack([row for i, row in thin_rows if i <= at]) if thin else None
-            )
-            raise err from cause
-
-    if full:
         stored = np.arange(steps + 1)
-    elif thin:
-        stored = np.array([i for i, _ in thin_rows])
-        X = np.vstack([row for _, row in thin_rows])
+
+        def rows(n0, u):
+            U[n0 : n0 + len(u)] = u
+            return X[n0 + 1 : n0 + len(u) + 1], X_star[n0 : n0 + len(u)]
+
+    elif mode == "thin":
+        stored = np.append(np.arange(0, steps, stride), steps)
+        X = np.empty((len(stored), d))
+
+        def keep(x_rows, n0, n):
+            lo, hi = np.searchsorted(stored, (n0 + 1, n + 1))
+            X[lo:hi] = x_rows[stored[lo:hi] - n0 - 1]
+
+    if X is not None:
+        X[0] = zeta
+    stage = stage_rule(drift, schedule.h, tol, block=False)
+    try:
+        (summary,) = _step_loop(schedule, zeta, steps, window, [stream.path_index],
+                                stream.master_seed, stage, stream.draw_block, NOISE_BLOCK,
+                                rows=rows, keep=keep)
+    except PathError as err:
+        (err.partial_summary,) = err.partial_summaries
+        err.partial_states = None if X is None else X[stored <= err.step_index]
+        raise
     return PathRecord(
-        h=h,
+        h=schedule.h,
         N=steps,
         d=d,
         r=stream.r,
@@ -304,51 +315,20 @@ def integrate_paths_lockstep(
 
     Each path draws from its own derived substream, in the same order the
     per-path integrator does, and its shocks come from the same
-    ``NoiseSchedule.shocks``, assembled one diagnostics chunk at a time.
+    ``NoiseSchedule.shocks``, assembled one CHUNK of steps at a time.
     The stage is ``stage_rule`` on the whole (m, d) block.  A failing path
     stops the run with a PathError naming it.
     """
-    d = drift.d
     zeta = _check_inputs(drift, schedule, zeta, steps, r)
     path_indices = list(path_indices)
-    m = len(path_indices)
-    if m == 0:
+    if not path_indices:
         return []
-    window = default_window(steps) if window is None else int(window)
     streams = [derive_substream(master_seed, p, r) for p in path_indices]
     stage = stage_rule(drift, schedule.h, tol, block=True)
-
-    diag = BatchDiagnostics(m, d, schedule.h, window)
-    X = np.tile(zeta, (m, 1))
-    # One chunk of states and stages, folded and then overwritten.
-    X_chunk, Xs_chunk = np.empty((CHUNK, m, d)), np.empty((CHUNK, m, d))
-
-    step = 0
-    chunk = ()
-    # Overflow is not warned about: the fold's check names the step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            diag.start(X)
-            while step < steps:
-                # (block, m, r): each path's next vectors from its own stream.
-                block = min(NOISE_BLOCK, steps - step)
-                noise = np.stack([s.draw_block(block) for s in streams], axis=1)
-                for c in range(0, block, CHUNK):
-                    U, fro = schedule.shocks(noise[c : c + CHUNK], step)
-                    k = len(U)
-                    chunk = (X_chunk[:k], Xs_chunk[:k], U, fro)
-                    for j in range(k):
-                        x_star = stage(X)
-                        Xs_chunk[j] = x_star
-                        X = np.add(x_star, U[j], out=X_chunk[j])
-                        step += 1
-                    diag.fold(*chunk)
-            return diag.summaries(path_indices, np.linalg.norm(X, axis=1))
-        except (SolverError, NonFiniteError) as exc:
-            cause, at = diag.first_failure(exc, step, *chunk)
-            err = PathError(cause, path_indices[cause.row_index], master_seed, at)
-            err.partial_summaries = diag.summaries(path_indices, diag.last_norms)
-            raise err from cause
+    # (k, m, r): each path's next k vectors from its own stream.
+    draw = lambda k: np.stack([s.draw_block(k) for s in streams], axis=1)
+    return _step_loop(schedule, np.tile(zeta, (len(streams), 1)), steps, window, path_indices,
+                      master_seed, stage, draw, CHUNK)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ssbelab.cli import _load, main
+from ssbelab.config import build_drift, build_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -188,7 +189,7 @@ def test_consistency_reads_thresholds_like_experiment(tmp_path):
     cfg = tmp_path / "cons.cfg"
     cfg.write_text(CONSISTENCY_CFG)
     verdicts = []
-    for over in ([], ["--set", "thresholds.fraction=2.0"]):
+    for over in ([], ["--set", "thresholds.converge=1e-300"]):
         out = tmp_path / str(len(verdicts))
         assert main(["consistency", str(cfg), "--out", str(out)] + over) == 0
         kv = (out / "consistency_report.kv").read_text()
@@ -352,7 +353,10 @@ def test_shipped_configs_load_with_benchmark_overrides(monkeypatch):
     for path in paths:
         rel = path.relative_to(ROOT).as_posix()
         args = argparse.Namespace(config=str(path), overrides=pairs.get(rel, []), seed=42)
-        assert _load(args)["run.master_seed"] == "42"
+        cfg = _load(args)
+        assert cfg["run.master_seed"] == "42"
+        if "run.steps" in cfg:  # every run key, thresholds included, lies in its domain
+            build_run(cfg, build_drift(cfg).d)
 
 
 @pytest.mark.parametrize("where", ["file", "set"])
@@ -469,3 +473,50 @@ def test_zero_tol_stays_valid(tmp_path):
     argv = ["simulate", str(ROOT / "configs/regime_a.cfg"), "--out", str(tmp_path),
             "--set", "run.tol=0", "--set", "run.steps=10"]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("thresholds.converge=inf", "thresholds.converge must be a finite number > 0, got inf"),
+    ("thresholds.escape=nan", "thresholds.escape must be a finite number > 0, got nan"),
+    ("thresholds.bounded_cap=0", "thresholds.bounded_cap must be a finite number > 0, got 0.0"),
+    ("thresholds.osc_min=-1", "thresholds.osc_min must be a finite number > 0, got -1.0"),
+    ("thresholds.fraction=2", "thresholds.fraction must be a number in [0, 1], got 2.0"),
+    ("thresholds.osc_fraction=nan", "thresholds.osc_fraction must be a number in [0, 1], got nan"),
+])
+def test_thresholds_must_lie_in_their_domain(tmp_path, capsys, pair, message):
+    # converge = inf counted every path as converged: experiment printed
+    # "consistent: true" and exited 0.
+    argv = ["experiment", str(ROOT / "configs/regime_a.cfg"), "--out", str(tmp_path),
+            "--set", pair, "--set", "run.steps=200", "--set", "run.paths=4"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ensemble.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["-0.1,0.1", "0,0.1", "0.1,nan", "inf"])
+def test_a_bad_h_grid_entry_names_the_key(tmp_path, capsys, grid):
+    # Each printed only "step size h must be positive and finite".
+    argv = ["consistency", str(ROOT / "configs/consistency_exp.cfg"), "--out", str(tmp_path),
+            "--set", f"consistency.h_grid={grid}"]
+    assert main(argv) == 2
+    assert f"consistency.h_grid must hold finite numbers > 0, got {grid!r}" in capsys.readouterr().err
+    assert not (tmp_path / "consistency_report.kv").exists()
+
+
+_BAD_MODE = "run.record_mode: record mode must be full, summary or thin:k, k >= 1, got "
+
+
+@pytest.mark.parametrize("pair, message", [
+    # thin:x printed "invalid literal for int()"; the others named no key.
+    ("run.record_mode=thin:x", _BAD_MODE + "'thin:x'"),
+    ("run.record_mode=thin:0", _BAD_MODE + "'thin:0'"),
+    ("run.record_mode=bogus", _BAD_MODE + "'bogus'"),
+    ("run.zeta=nan", "run.zeta must be finite, got 'nan'"),
+    ("run.zeta=-inf", "run.zeta must be finite, got '-inf'"),
+])
+def test_record_mode_and_zeta_name_their_key(tmp_path, capsys, pair, message):
+    argv = ["simulate", str(ROOT / "configs/regime_a.cfg"), "--out", str(tmp_path),
+            "--set", pair, "--set", "run.steps=10"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "path.csv").exists()

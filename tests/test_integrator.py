@@ -353,7 +353,7 @@ def test_record_modes(tmp_path):
     summ = integrate(drift, sched, [1.0], 20, derive_substream(1, 0, 1), "summary")
     assert full.X.shape == (21, 1)
     assert list(thin.stored_steps) == [0, 7, 14, 20]
-    assert np.allclose(thin.X[:, 0], full.X[[0, 7, 14, 20], 0])
+    assert (thin.X == full.X[[0, 7, 14, 20]]).all()
     assert summ.X is None and summ.summary.final_norm == pytest.approx(full.summary.final_norm)
     with pytest.raises(ValueError):
         integrate(drift, sched, [1.0], 20, derive_substream(1, 0, 1), "thin:0")
@@ -470,6 +470,7 @@ def test_noise_block_size_does_not_change_a_record(monkeypatch, case, mode):
 
     rec, block = run()
     monkeypatch.setattr(integrator, "NOISE_BLOCK", 7)
+    monkeypatch.setattr(integrator, "CHUNK", 5)
     rec7, block7 = run()
     assert rec7.summary == rec.summary and block7 == block
     assert [c.n for c in rec.summary.checkpoints] == [1000]
@@ -541,3 +542,48 @@ def test_a_non_finite_state_leaves_the_summary_of_the_steps_before_it(engine, dr
         assert exc.partial_states.shape == (151, 1) and (exc.partial_states == done.X).all()
     else:
         assert exc.partial_summaries == done
+
+
+@pytest.mark.parametrize("noise_block", [None, 7])
+@pytest.mark.parametrize("drift_name", ["linear", "cubic"])
+def test_a_thin_record_stops_at_the_failing_step(monkeypatch, drift_name, noise_block):
+    # sigma(150) = inf: the thin record's partial states are the thin rows
+    # of the same path run up to step 150, whether that step falls inside
+    # the one noise block of 300 steps or inside a 7-step one.
+    import ssbelab.integrator as integrator
+    from ssbelab.integrator import PathError
+    from ssbelab.schedules import NoiseSchedule
+
+    if noise_block is not None:
+        monkeypatch.setattr(integrator, "NOISE_BLOCK", noise_block)
+    sched = NoiseSchedule(kind="opaque", d=1, r=1, h=0.1,
+                          matrix_eval=lambda ns: np.where(ns == 150, np.inf, 0.1).reshape(
+                              ns.shape + (1, 1)))
+    drift = builtin_drift(drift_name)
+    with pytest.raises(PathError, match="failed at step 150") as excinfo:
+        integrate(drift, sched, [1.0], 300, derive_substream(3, 1, 1), "thin:7", window=50)
+    done = integrate(drift, sched, [1.0], 150, derive_substream(3, 1, 1), "thin:7", window=50)
+    kept = done.stored_steps % 7 == 0  # step 150 is kept as the last step, not as a multiple
+    exc = excinfo.value
+    assert exc.partial_summary == done.summary
+    assert exc.partial_states.shape == (22, 1) and (exc.partial_states == done.X[kept]).all()
+
+
+@pytest.mark.parametrize("engine", ["integrate", "lockstep"])
+def test_an_initial_state_of_overflowing_norm_fails_at_step_0(engine):
+    from ssbelab.diagnostics import NonFiniteError
+    from ssbelab.integrator import PathError
+
+    drift = builtin_drift("linear", d=2)
+    sched = schedule_family("constant", h=0.1, c=0.1, d=2)
+    zeta = [1e308, 1e308]
+    with pytest.raises(PathError, match="failed at step 0: non-finite state norm: inf") as excinfo:
+        if engine == "integrate":
+            integrate(drift, sched, zeta, 10, derive_substream(0, 4, 1))
+        else:
+            integrate_paths_lockstep(drift, sched, zeta, 10, 1, 0, [4, 5])
+    exc = excinfo.value
+    assert isinstance(exc.__cause__, NonFiniteError)
+    assert (exc.path_index, exc.step_index) == (4, 0)
+    if engine == "integrate":
+        assert (exc.partial_states == [zeta]).all()

@@ -53,3 +53,22 @@ def test_the_rule_sees_every_import_form():
     assert _special_calls_with_where(bad) == [
         "_erfc_arr:5", "ndtri:6", "scipy.special.erfc:7", "sc.gammaincc:8", "special.erfc:9",
     ]
+
+
+def _attribute_calls(source: str, attrs) -> dict[str, int]:
+    """How many calls of the form ``<expr>.<attr>(...)`` the source makes, per attr."""
+    counts = dict.fromkeys(attrs, 0)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in counts:
+                counts[node.func.attr] += 1
+    return counts
+
+
+def test_the_engines_share_one_step_loop():
+    # Both engines run the one private step loop: a second loop, with its
+    # own overflow context, shock assembly or diagnostics fold, fails here.
+    source = (SRC / "integrator.py").read_text()
+    assert _attribute_calls(source, ("errstate", "shocks", "fold")) == {
+        "errstate": 1, "shocks": 1, "fold": 1,
+    }
