@@ -50,6 +50,9 @@ def default_epsilon_grid(eps_min: float = 1e-2, eps_max: float = 1e1, points: in
     for key, value in (("eps_min", eps_min), ("eps_max", eps_max)):
         if not 0 < value < math.inf:
             raise ValueError(f"epsilon grid must be positive and finite, got {key} = {value!r}")
+    if eps_min > eps_max:
+        raise ValueError(f"epsilon grid needs eps_min <= eps_max, got eps_min = {eps_min!r} "
+                         f"and eps_max = {eps_max!r}")
     return np.geomspace(eps_min, eps_max, points)
 
 

@@ -11,16 +11,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from ssbelab import affine as affine_mod
 from ssbelab import config as cfg_mod
-from ssbelab.classifier import (
-    classify,
-    default_epsilon_grid,
-    format_regime_report,
-    regime_report_records,
-)
+from ssbelab.classifier import classify, format_regime_report, regime_report_records
 from ssbelab.config import ConfigError
 from ssbelab.gaussian import derive_substream
 from ssbelab.harness import (
@@ -51,27 +44,13 @@ def _load(args):
     return cfg
 
 
-def _epsilon_grid(cfg):
-    """``default_epsilon_grid`` with the classify.eps_* keys that are set; None if none is."""
-    given = {
-        arg: read(cfg, key)
-        for arg, key, read in (
-            ("eps_min", "classify.eps_min", cfg_mod.as_float),
-            ("eps_max", "classify.eps_max", cfg_mod.as_float),
-            ("points", "classify.eps_points", cfg_mod.as_count),
-        )
-        if key in cfg
-    }
-    return default_epsilon_grid(**given) if given else None
-
-
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     drift = cfg_mod.build_drift(cfg)
     schedule = cfg_mod.build_schedule(cfg)
     run = cfg_mod.build_run(cfg, drift.d, args.out)
     mode = run.record_mode if run.record_mode != "summary" else "full"
-    stream = derive_substream(run.master_seed, cfg_mod.as_int(cfg, "run.path_index", 0), run.r)
+    stream = derive_substream(run.master_seed, cfg_mod.get(cfg, "run.path_index"), run.r)
     record = integrate(drift, schedule, run.zeta, run.steps, stream, mode, run.tol, run.window)
     os.makedirs(run.out_dir, exist_ok=True)
     out_path = os.path.join(run.out_dir, "path.csv")
@@ -86,9 +65,8 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     cfg = _load(args)
     schedule = cfg_mod.build_schedule(cfg)
-    grid = _epsilon_grid(cfg)
-    trunc = cfg_mod.as_int(cfg, "classify.truncation", 100_000)
-    report = classify(schedule, epsilon_grid=grid, n_trunc=trunc)
+    grid = cfg_mod.build_epsilon_grid(cfg)
+    report = classify(schedule, epsilon_grid=grid, n_trunc=cfg_mod.get(cfg, "classify.truncation"))
     text = format_regime_report(report, schedule)
     print(text, end="")
     out_dir = cfg_mod.output_dir(cfg, args.out)
@@ -104,13 +82,12 @@ def cmd_classify(args) -> int:
 
 def cmd_affine(args) -> int:
     cfg = _load(args)
-    if "affine.A" in cfg:
-        A = cfg_mod.as_matrix(cfg, "affine.A")
-    elif "affine.matrix_csv" in cfg:
-        A = np.loadtxt(cfg["affine.matrix_csv"], delimiter=",", ndmin=2)
-    else:
+    A = cfg_mod.get(cfg, "affine.A")
+    if A is None:
+        A = cfg_mod.get(cfg, "affine.matrix_csv")
+    if A is None:
         raise ConfigError("affine command needs affine.A or affine.matrix_csv")
-    h = cfg_mod.as_positive(cfg, "run.h", required=True)
+    h = cfg_mod.get(cfg, "run.h", required=True)
     system = affine_mod.build_affine_system(A, h)
     emap = affine_mod.eigen_map_check(A, h)
     lines = [f"config.{k} = {v}" for k, v in sorted(cfg.items())]
@@ -138,7 +115,7 @@ def cmd_experiment(args) -> int:
     drift = cfg_mod.build_drift(cfg)
     schedule = cfg_mod.build_schedule(cfg)
     run = cfg_mod.build_run(cfg, drift.d, args.out)
-    report = run_ensemble(drift, schedule, run, epsilon_grid=_epsilon_grid(cfg))
+    report = run_ensemble(drift, schedule, run, epsilon_grid=cfg_mod.build_epsilon_grid(cfg))
     csv_path, kv_path = write_ensemble_outputs(report, run.out_dir)
     fr = report.fractions
     print(f"wrote {csv_path} and {kv_path}")
@@ -155,11 +132,9 @@ def cmd_consistency(args) -> int:
     drift = cfg_mod.build_drift(cfg)
     run = cfg_mod.build_run(cfg, drift.d, args.out)
     sigma = cfg_mod.build_continuous_sigma(cfg, drift.d, run.r)
-    h_grid = cfg_mod.as_floats(cfg, "consistency.h_grid", required=True)
-    if not (np.isfinite(h_grid) & (h_grid > 0)).all():
-        given = cfg["consistency.h_grid"]
-        raise ConfigError(f"consistency.h_grid must hold finite numbers > 0, got {given!r}")
-    report = run_consistency_suite(sigma, drift, list(h_grid), run, epsilon_grid=_epsilon_grid(cfg))
+    h_grid = cfg_mod.get(cfg, "consistency.h_grid", required=True)
+    grid = cfg_mod.build_epsilon_grid(cfg)
+    report = run_consistency_suite(sigma, drift, list(h_grid), run, epsilon_grid=grid)
     records = consistency_report_records(report)
     os.makedirs(run.out_dir, exist_ok=True)
     write_kv(records, os.path.join(run.out_dir, "consistency_report.kv"))

@@ -1,45 +1,13 @@
 """Flat key-value configuration files and the objects they describe.
 
-Schema (dotted keys, one ``key = value`` per line, ``#`` comments); any
-other key is rejected:
-
-    drift.name       linear | cubic | saturating | arctan
-    drift.d          state dimension (default 1), >= 1
-    drift.lam/.c/.A  family parameters (A as rows "a,b;c,d", finite entries)
-
-    schedule.kind    zero | constant | power | geometric | inverse_log |
-                     tabulated | sigma_sampled | sigma_cell_rms
-    schedule.c/.p/.rho/.a/.b   family parameters
-    schedule.path    CSV path for tabulated schedules
-    schedule.sigma   continuous family for derived kinds
-                     (exp_decay | constant | power_decay | inverse_log_t)
-    schedule.sigma_* parameters of the continuous family
-
-    run.h            step size, finite and > 0
-    run.r            noise dimension (default 1), >= 1
-    run.steps        steps per path, >= 1
-    run.paths        number of paths, >= 1
-    run.zeta         initial state, comma-separated, finite
-    run.master_seed  unsigned 64-bit seed
-    run.path_index   substream of the simulated path (default 0)
-    run.record_mode  full | summary | thin:k with k >= 1
-    run.window_fraction   trailing window as a fraction of steps, in [0, 1]
-    run.tol          implicit-solve residual tolerance, finite and >= 0
-
-    thresholds.converge / .escape / .bounded_cap / .osc_min / .fraction
-                     / .osc_fraction   verdict thresholds (pilot-calibrated
-                     defaults): the norms finite and > 0, the fractions
-                     in [0, 1]
-
-    classify.eps_min / .eps_max / .eps_points (>= 1) / .truncation
-
-    consistency.h_grid   comma-separated step sizes, each finite and > 0
-
-    affine.A / .matrix_csv   matrix for the affine command, inline or as CSV
-
-    output.dir       output directory (flag > config > SSBELAB_OUT > cwd)
-
-CLI flags override any key via ``--set key=value``.
+A config file holds one ``key = value`` per line (``#`` starts a comment);
+``--set key=value`` overrides any key. ``SCHEMA`` lists every key with its
+reader and default, and README.md's "Config schema" shows it to users. A
+reader parses a value's text and holds its domain, so ``get`` returns a
+checked value or raises ``ConfigError`` naming the key; ``check_keys``
+reads every key present, whichever command runs. Family parameters are
+read as plain numbers and family names as text: their builders know
+each family's range and catalogue.
 """
 
 from __future__ import annotations
@@ -51,6 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ssbelab.classifier import classify, default_epsilon_grid
 from ssbelab.drifts import DriftSpec, builtin_drift
 from ssbelab.integrator import _parse_record_mode, default_window
 from ssbelab.schedules import (
@@ -64,39 +33,144 @@ from ssbelab.schedules import (
 
 OUTPUT_ENV_VAR = "SSBELAB_OUT"
 
-# Every key a command reads; the docstring above describes each.
-KEYS = frozenset(
-    """
-    drift.name drift.d drift.lam drift.c drift.A
-    schedule.kind schedule.c schedule.p schedule.rho schedule.a schedule.b
-    schedule.path schedule.sigma schedule.sigma_c schedule.sigma_a
-    schedule.sigma_b schedule.sigma_p
-    run.h run.r run.steps run.paths run.zeta run.master_seed run.path_index
-    run.record_mode run.window_fraction run.tol
-    thresholds.converge thresholds.escape thresholds.bounded_cap
-    thresholds.osc_min thresholds.fraction thresholds.osc_fraction
-    classify.eps_min classify.eps_max classify.eps_points classify.truncation
-    consistency.h_grid affine.A affine.matrix_csv output.dir
-    """.split()
-)
-
 
 class ConfigError(ValueError):
     pass
 
 
+class _Outside(Exception):
+    """A value outside a reader's domain, as ``(domain, shown)``; ``get`` adds the key."""
+
+
+def _reader(convert, what, *checks):
+    """Parse the text by ``convert``, else it must ``what``; then hold the value to each
+    ``(ok, domain)``. A number outside a domain is shown parsed, any other value as text.
+    """
+    def read(text):
+        try:
+            value = convert(text)
+        except (OSError, ValueError):
+            raise _Outside(what, text) from None
+        for ok, domain in checks:
+            if not ok(value):
+                raise _Outside(domain, value if isinstance(value, (int, float)) else text)
+        return value
+    return read
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Inline matrix: rows separated by ';', entries by ','."""
+    rows = [[float(tok) for tok in row.split(",")] for row in text.split(";")]
+    width = {len(r) for r in rows}
+    if len(width) != 1:
+        raise ConfigError("matrix rows have inconsistent lengths")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _record_mode(text):
+    _parse_record_mode(text)  # its ValueError states the domain
+    return text
+
+
+_NUMBER, _INT, _NUMBERS = "be a number", "be an integer", "be comma-separated numbers"
+_MATRIX_CHECKS = (
+    (lambda A: np.isfinite(A).all(), "have finite entries"),
+    (lambda A: A.shape[0] == A.shape[1], "be square"),
+)
+
+TEXT = str
+NUMBER = _reader(float, _NUMBER)
+POSITIVE = _reader(float, _NUMBER, (lambda v: 0.0 < v < math.inf, "be a finite number > 0"))
+FRACTION = _reader(float, _NUMBER, (lambda v: 0.0 <= v <= 1.0, "be a number in [0, 1]"))
+NON_NEGATIVE = _reader(float, _NUMBER, (lambda v: 0.0 <= v < math.inf, "be a finite number >= 0"))
+COUNT = _reader(int, _INT, (lambda v: v >= 1, "be >= 1"))
+INDEX = _reader(int, _INT, (lambda v: v >= 0, "be >= 0"))
+SEED = _reader(int, _INT, (lambda v: 0 <= v < 2**64, "be an unsigned 64-bit integer"))
+_floats = lambda text: np.array([float(tok) for tok in text.split(",")])
+FINITES = _reader(_floats, _NUMBERS, (lambda v: np.isfinite(v).all(), "be finite"))
+POSITIVES = _reader(_floats, _NUMBERS, (lambda v: (np.isfinite(v) & (v > 0)).all(),
+                                        "hold finite numbers > 0"))
+MATRIX = _reader(parse_matrix, "be rows 'a,b;c,d' of numbers", *_MATRIX_CHECKS)
+MATRIX_CSV = _reader(lambda path: np.loadtxt(path, delimiter=",", ndmin=2),
+                     "name a CSV file of numbers", *_MATRIX_CHECKS)
+
+
+@dataclass(frozen=True)
+class Thresholds:
+    converge: float = 0.05
+    escape: float = 3.0
+    bounded_cap: float = 12.0
+    osc_min: float = 0.1
+    fraction: float = 0.95
+    osc_fraction: float = 0.90
+
+
+# Unset classify.* keys take the classifier's own defaults.
+_EPS_MIN, _EPS_MAX, _EPS_POINTS = default_epsilon_grid.__defaults__
+
+# Every key a command reads: (reader, default).
+SCHEMA = {
+    "drift.name": (TEXT, None),
+    "drift.d": (COUNT, 1),
+    "drift.lam": (NUMBER, 1.0),
+    "drift.c": (NUMBER, 1.0),
+    "drift.A": (MATRIX, None),
+    "schedule.kind": (TEXT, None),
+    "schedule.path": (TEXT, None),
+    "schedule.sigma": (TEXT, None),
+    **{f"schedule.{p}": (NUMBER, None)
+       for p in ("c", "p", "rho", "a", "b", "sigma_c", "sigma_a", "sigma_b", "sigma_p")},
+    "run.h": (POSITIVE, None),
+    "run.r": (COUNT, 1),
+    "run.steps": (COUNT, None),
+    "run.paths": (COUNT, 1),
+    "run.zeta": (FINITES, None),
+    "run.master_seed": (SEED, None),
+    "run.path_index": (INDEX, 0),
+    "run.record_mode": (_record_mode, "summary"),
+    "run.window_fraction": (FRACTION, 0.01),
+    "run.tol": (NON_NEGATIVE, 1e-12),
+    **{f"thresholds.{f.name}": (FRACTION if f.name.endswith("fraction") else POSITIVE, f.default)
+       for f in fields(Thresholds)},
+    "classify.eps_min": (POSITIVE, _EPS_MIN),
+    "classify.eps_max": (POSITIVE, _EPS_MAX),
+    "classify.eps_points": (COUNT, _EPS_POINTS),
+    "classify.truncation": (INDEX, classify.__defaults__[-1]),
+    "consistency.h_grid": (POSITIVES, None),
+    "affine.A": (MATRIX, None),
+    "affine.matrix_csv": (MATRIX_CSV, None),
+    "output.dir": (TEXT, None),
+}
+
+
+def get(cfg: dict[str, str], key: str, required: bool = False):
+    """The value of ``key`` read and checked by its reader, or its default if unset."""
+    read, default = SCHEMA[key]
+    if key not in cfg:
+        if required:
+            raise ConfigError(f"missing required config key: {key}")
+        return default
+    try:
+        return read(cfg[key])
+    except _Outside as exc:
+        raise ConfigError("{} must {}, got {!r}".format(key, *exc.args)) from None
+    except ValueError as exc:  # a domain stated by another module (run.record_mode)
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def check_keys(cfg: dict[str, str]) -> None:
-    """Reject a key outside ``KEYS``, naming the nearest known key."""
+    """Read every key, rejecting one outside ``SCHEMA`` with the nearest known key."""
     for key in cfg:
-        if key not in KEYS:
-            near = difflib.get_close_matches(key, KEYS, n=1)
+        if key not in SCHEMA:
+            near = difflib.get_close_matches(key, SCHEMA, n=1)
             hint = f" (did you mean {near[0]!r}?)" if near else ""
             raise ConfigError(f"unknown config key {key!r}{hint}")
+        get(cfg, key)
 
 
 def output_dir(cfg: dict[str, str], flag: str | None = None) -> str:
     """Where outputs go: the --out flag, then output.dir, then $SSBELAB_OUT, then the cwd."""
-    return flag or cfg.get("output.dir") or os.environ.get(OUTPUT_ENV_VAR) or "."
+    return flag or get(cfg, "output.dir") or os.environ.get(OUTPUT_ENV_VAR) or "."
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -129,137 +203,51 @@ def apply_overrides(cfg: dict[str, str], pairs) -> dict[str, str]:
     return out
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing required config key: {key}")
-    return default
-
-
-def _as(convert, what, cfg, key, default, required):
-    v = _get(cfg, key, default, required)
-    if v is None:
-        return None
-    try:
-        return convert(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be {what}, got {v!r}") from None
-
-
-def as_float(cfg, key, default=None, required=False):
-    return _as(float, "a number", cfg, key, default, required)
-
-
-def as_int(cfg, key, default=None, required=False):
-    return _as(int, "an integer", cfg, key, default, required)
-
-
-def as_positive(cfg, key, default=None, required=False):
-    """A finite number > 0."""
-    v = as_float(cfg, key, default, required)
-    if v is not None and not 0.0 < v < math.inf:
-        raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
-    return v
-
-
-def as_fraction(cfg, key, default):
-    """A number in [0, 1]."""
-    v = as_float(cfg, key, default)
-    if not 0.0 <= v <= 1.0:
-        raise ConfigError(f"{key} must be a number in [0, 1], got {v!r}")
-    return v
-
-
-def as_count(cfg, key, default=None, required=False):
-    v = as_int(cfg, key, default, required)
-    if v is not None and v < 1:
-        raise ConfigError(f"{key} must be >= 1, got {v!r}")
-    return v
-
-
-def as_floats(cfg, key, default=None, required=False):
-    v = _get(cfg, key, default, required)
-    if v is None:
-        return None
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return np.asarray(v, dtype=np.float64)
-    try:
-        return np.array([float(tok) for tok in str(v).split(",")], dtype=np.float64)
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated numbers, got {v!r}") from None
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Inline matrix: rows separated by ';', entries by ','."""
-    rows = [[float(tok) for tok in row.split(",")] for row in text.split(";")]
-    width = {len(r) for r in rows}
-    if len(width) != 1:
-        raise ConfigError("matrix rows have inconsistent lengths")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def as_matrix(cfg, key) -> np.ndarray:
-    """The inline matrix at ``key``, whose entries must be finite."""
-    A = parse_matrix(cfg[key])
-    if not np.isfinite(A).all():
-        raise ConfigError(f"{key} must have finite entries, got {cfg[key]!r}")
-    return A
-
-
 def build_drift(cfg: dict[str, str]) -> DriftSpec:
-    name = _get(cfg, "drift.name", required=True)
-    d = as_count(cfg, "drift.d", 1)
+    name = get(cfg, "drift.name", required=True)
+    d = get(cfg, "drift.d")
     try:
         if name == "linear":
             if "drift.A" in cfg:
-                return builtin_drift("linear", A=as_matrix(cfg, "drift.A"))
-            return builtin_drift("linear", lam=as_float(cfg, "drift.lam", 1.0), d=d)
+                return builtin_drift("linear", A=get(cfg, "drift.A"))
+            return builtin_drift("linear", lam=get(cfg, "drift.lam"), d=d)
         if name == "cubic":
             return builtin_drift("cubic", d=d)
         if name == "arctan":
             return builtin_drift("arctan", d=d)
         if name == "saturating":
-            return builtin_drift("saturating", c=as_float(cfg, "drift.c", 1.0), d=d)
+            return builtin_drift("saturating", c=get(cfg, "drift.c"), d=d)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown drift.name: {name!r}")
 
 
+def _set_params(cfg: dict[str, str], prefix: str, names) -> dict:
+    """``{name: value}`` for each ``prefix + name`` key that is set."""
+    return {n: get(cfg, prefix + n) for n in names if prefix + n in cfg}
+
+
 def build_continuous_sigma(cfg: dict[str, str], d: int, r: int):
-    name = _get(cfg, "schedule.sigma", required=True)
-    kwargs = {"d": d, "r": r}
-    for pkey, ckey in (
-        ("c", "schedule.sigma_c"),
-        ("a", "schedule.sigma_a"),
-        ("b", "schedule.sigma_b"),
-        ("p", "schedule.sigma_p"),
-    ):
-        if ckey in cfg:
-            kwargs[pkey] = as_float(cfg, ckey)
+    name = get(cfg, "schedule.sigma", required=True)
+    params = _set_params(cfg, "schedule.sigma_", ("c", "a", "b", "p"))
     try:
-        return sigma_family(name, **kwargs)
+        return sigma_family(name, d=d, r=r, **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad continuous sigma family: {exc}") from exc
 
 
 def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
-    kind = _get(cfg, "schedule.kind", required=True)
-    h = as_positive(cfg, "run.h", required=True)
-    d = as_count(cfg, "drift.d", 1)
-    if "drift.A" in cfg:
-        d = as_matrix(cfg, "drift.A").shape[0]
-    r = as_count(cfg, "run.r", 1)
+    kind = get(cfg, "schedule.kind", required=True)
+    h = get(cfg, "run.h", required=True)
+    A = get(cfg, "drift.A")
+    d = get(cfg, "drift.d") if A is None else A.shape[0]
+    r = get(cfg, "run.r")
     try:
         if kind in ("zero", "constant", "power", "geometric", "inverse_log"):
-            params = {}
-            for p in ("c", "p", "rho", "a", "b"):
-                key = f"schedule.{p}"
-                if key in cfg:
-                    params[p] = as_float(cfg, key)
+            params = _set_params(cfg, "schedule.", ("c", "p", "rho", "a", "b"))
             return schedule_family(kind, h=h, d=d, r=r, **params)
         if kind == "tabulated":
-            path = _get(cfg, "schedule.path", required=True)
+            path = get(cfg, "schedule.path", required=True)
             return tabulated_schedule(path, h=h, d=d, r=r)
         if kind == "sigma_sampled":
             return from_sigma_sampled(build_continuous_sigma(cfg, d, r), h)
@@ -272,14 +260,10 @@ def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
     raise ConfigError(f"unknown schedule.kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    converge: float = 0.05
-    escape: float = 3.0
-    bounded_cap: float = 12.0
-    osc_min: float = 0.1
-    fraction: float = 0.95
-    osc_fraction: float = 0.90
+def build_epsilon_grid(cfg: dict[str, str]) -> np.ndarray:
+    """``default_epsilon_grid`` from the classify.eps_* keys."""
+    keys = ("classify.eps_min", "classify.eps_max", "classify.eps_points")
+    return default_epsilon_grid(*(get(cfg, key) for key in keys))
 
 
 @dataclass(frozen=True)
@@ -298,41 +282,20 @@ class RunSettings:
 
 
 def build_run(cfg: dict[str, str], d: int, out_flag: str | None = None) -> RunSettings:
-    steps = as_count(cfg, "run.steps", required=True)
-    paths = as_count(cfg, "run.paths", 1)
-    zeta = as_floats(cfg, "run.zeta", required=True)
+    steps = get(cfg, "run.steps", required=True)
+    zeta = get(cfg, "run.zeta", required=True)
     if zeta.shape != (d,):
         raise ConfigError(f"run.zeta must have shape ({d},), got {zeta.size} components")
-    if not np.isfinite(zeta).all():
-        raise ConfigError(f"run.zeta must be finite, got {cfg['run.zeta']!r}")
-    record_mode = _get(cfg, "run.record_mode", "summary")
-    try:
-        _parse_record_mode(record_mode)
-    except ValueError as exc:
-        raise ConfigError(f"run.record_mode: {exc}") from None
-    window = default_window(steps, as_fraction(cfg, "run.window_fraction", 0.01))
-    tol = as_float(cfg, "run.tol", 1e-12)
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"run.tol must be a finite number >= 0, got {tol!r}")
-    # Fractions of paths lie in [0, 1]; the norm thresholds are finite and > 0.
-    thresholds = Thresholds(**{
-        f.name: (as_fraction if f.name.endswith("fraction") else as_positive)(
-            cfg, f"thresholds.{f.name}", f.default)
-        for f in fields(Thresholds)
-    })
-    seed = as_int(cfg, "run.master_seed", required=True)
-    if not 0 <= seed < 2**64:
-        raise ConfigError("run.master_seed must be an unsigned 64-bit integer")
     return RunSettings(
-        r=as_count(cfg, "run.r", 1),
+        r=get(cfg, "run.r"),
         steps=steps,
-        paths=paths,
+        paths=get(cfg, "run.paths"),
         zeta=zeta,
-        master_seed=seed,
-        record_mode=record_mode,
-        window=window,
-        tol=tol,
-        thresholds=thresholds,
+        master_seed=get(cfg, "run.master_seed", required=True),
+        record_mode=get(cfg, "run.record_mode"),
+        window=default_window(steps, get(cfg, "run.window_fraction")),
+        tol=get(cfg, "run.tol"),
+        thresholds=Thresholds(**{f.name: get(cfg, f"thresholds.{f.name}") for f in fields(Thresholds)}),
         out_dir=output_dir(cfg, out_flag),
         echo=dict(cfg),
     )

@@ -122,7 +122,10 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
         # stays inside the bracket, otherwise bisect.
         stepped = False
         if df is not None and newton_used < MAX_NEWTON:
-            slope = 1.0 + h * float(df(y))
+            try:
+                slope = 1.0 + h * float(df(y))
+            except OverflowError:  # arctan's 1 / (1 + y**2) past |y| ~ 1e154: bisect
+                slope = 0.0
             if slope != 0.0:
                 cand = y - gy / slope
                 if lo < cand < hi:

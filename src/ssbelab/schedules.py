@@ -57,7 +57,11 @@ _TINY = 5e-324  # smallest positive double; floor that keeps bounds true upper b
 def _geometric_tail(c: float, rho: float, eps: float, n: int, kind: str) -> float:
     # fro(j) = c rho^j; successive term ratios are <= rho for both series.
     # Work with log x to survive the enormous arguments reached at large n.
-    log_x = math.log(eps / c) - (n + 1) * math.log(rho)
+    # rho = exp(-a h) underflows to 0.0 once a h > 745, where log x is +inf,
+    # and rounds to 1.0 once a h < 1.1e-16, where no bound is claimed.
+    if rho == 1.0:
+        return math.inf
+    log_x = math.log(eps / c) - (n + 1) * math.log(rho) if rho > 0.0 else math.inf
     if log_x > 350.0:
         return _TINY / (1.0 - rho)
     x_next = math.exp(log_x)
@@ -293,7 +297,7 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         zeros = lambda ns: np.zeros_like(np.asarray(ns, dtype=np.float64))
         return build(zeros, 0.0, _zero_tail, {})
     if name == "constant":
-        c = float(params.pop("c"))
+        c = _required(params, "c", f"{name} schedule")
         _no_extra(params)
         if c < 0:
             raise ValueError("constant schedule needs c >= 0")
@@ -305,7 +309,7 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         )
     if name == "power":
         c = float(params.pop("c", 1.0))
-        p = float(params.pop("p"))
+        p = _required(params, "p", f"{name} schedule")
         _no_extra(params)
         if c <= 0 or p <= 0:
             raise ValueError("power schedule needs c > 0 and p > 0")
@@ -317,7 +321,7 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
         )
     if name == "geometric":
         c = float(params.pop("c", 1.0))
-        rho = float(params.pop("rho"))
+        rho = _required(params, "rho", f"{name} schedule")
         _no_extra(params)
         if c <= 0 or not 0.0 < rho < 1.0:
             raise ValueError("geometric schedule needs c > 0 and 0 < rho < 1")
@@ -328,7 +332,7 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             {"c": c, "rho": rho},
         )
     if name == "inverse_log":
-        a = float(params.pop("a"))
+        a = _required(params, "a", f"{name} schedule")
         b = float(params.pop("b", 2.0))
         _no_extra(params)
         if a <= 0 or b <= 1.0:
@@ -340,6 +344,12 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
             {"a": a, "b": b},
         )
     raise ValueError(f"unknown schedule family: {name!r}")
+
+
+def _required(params: dict, key: str, what: str) -> float:
+    if key not in params:
+        raise ValueError(f"{what} needs {key}")
+    return float(params.pop(key))
 
 
 def _no_extra(params: dict) -> None:
@@ -473,7 +483,7 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
             {"c": c, "a": a},
         )
     if name == "constant":
-        c = float(params.pop("c"))
+        c = _required(params, "c", f"{name} sigma")
         _no_extra(params)
         if c < 0:
             raise ValueError("constant needs c >= 0")
@@ -486,7 +496,7 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
         )
     if name == "power_decay":
         c = float(params.pop("c", 1.0))
-        p = float(params.pop("p"))
+        p = _required(params, "p", f"{name} sigma")
         _no_extra(params)
         if c <= 0 or p <= 0:
             raise ValueError("power_decay needs c > 0 and p > 0")
@@ -511,7 +521,7 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
             {"c": c, "p": p},
         )
     if name == "inverse_log_t":
-        a = float(params.pop("a"))
+        a = _required(params, "a", f"{name} sigma")
         b = float(params.pop("b", math.e**2))
         _no_extra(params)
         if a <= 0 or b <= 1.0:

@@ -122,6 +122,10 @@ def test_classify_grid_validation():
     for bounds in ({"eps_min": math.nan}, {"eps_max": math.inf}, {"eps_min": -math.inf}):
         with pytest.raises(ValueError, match="positive and finite"):
             default_epsilon_grid(**bounds)
+    # eps_min = 20 above the default eps_max = 10 failed in classify, naming neither bound.
+    with pytest.raises(ValueError, match=r"eps_min <= eps_max, got eps_min = 20.0 and eps_max = 10.0"):
+        default_epsilon_grid(eps_min=20.0)
+    assert default_epsilon_grid(2.0, 2.0, 1).tolist() == [2.0]
 
 
 def test_classify_evidence_routes_match_analytic():

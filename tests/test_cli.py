@@ -210,14 +210,16 @@ def test_zero_eps_min_exits_2(tmp_path, capsys):
     cfg.write_text("schedule.kind = constant\nschedule.c = 1.0\nrun.h = 0.1\n"
                    "classify.eps_min = 0\n")
     assert main(["classify", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "epsilon grid must be positive" in capsys.readouterr().err
+    assert "classify.eps_min must be a finite number > 0, got 0.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pair, message", [
-    ("classify.truncation=-1", "truncation index must be non-negative, got -1"),
-    ("classify.eps_min=nan", "epsilon grid must be positive and finite, got eps_min = nan"),
-    ("classify.eps_max=inf", "epsilon grid must be positive and finite, got eps_max = inf"),
-], ids=["truncation", "eps_min", "eps_max"])
+    ("classify.truncation=-1", "classify.truncation must be >= 0, got -1"),
+    ("classify.eps_min=nan", "classify.eps_min must be a finite number > 0, got nan"),
+    ("classify.eps_max=inf", "classify.eps_max must be a finite number > 0, got inf"),
+    # eps_min above the default eps_max named neither bound.
+    ("classify.eps_min=20", "eps_min <= eps_max, got eps_min = 20.0 and eps_max = 10.0"),
+], ids=["truncation", "eps_min", "eps_max", "eps_order"])
 def test_bad_classify_key_exits_2(tmp_path, capsys, pair, message):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("schedule.kind = power\nschedule.c = 1.0\nschedule.p = 1.0\nrun.h = 0.1\n")
@@ -520,3 +522,68 @@ def test_record_mode_and_zeta_name_their_key(tmp_path, capsys, pair, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "path.csv").exists()
+
+
+@pytest.mark.parametrize("command, key, value, csv, message", [
+    # A missing file raised FileNotFoundError; the others named no key
+    # ("SVD did not converge", numpy's "number of columns changed", "A must be square").
+    ("affine", "affine.matrix_csv", "missing.csv", None, "must name a CSV file of numbers"),
+    ("affine", "affine.matrix_csv", "m.csv", "nan,0\n0,-1\n", "must have finite entries"),
+    ("affine", "affine.matrix_csv", "m.csv", "-1,0\n0\n", "must name a CSV file of numbers"),
+    ("affine", "affine.matrix_csv", "m.csv", "-1,0\n", "must be square"),
+    ("affine", "affine.A", "-1,0", None, "must be square"),
+    ("simulate", "drift.A", "-1,0", None, "must be square"),
+    ("simulate", "drift.A", "abc", None, "must be rows 'a,b;c,d' of numbers"),
+], ids=["csv_missing", "csv_nan", "csv_ragged", "csv_not_square", "affine_A_not_square",
+        "drift_A_not_square", "drift_A_text"])
+def test_a_bad_matrix_names_its_key(tmp_path, capsys, command, key, value, csv, message):
+    value = str(tmp_path / value) if key.endswith("csv") else value
+    if csv is not None:
+        Path(value).write_text(csv)
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("drift.name = linear\nschedule.kind = zero\nrun.h = 0.1\nrun.steps = 10\n"
+                   f"run.zeta = 1.0\nrun.master_seed = 1\n{key} = {value}\n")
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} {message}, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_matrix_csv_still_feeds_the_affine_command(tmp_path, capsys):
+    (tmp_path / "m.csv").write_text("-1.0,2.0\n-2.0,-3.0\n")
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"affine.matrix_csv = {tmp_path / 'm.csv'}\nrun.h = 0.2\n")
+    assert main(["affine", str(cfg), "--out", str(tmp_path)]) == 0
+    assert main(["affine", str(ROOT / "configs/affine_demo.cfg"), "--out", str(tmp_path / "i")]) == 0
+    reports = [(p / "affine_report.txt").read_text() for p in (tmp_path, tmp_path / "i")]
+    # Past the config echo, the CSV and the inline matrix give the same report.
+    assert len({r[r.index("\nh = "):] for r in reports}) == 1
+
+
+def test_an_underflowed_geometric_ratio_classifies(tmp_path, capsys):
+    # exp(-a h) = 0.0 at a = 800, h = 1: both exited 2 with "math domain error".
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("schedule.kind = sigma_sampled\nschedule.sigma = exp_decay\n"
+                   "schedule.sigma_c = 1.0\nschedule.sigma_a = 800\nrun.h = 1\n")
+    assert main(["classify", str(cfg), "--out", str(tmp_path)]) == 0
+    kv = (tmp_path / "regime_report.kv").read_text()
+    assert "regime = A\n" in kv and "evidence.12.tail_bound = 5e-324\n" in kv
+    argv = ["consistency", str(ROOT / "configs/consistency_exp.cfg"), "--out", str(tmp_path),
+            "--set", "consistency.h_grid=0.5,1000", "--set", "run.steps=50", "--set", "run.paths=2"]
+    assert main(argv) in (0, 1)
+    kv = (tmp_path / "consistency_report.kv").read_text()
+    assert "row.1.regime_sampled = A\n" in kv and "row.1.regime_cell_rms = A\n" in kv
+
+
+def test_a_missing_family_parameter_exits_2(tmp_path, capsys):
+    # regime_b.cfg sets schedule.a and .b but no schedule.p: a KeyError traceback.
+    argv = ["classify", str(ROOT / "configs/regime_b.cfg"), "--out", str(tmp_path),
+            "--set", "schedule.kind=power"]
+    assert main(argv) == 2
+    assert "power schedule needs p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_arctan_overflow_exits_2(tmp_path, capsys, command):
+    # simulate's scalar solve raised OverflowError from arctan's 1 / (1 + y**2).
+    text = OVERFLOW_CFG.replace("cubic", "arctan").replace("1.7e308", "1e200")
+    _exits_2_at_step_0(tmp_path, capsys, command, text, "non-finite state norm: inf")

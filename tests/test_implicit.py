@@ -405,3 +405,11 @@ def test_componentwise_block_names_the_failing_row():
     with pytest.raises(SolverError) as excinfo:
         solve_componentwise(anti, 2.0, X[2])
     assert not hasattr(excinfo.value, "row_index")
+
+
+def test_an_overflowing_derivative_bisects():
+    # arctan's slope 1 / (1 + y**2) raised OverflowError for |y| past ~1e154.
+    drift = builtin_drift("arctan")
+    for x in (1e300, -1e200):
+        sol = solve_scalar(drift, 0.1, x, 1e-12)
+        assert abs(sol.x_star - x + 0.1 * np.arctan(sol.x_star)) <= sol.residual

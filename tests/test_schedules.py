@@ -226,3 +226,37 @@ def test_matrix_shocks_keep_their_bytes():
         U, fro = sched.shocks(xi, 7)
         digest.update(U.tobytes() + fro.tobytes())
     assert digest.hexdigest() == "b0938015ec1d4b4d6a64147af324afa0a185c0549fd547e84a9829c78ecaf894"
+
+
+@pytest.mark.parametrize("derive", [from_sigma_sampled, from_sigma_cell_rms])
+def test_an_underflowed_geometric_ratio_keeps_a_true_tail_bound(derive):
+    # rho = exp(-a h) is 0.0 once a h > 745: math.log(0.0) raised "math domain error".
+    from ssbelab.classifier import classify
+
+    sched = derive(sigma_family("exp_decay", c=1.0, a=800.0), 1.0)
+    for kind in ("s", "sprime"):
+        assert sched.series_tail_bound(0.01, 10, kind) == 5e-324
+    report = classify(sched, n_trunc=1000)
+    assert report.regime == "A"
+    assert {ev.partial.tail_bound for ev in report.evidence} == {5e-324}
+
+
+def test_a_missing_required_parameter_is_named():
+    # Each raised a bare KeyError, which escaped the command line.
+    for name, key in (("constant", "c"), ("power", "p"), ("geometric", "rho"), ("inverse_log", "a")):
+        with pytest.raises(ValueError, match=f"^{name} schedule needs {key}$"):
+            schedule_family(name, h=1.0)
+    for name, key in (("constant", "c"), ("power_decay", "p"), ("inverse_log_t", "a")):
+        with pytest.raises(ValueError, match=f"^{name} sigma needs {key}$"):
+            sigma_family(name)
+
+
+@pytest.mark.parametrize("derive", [from_sigma_sampled, from_sigma_cell_rms])
+def test_a_geometric_ratio_rounded_to_one_claims_no_tail_bound(derive):
+    # rho = exp(-a h) is 1.0 once a h < 1.1e-16: 1 / (1 - rho) raised ZeroDivisionError.
+    from ssbelab.classifier import classify
+
+    sched = derive(sigma_family("exp_decay", c=1.0, a=1e-300), 0.1)
+    for kind in ("s", "sprime"):
+        assert sched.series_tail_bound(0.01, 10, kind) == math.inf
+    assert classify(sched, n_trunc=1000).regime == "A"

@@ -72,3 +72,53 @@ def test_the_engines_share_one_step_loop():
     assert _attribute_calls(source, ("errstate", "shocks", "fold")) == {
         "errstate": 1, "shocks": 1, "fold": 1,
     }
+
+
+def _config_reads(source: str) -> list[int]:
+    """Lines that read a config dict ``cfg`` by subscript or by ``cfg.get(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "cfg":
+            found.append(node.lineno)
+    return found
+
+
+def test_config_values_are_read_through_the_schema():
+    # config.get checks each value against its key's domain; a direct read skips that.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "config.py":
+            assert _config_reads(path.read_text()) == [], path.name
+    assert _config_reads(
+        'cfg["run.h"]\ncfg.get("run.h")\ncfg["run.seed"] = "1"\n"run.h" in cfg\ncfg.items()\n'
+        'echo["run.h"]\ncfg_mod.get(cfg, "run.h")\n'
+    ) == [1, 2]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Imported names the module never uses, as "name:line"; lines marked noqa are skipped."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                if "noqa" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_is_used():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":  # its imports are the package's re-exports
+            assert _unused_imports(path.read_text()) == [], path.name
+    assert _unused_imports(
+        "from __future__ import annotations\nimport os\nimport numpy as np\nimport scipy.special\n"
+        "from math import (\n    inf,\n    nan,\n)\nimport sys  # noqa: F401\nnp.zeros(1)\nx = inf\n"
+    ) == ["os:2", "scipy:4", "nan:7"]
