@@ -31,7 +31,10 @@ def build_C(A, h: float) -> np.ndarray:
         raise ValueError("A must be square")
     if h <= 0:
         raise ValueError("step size h must be positive")
-    I_hA = np.eye(d) - h * A
+    with np.errstate(over="ignore"):
+        I_hA = np.eye(d) - h * A
+    if not np.isfinite(I_hA).all():
+        raise ValueError(f"I - hA overflows at step size h = {h!r}")
     cond = np.linalg.cond(I_hA)
     if not np.isfinite(cond) or cond > 1e14:
         raise ValueError("I - hA is singular or near-singular")

@@ -203,13 +203,22 @@ def apply_overrides(cfg: dict[str, str], pairs) -> dict[str, str]:
     return out
 
 
+def _drift_A(cfg: dict[str, str]):
+    """drift.A, which only the linear drift reads; it sets the dimension when set."""
+    A, name = get(cfg, "drift.A"), get(cfg, "drift.name")
+    if A is not None and name not in (None, "linear"):
+        raise ConfigError(
+            f"drift.A must be unset unless drift.name = linear, got drift.name = {name!r}")
+    return A
+
+
 def build_drift(cfg: dict[str, str]) -> DriftSpec:
     name = get(cfg, "drift.name", required=True)
-    d = get(cfg, "drift.d")
+    d, A = get(cfg, "drift.d"), _drift_A(cfg)
     try:
         if name == "linear":
-            if "drift.A" in cfg:
-                return builtin_drift("linear", A=get(cfg, "drift.A"))
+            if A is not None:
+                return builtin_drift("linear", A=A)
             return builtin_drift("linear", lam=get(cfg, "drift.lam"), d=d)
         if name == "cubic":
             return builtin_drift("cubic", d=d)
@@ -239,7 +248,7 @@ def build_continuous_sigma(cfg: dict[str, str], d: int, r: int):
 def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
     kind = get(cfg, "schedule.kind", required=True)
     h = get(cfg, "run.h", required=True)
-    A = get(cfg, "drift.A")
+    A = _drift_A(cfg)
     d = get(cfg, "drift.d") if A is None else A.shape[0]
     r = get(cfg, "run.r")
     try:

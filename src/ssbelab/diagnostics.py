@@ -19,12 +19,12 @@ evidence survives without storing whole paths.
 
 The statistics have one implementation, ``BatchDiagnostics.fold``: it
 takes k consecutive steps of a block of m paths as (k, m, d) arrays, or
-(k, d) at m = 1, and folds them in whole-chunk numpy calls, bit-identical
-to a per-step fold.  The fold holds no step buffers of its own.  The
-engines' shared step loop (``integrator._step_loop``) calls it once per
-chunk; the chunk arrays belong to that loop and are only read here: a full
-record's own slices or scratch rows, with the shocks as
-``NoiseSchedule.shocks`` returned them.  ``DiagnosticState`` is the
+(k, d) at m = 1, and folds them with one row reduction per statistic
+between checkpoints, bit-identical to a per-step fold.  The fold holds no
+step buffers of its own.  The engines' shared step loop
+(``integrator._step_loop``) calls it once per chunk; the chunk arrays
+belong to that loop and are only read here: a full record's own slices or
+scratch rows, with the shocks as ``NoiseSchedule.shocks`` returned them.  ``DiagnosticState`` is the
 one-path view (m = 1), started from a (d,) state.
 """
 
@@ -86,16 +86,18 @@ class PathSummary:
 class BatchDiagnostics:
     """Diagnostics of a block of m paths advanced in lockstep.
 
-    ``fold`` folds a chunk of steps into the running statistics with
-    whole-chunk calls: ``np.cumsum`` for the sums and
-    ``np.maximum.accumulate`` for the sup, with checkpoint snapshots read
-    at their exact step.  A cumsum adds in step order and a maximum is
-    exact, so every statistic is the same sequence of float operations as a
-    per-step fold, however the steps are split into chunks.  ``n`` counts
-    the folded steps, ``last_norms`` the norms of the states they reached.
-    A chunk holding a state of non-finite norm (the sign of a non-finite
-    shock or state) is folded up to the step before it, and NonFiniteError
-    names that step.  The step loop meets every such failure here.
+    ``fold`` folds a chunk of steps into the running statistics with one
+    row reduction per statistic over each stretch of the chunk that ends at
+    a checkpoint or at the chunk's end, so a snapshot reads its exact step:
+    ``np.add.reduce`` along the steps for the sums (``np.cumsum`` for a
+    lone path) and ``np.maximum.reduce`` for the sup.  Both sums add in
+    step order and a maximum is exact, so every statistic is the same
+    sequence of float operations as a per-step fold, however the steps are
+    split into chunks.  ``n`` counts the folded steps, ``last_norms`` the
+    norms of the states they reached.  A chunk holding a state of
+    non-finite norm (the sign of a non-finite shock or state) is folded up
+    to the step before it, and NonFiniteError names that step.  The step
+    loop meets every such failure here.
     """
 
     def __init__(self, m: int, d: int, h: float, window: int):
@@ -128,10 +130,13 @@ class BatchDiagnostics:
         self.fold(x, xs, u, np.array([fro_prev], dtype=np.float64))
 
     @staticmethod
-    def _fold(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """Running sums acc + terms[0] + ... + terms[t] for every t, in step order."""
+    def _sum(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """acc + terms[0] + terms[1] + ..., added in step order; ``terms`` is overwritten."""
         terms[0] += acc
-        return np.cumsum(terms, axis=0, out=terms)
+        if terms.shape[1] == 1:
+            # numpy sums a lone contiguous column pairwise, and rows in order.
+            return np.cumsum(terms, axis=0, out=terms)[-1].copy()
+        return np.add.reduce(terms, axis=0)
 
     def fold(self, x: np.ndarray, xs: np.ndarray, u: np.ndarray, fro: np.ndarray) -> None:
         """Fold steps n+1 .. n+k: X(n+j+1) = x[j], x*(n+j) = xs[j], U(n+j+1) = u[j].
@@ -153,40 +158,42 @@ class BatchDiagnostics:
             _check_finite(norms, n0, u)
         xs_rows, u_rows = xs.reshape(k * m, d), u.reshape(k * m, d)
         fro = fro[:, None]
-        sup = np.maximum.accumulate(norms, axis=0)
-        np.maximum(sup, self.sup, out=sup)
         first = max(0, k - self.window)
         rows = (self.ring_len + np.arange(first, k)) % self.window
         self.ring[rows] = norms[first:]
         self.ring_len += k
-        sum_sq = self._fold(self.sum_sq, norms * norms)
-        M = self._fold(self.M, 2.0 * np.einsum("ij,ij->i", xs_rows, u_rows).reshape(k, m))
+        sq = norms * norms
+        mart = 2.0 * np.einsum("ij,ij->i", xs_rows, u_rows).reshape(k, m)
         xs_sq = np.einsum("ij,ij->i", xs_rows, xs_rows).reshape(k, m)
-        QV = self._fold(self.QV, 4.0 * self.h * xs_sq * fro * fro)
+        qv = 4.0 * self.h * xs_sq * fro * fro
         u_sq = np.einsum("ij,ij->i", u_rows, u_rows).reshape(k, m)
-        shock_sq = self._fold(self.shock_sq, u_sq / self.h)
-        self.n = n0 + k
-        for cn in CHECKPOINTS:
-            if n0 < cn <= self.n:
-                t = cn - n0 - 1
+        shock = u_sq / self.h
+        # Each stretch ends at a checkpoint or at the chunk's end, so a
+        # snapshot reads the sums of its exact step.
+        ends = sorted({cn - n0 for cn in CHECKPOINTS if n0 < cn <= n0 + k} | {k})
+        lo = 0
+        for hi in ends:
+            self.sup = np.maximum(self.sup, np.maximum.reduce(norms[lo:hi], axis=0))
+            self.sum_sq = self._sum(self.sum_sq, sq[lo:hi])
+            self.M = self._sum(self.M, mart[lo:hi])
+            self.QV = self._sum(self.QV, qv[lo:hi])
+            self.shock_sq = self._sum(self.shock_sq, shock[lo:hi])
+            self.n = cn = n0 + hi
+            if cn in CHECKPOINTS:
                 self.snapshots.append(
                     (
                         cn,
                         {
-                            "time_avg_sq": sum_sq[t] / cn,
-                            "m_over_n": M[t] / cn,
-                            "m_abs_over_qv": np.abs(M[t]) / np.maximum(1.0, QV[t]),
-                            "shock_sq_avg": shock_sq[t] / cn,
-                            "sup_norm": sup[t].copy(),
+                            "time_avg_sq": self.sum_sq / cn,
+                            "m_over_n": self.M / cn,
+                            "m_abs_over_qv": np.abs(self.M) / np.maximum(1.0, self.QV),
+                            "shock_sq_avg": self.shock_sq / cn,
+                            "sup_norm": self.sup,
                         },
                     )
                 )
+            lo = hi
         self.last_norms = norms[-1].copy()
-        self.sup = sup[-1].copy()
-        self.sum_sq = sum_sq[-1].copy()
-        self.M = M[-1].copy()
-        self.QV = QV[-1].copy()
-        self.shock_sq = shock_sq[-1].copy()
 
     def first_failure(self, exc: Exception, step: int, *chunk: np.ndarray) -> tuple[Exception, int]:
         """The failure to report for ``exc``, raised at ``step``, and its step.

@@ -139,7 +139,8 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             if not (eigs.real < 0).all():
                 raise ValueError("linear drift requires all eigenvalues of A in Re < 0")
             # <x, -Ax> > 0 for all x iff the symmetric part of -A is PD.
-            sym = -0.5 * (A + A.T)
+            # Halved before the sum, which then cannot overflow.
+            sym = -0.5 * A - 0.5 * A.T
             dissipative = bool(np.linalg.eigvalsh(sym).min() > 0)
 
             def ev(x, A=A):

@@ -60,18 +60,20 @@ class GaussianStream:
         out = self.draw_block(1)[0]
         return out
 
-    def draw_block(self, count: int) -> np.ndarray:
+    def draw_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Return the next ``count`` vectors as a (count, r) array.
 
         Consumes exactly the same bits as ``count`` calls of
         ``next_vector``, so blockwise and stepwise draws interleave freely.
+        Given ``out``, a (count, r) array or view, the vectors are written
+        into it and ``out`` is returned.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
         k = self._rng.integers(1 << 53, size=(count, self.r), dtype=np.uint64)
         u = (k.astype(np.float64) + 0.5) / _TWO53
         self.position += count
-        return ndtri(u)
+        return ndtri(u, out=out)
 
 
 def derive_substream(master_seed: int, path_index: int, r: int) -> GaussianStream:

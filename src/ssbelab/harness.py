@@ -271,7 +271,9 @@ def _sandwich_checks(s1: NoiseSchedule, s2: NoiseSchedule, eps: float, n_check: 
     )
     ps1 = partial_sum_S(s1, eps, n_check)
     ps2 = partial_sum_S(s2, eps, n_check)
-    first_term = 0.0 if f1[0] == 0 else tail_q(eps / f1[0])
+    # eps / f1[0] overflows only where its Q is 0.0: tail_q(inf) is 0.0.
+    with np.errstate(over="ignore"):
+        first_term = 0.0 if f1[0] == 0 else tail_q(eps / f1[0])
     series = bool(
         ps1.value - first_term <= ps2.value + 1e-9 and ps2.value <= ps1.value + 1e-9
     )

@@ -325,8 +325,14 @@ def integrate_paths_lockstep(
         return []
     streams = [derive_substream(master_seed, p, r) for p in path_indices]
     stage = stage_rule(drift, schedule.h, tol, block=True)
-    # (k, m, r): each path's next k vectors from its own stream.
-    draw = lambda k: np.stack([s.draw_block(k) for s in streams], axis=1)
+
+    def draw(k):
+        """(k, m, r): each path's next k vectors from its own stream, in one block."""
+        block = np.empty((k, len(streams), r))
+        for i, s in enumerate(streams):
+            s.draw_block(k, out=block[:, i])
+        return block
+
     return _step_loop(schedule, np.tile(zeta, (len(streams), 1)), steps, window, path_indices,
                       master_seed, stage, draw, CHUNK)
 

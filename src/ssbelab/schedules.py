@@ -471,13 +471,23 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
         _no_extra(params)
         if c <= 0 or a <= 0:
             raise ValueError("exp_decay needs c > 0 and a > 0")
+        scale = c * c / (2.0 * a)
+        if scale == math.inf and c < math.inf:  # build names an infinite c
+            raise ValueError(f"exp_decay needs c * c / (2 a) finite, got c = {c!r}, a = {a!r}")
+
+        # a t overflows only where exp(-a t) is 0.0; a t0 is formed first, so
+        # that t0 = 0 gives exp(0) even when 2 a overflows.
+        def env(t, c=c, a=a):
+            with np.errstate(over="ignore"):
+                return c * np.exp(-a * np.asarray(t, dtype=np.float64))
+
+        def cell(t0, h, scale=scale, a=a):
+            with np.errstate(over="ignore"):
+                return scale * np.exp(-2.0 * (a * np.asarray(t0))) * -math.expm1(-2.0 * a * h)
+
         return build(
-            lambda t, c=c, a=a: c * np.exp(-a * np.asarray(t, dtype=np.float64)),
-            lambda t0, h, c=c, a=a: c
-            * c
-            / (2.0 * a)
-            * np.exp(-2.0 * a * np.asarray(t0, dtype=np.float64))
-            * -math.expm1(-2.0 * a * h),
+            env,
+            cell,
             0.0,
             lambda h, c=c, a=a: partial(_geometric_tail, c, math.exp(-a * h)),
             {"c": c, "a": a},
@@ -559,7 +569,10 @@ def _derived(sigma: ContinuousSigma, h: float, derivation: str, **fields) -> Noi
 def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
     """Pointwise derivation sigma(n) = Sigma(n h)."""
     if sigma.envelope is not None:
-        env = lambda ns, e=sigma.envelope, h=h: e(np.asarray(ns, dtype=np.float64) * h)
+        def env(ns, e=sigma.envelope, h=h):
+            with np.errstate(over="ignore"):  # n h = inf, where each envelope has its limit
+                return e(np.asarray(ns, dtype=np.float64) * h)
+
         return _derived(sigma, h, "sampled", base=sigma.base, envelope=env)
 
     def matrix_eval(ns: np.ndarray, s=sigma, h=h) -> np.ndarray:
@@ -600,7 +613,8 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
     """
     if sigma.envelope is not None and sigma.env_sq_cell is not None:
         def env(ns, cell=sigma.env_sq_cell, h=h):
-            t0 = np.asarray(ns, dtype=np.float64) * h
+            with np.errstate(over="ignore"):  # as in from_sigma_sampled
+                t0 = np.asarray(ns, dtype=np.float64) * h
             return np.sqrt(np.maximum(cell(t0, h), 0.0) / h)
 
         return _derived(sigma, h, "cell_rms", base=sigma.base, envelope=env)

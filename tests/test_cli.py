@@ -447,6 +447,44 @@ def test_non_finite_drift_matrix_names_the_key(tmp_path, capsys, command):
     assert "drift.A must have finite entries, got 'nan,0;0,-1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "experiment", "classify", "consistency"])
+def test_drift_matrix_needs_the_linear_drift(tmp_path, capsys, command):
+    # build_schedule took d from drift.A whatever the drift: simulate exited 2
+    # naming no key, and classify classified a d = 2 schedule.
+    config = "consistency_exp.cfg" if command == "consistency" else "regime_a.cfg"
+    argv = [command, str(ROOT / "configs" / config), "--out", str(tmp_path / "out"),
+            "--set", "drift.A=-1,0;0,-1", "--set", "run.steps=10", "--set", "run.paths=2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "drift.A must be unset unless drift.name = linear, got drift.name = 'cubic'" in err
+    assert not (tmp_path / "out").exists()
+    if command == "classify":
+        # The linear drift still reads it, and it still sets the dimension.
+        assert main(argv + ["--set", "drift.name=linear"]) == 0
+        assert "config.drift.A = -1,0;0,-1\n" in (tmp_path / "out" / "regime_report.kv").read_text()
+
+
+@pytest.mark.parametrize("command, config, pair, codes, message", [
+    ("simulate", "regime_b.cfg", "drift.A=-1e308", (0,), ""),
+    ("affine", "affine_demo.cfg", "run.h=1e308", (2,), "I - hA overflows at step size h = 1e+308"),
+    ("consistency", "consistency_exp.cfg", "schedule.sigma_a=1e308", (0, 1), ""),
+    ("consistency", "consistency_exp.cfg", "consistency.h_grid=1e308", (2,), "failed at step 0"),
+    ("consistency", "consistency_exp.cfg", "schedule.sigma_c=1e-320", (0, 1), ""),
+    ("consistency", "consistency_exp.cfg", "schedule.sigma_c=1e308", (2,),
+     "exp_decay needs c * c / (2 a) finite, got c = 1e+308, a = 1.0"),
+], ids=["drift_A", "affine_h", "sigma_a", "h_grid", "sigma_c_tiny", "sigma_c_huge"])
+def test_an_extreme_value_raises_no_overflow_warning(tmp_path, capsys, command, config, pair,
+                                                     codes, message):
+    # Each warned from numpy (-0.5 (A + A.T), h A, -a t, n h, eps / f1[0],
+    # c c / (2 a) times 0.0), and the suite's error::RuntimeWarning filter
+    # raised the warning out of main. The limits are computed where they
+    # are the values (exp(-a t) = 0.0, Q(inf) = 0.0); the rest exit 2.
+    argv = [command, str(ROOT / "configs" / config), "--out", str(tmp_path), "--set", pair,
+            "--set", "run.steps=20", "--set", "run.paths=2"]
+    assert main(argv) in codes
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config, pair, message", [
     # run.r = 0 and drift.d = 0 raised ZeroDivisionError in the cell-rms derivation.
     ("perfbench/configs/cell_rms_invlog.cfg", "run.r=0", "run.r must be >= 1, got 0"),

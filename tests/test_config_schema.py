@@ -4,7 +4,6 @@ import contextlib
 import io
 import re
 import tempfile
-import warnings
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -92,11 +91,10 @@ def test_an_out_of_domain_value_exits_2_naming_its_key(command, name, pair):
        key=st.sampled_from(sorted(config.SCHEMA)), value=st.sampled_from(VALUES))
 def test_no_value_lets_an_exception_escape(command, name, key, value):
     # A missing schedule.p, arctan's slope at 1e200 and exp(-a h) rounded to
-    # 0.0 or 1.0 each raised an exception that escaped main. Numpy's overflow
-    # warnings are printed as at the command line, where they do not stop a
-    # run; the test suite's filter would raise them.
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
-        warnings.simplefilter("default", RuntimeWarning)
+    # 0.0 or 1.0 each raised an exception that escaped main. The suite's
+    # error::RuntimeWarning filter holds here too: an overflow warning from
+    # numpy escapes main as an exception.
+    with tempfile.TemporaryDirectory() as out:
         rc, _ = _run(command, name, SMALL + (f"{key}={value}",), out)
     assert rc in (0, 1, 2)
 

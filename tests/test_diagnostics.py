@@ -11,7 +11,14 @@ from ssbelab.diagnostics import (
 )
 from ssbelab.drifts import builtin_drift, make_drift
 from ssbelab.gaussian import derive_substream
-from ssbelab.integrator import CHUNK, PathError, integrate, integrate_paths_lockstep
+from ssbelab import integrator
+from ssbelab.integrator import (
+    CHUNK,
+    NOISE_BLOCK,
+    PathError,
+    integrate,
+    integrate_paths_lockstep,
+)
 from ssbelab.schedules import schedule_family, tabulated_schedule
 
 
@@ -131,22 +138,37 @@ class _PerStepBatch(BatchDiagnostics):
 
 
 def _random_steps(rng, m, d, steps):
-    """(x, xs, u, fro) of ``steps`` random steps: (steps, m, d) arrays and (steps,) norms."""
-    x = rng.standard_normal((steps, m, d)) * rng.uniform(0.1, 3.0, (steps, 1, 1))
-    xs = rng.standard_normal((steps, m, d))
-    u = 0.3 * rng.standard_normal((steps, m, d))
-    return x, xs, u, rng.uniform(0.0, 2.0, steps)
+    """(x, xs, u, fro) of ``steps`` random steps: (steps, m, d) arrays and (steps,) norms.
+
+    The three arrays are offset views of one draw, to hold long runs of
+    wide blocks in little memory.
+    """
+    base = rng.standard_normal((steps + 2, m, d)) * rng.uniform(0.1, 3.0, (steps + 2, 1, 1))
+    return base[2:], base[1:-1], base[:-2], rng.uniform(0.0, 2.0, steps)
 
 
-@pytest.mark.parametrize(
-    "d, steps, window",
-    [(1, 1030, 10), (3, 1100, 100), (1, 37, 5), (3, 200, 1000)],
-)
-def test_chunked_fold_is_bit_identical_to_per_step(d, steps, window):
+# (m, offset, d, steps, window); the 7-path cases with a bound on each
+# checkpoint keep the ids they had before m and the offset were added.
+_FOLD_CASES = [
+    pytest.param(m, offset, d, steps, window, id=f"{d}-{steps}-{window}"
+                 + ("" if (m, offset) == (7, 0) else f"-m{m}{offset:+d}"))
+    for d, steps, window in [(1, 1030, 10), (3, 1100, 100), (1, 37, 5), (3, 200, 1000),
+                             (1, 10_002, 300)]
+    for m in (1, 2, 7, 200)
+    for offset in ((-1, 0, 1) if steps > CHECKPOINTS[0] else (0,))
+]
+
+
+@pytest.mark.parametrize("m, offset, d, steps, window", _FOLD_CASES)
+def test_chunked_fold_is_bit_identical_to_per_step(m, offset, d, steps, window):
     # The same steps fed three ways: one ``update`` per step, ``fold`` over
     # random uneven chunks (an empty one among them), and the reference.
-    m, h = 7, 0.1
-    rng = np.random.default_rng(steps + d)
+    # A chunk bound sits ``offset`` steps after each checkpoint, so a
+    # checkpoint's step is a chunk's first, last or next-to-last row. The
+    # fold sums a block's rows with np.add.reduce and a lone column
+    # (m = 1) with np.cumsum: both must add in step order.
+    h = 0.1
+    rng = np.random.default_rng(steps + d + m)
     stepwise = BatchDiagnostics(m, d, h, window)
     split = BatchDiagnostics(m, d, h, window)
     reference = _PerStepBatch(m, d, h, window)
@@ -154,7 +176,9 @@ def test_chunked_fold_is_bit_identical_to_per_step(d, steps, window):
     for acc in (stepwise, split, reference):
         acc.start(x0)
     data = _random_steps(rng, m, d, steps)
-    cuts = np.sort(rng.choice(np.arange(1, steps), size=min(steps - 1, 12), replace=False))
+    cuts = set(rng.choice(np.arange(1, steps), size=min(steps - 1, 12), replace=False).tolist())
+    cuts |= {cn + offset for cn in (10**3, 10**4) if 0 < cn + offset < steps}
+    cuts = sorted(cuts)
     half = int(cuts[len(cuts) // 2])
 
     def feed(a, b):
@@ -177,6 +201,23 @@ def test_chunked_fold_is_bit_identical_to_per_step(d, steps, window):
     assert split.summaries(range(m), norms) == want
     assert stepwise.n == split.n == steps
     assert [c.n for c in want[0].checkpoints] == [n for n in CHECKPOINTS if n <= steps]
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_lockstep_noise_block_is_each_paths_own_draw(monkeypatch, r):
+    # The lockstep engine draws every path into one (k, m, r) block; it must
+    # hold what each path's stream gives alone, across a NOISE_BLOCK boundary.
+    loop = {}
+    monkeypatch.setattr(integrator, "_step_loop", lambda *args: loop.setdefault("draw", args[7]))
+    sched = schedule_family("constant", h=0.1, c=1.0, d=2, r=r)
+    paths = [0, 5, 9]
+    integrate_paths_lockstep(builtin_drift("linear", d=2), sched, [1.0, 1.0], 10, r, 42, paths)
+    streams = [derive_substream(42, p, r) for p in paths]
+    for k in (NOISE_BLOCK, 5):
+        want = np.stack([s.draw_block(k) for s in streams], axis=1)
+        got = loop["draw"](k)
+        assert got.shape == want.shape == (k, len(paths), r)
+        assert (got == want).all()
 
 
 def test_lockstep_failure_mid_chunk_keeps_completed_steps():

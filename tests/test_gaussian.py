@@ -28,6 +28,16 @@ def test_block_draws_match_stepwise():
     assert a.position == b.position == 258
 
 
+def test_block_draw_into_a_view_returns_the_view():
+    # The lockstep engine draws each path into its column of one block, and
+    # perfbench counts the deviates of the array returned.
+    block = np.zeros((257, 3, 2))
+    view = block[:, 1]
+    assert derive_substream(7, 3, 2).draw_block(257, out=view) is view
+    assert (block[:, 1] == derive_substream(7, 3, 2).draw_block(257)).all()
+    assert not block[:, 0].any() and not block[:, 2].any()
+
+
 def test_position_is_one_based():
     s = derive_substream(0, 0, 1)
     assert s.position == 1
