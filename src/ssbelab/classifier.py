@@ -356,7 +356,8 @@ def classify(
             notes=tuple(notes),
         )
 
-    vanishes = schedule.sigma_vanishes
+    # A finite L forces ||sigma(n)||_F -> 0; without L the norms are probed.
+    vanishes = None if schedule.analytic_L is None else float(schedule.analytic_L) < math.inf
     if vanishes is None:
         vanishes = _sigma_vanishes_empirically(schedule, n_trunc)
         notes.append("norm-vanishing trend judged empirically")

@@ -18,6 +18,8 @@ Evaluation is batched: ``eval`` maps (..., d) -> (..., d).  Componentwise
 families additionally expose elementwise ``scalar_eval``/``scalar_deriv``
 (ufunc-compatible), and rotationally symmetric families expose the radial
 gain g with f(x) = g(||x||) x/||x||; the implicit solver exploits both.
+The saturating drift at d = 1 also exposes ``scalar_eval``, so that the
+scalar solve evaluates it on floats.
 """
 
 from __future__ import annotations
@@ -227,13 +229,18 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             s = np.sum(x * x, axis=-1, keepdims=True)
             return c * x / (1.0 + s)
 
+        def gain(y, c=c):
+            return c * y / (1.0 + y * y)
+
         return DriftSpec(
             name="saturating",
             d=d,
             eval=ev,
             dissipative=True,
+            # At d = 1 the gain is f itself, in the float operations of ev.
+            scalar_eval=gain if d == 1 else None,
             radial=True,
-            radial_gain=lambda rho, c=c: c * rho / (1.0 + rho * rho),
+            radial_gain=gain,
             params={"c": c},
         )
     raise ValueError(f"unknown drift family: {name!r}")

@@ -5,14 +5,15 @@ sqrt(h) sigma(n) xi(n+1).  Closed-form families carry analytic metadata so
 that regime decisions can be exact where the underlying series criteria
 are analytic:
 
-* ``analytic_L``      the limit of ||sigma(n)||_F^2 log n (0, finite, or inf),
-* ``sigma_vanishes``  whether the Frobenius norm tends to zero,
+* ``analytic_L``      the limit of ||sigma(n)||_F^2 log n (0, finite, or
+                      inf); the norm vanishes exactly when it is finite,
 * ``tail``            a rigorous upper bound tail(eps, n, kind) on the
                       remainder of either classifier series past a
                       truncation index, built from the Mills envelope
                       Q(x) <= e^{-x^2/2}/(x sqrt(2 pi)).
 
-The branch that builds a family attaches all three.
+The branch that builds a continuous family attaches both; each discrete
+family but geometric is a continuous one at t = n.
 Families keep a unit-Frobenius base matrix so the scalar envelope s(n) is
 exactly the Frobenius norm.  A tabulated schedule carries none of this
 metadata; the classifier judges it from plain partial sums and its own
@@ -72,9 +73,9 @@ def _geometric_tail(c: float, rho: float, eps: float, n: int, kind: str) -> floa
     return max(first, _TINY) / (1.0 - rho)
 
 
-def _power_tail(c: float, p: float, u: float, q: float, eps: float, n: int, kind: str) -> float:
+def _power_tail(c: float, p: float, u: float, eps: float, n: int, kind: str) -> float:
     try:
-        bound = _power_tail_direct(c, p, u, q, eps, n, kind)
+        bound = _power_tail_direct(c, p, u, eps, n, kind)
     except (ZeroDivisionError, OverflowError):
         bound = math.nan
     if not math.isnan(bound):
@@ -86,15 +87,15 @@ def _power_tail(c: float, p: float, u: float, q: float, eps: float, n: int, kind
     # smallest positive double is still a true upper bound; otherwise no
     # bound is claimed.
     log_gam = 2.0 * (math.log(eps) - math.log(c)) - math.log(2.0)
-    log_w = log_gam + 2.0 * p * math.log(u * (n + 1) + q)
+    log_w = log_gam + 2.0 * p * math.log(u * (n + 1) + 1.0)
     return _TINY if log_w > 707.0 else math.inf
 
 
-def _power_tail_direct(c: float, p: float, u: float, q: float, eps: float, n: int, kind: str):
-    # fro(j) = c (u j + q)^{-p}; substitution w = (eps^2/2c^2)(u s + q)^{2p}
+def _power_tail_direct(c: float, p: float, u: float, eps: float, n: int, kind: str):
+    # fro(j) = c (u j + 1)^{-p}; substitution w = (eps^2/2c^2)(u s + 1)^{2p}
     # turns the integral comparison into an upper incomplete gamma.
     gam = eps * eps / (2.0 * c * c)
-    w_n = gam * (u * n + q) ** (2.0 * p)
+    w_n = gam * (u * n + 1.0) ** (2.0 * p)
     alpha = 1.0 / (2.0 * p) - 0.5
     if alpha > 0.0:
         gamma_upper = float(gammaincc(alpha, w_n)) * float(_gamma_fn(alpha))
@@ -103,13 +104,13 @@ def _power_tail_direct(c: float, p: float, u: float, q: float, eps: float, n: in
         return c * gam ** (0.5 - 1.0 / (2.0 * p)) / (2.0 * p * u) * gamma_upper
     # p >= 1: the exponent w_j is convex in j, so increments are bounded
     # below by the first one and the terms are geometrically dominated.
-    w1 = gam * (u * (n + 1) + q) ** (2.0 * p)
-    w2 = gam * (u * (n + 2) + q) ** (2.0 * p)
+    w1 = gam * (u * (n + 1) + 1.0) ** (2.0 * p)
+    w2 = gam * (u * (n + 2) + 1.0) ** (2.0 * p)
     delta = w2 - w1
     if delta <= 0.0:
         return math.inf
     x1 = math.sqrt(2.0 * w1)
-    first = _mills_env(x1) if kind == "s" else c * (u * (n + 1) + q) ** -p * math.exp(-w1)
+    first = _mills_env(x1) if kind == "s" else c * (u * (n + 1) + 1.0) ** -p * math.exp(-w1)
     return first / -math.expm1(-delta)
 
 
@@ -190,7 +191,6 @@ class NoiseSchedule:
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
     matrix_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_L: Optional[float] = None
-    sigma_vanishes: Optional[bool] = None
     tail: Optional[Callable[[float, int, str], float]] = None
 
     def __post_init__(self) -> None:
@@ -267,6 +267,15 @@ def _require_finite(what: str, params: dict) -> None:
             raise ValueError(f"{what} needs a finite {key}, got {value!r}")
 
 
+# The discrete families that are a continuous one at t = n: name -> (entry, defaults).
+_AT_T_EQUALS_N = {
+    "zero": ("constant", {"c": 0.0}),
+    "constant": ("constant", {}),
+    "power": ("power_decay", {}),
+    "inverse_log": ("inverse_log_t", {"b": 2.0}),
+}
+
+
 def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, **params) -> NoiseSchedule:
     """Closed-form schedule families.
 
@@ -275,75 +284,35 @@ def schedule_family(name: str, *, h: float, d: int = 1, r: int = 1, base=None, *
     power(c, p)           sigma(n) = c (n+1)^{-p}, p > 0
     geometric(c, rho)     sigma(n) = c rho^n, 0 < rho < 1
     inverse_log(a, b)     sigma(n)^2 = a / log(n + b), b > 1
+
+    All but geometric are the ``sigma_family`` entries constant, power_decay
+    and inverse_log_t at t = n (zero is constant at c = 0), with their own
+    defaults and error text: inverse_log's b defaults to 2.  Geometric keeps
+    c rho^n, which exp_decay's c exp(-a n) does not round alike.
     """
-
-    def build(env, L, tail, prm):
-        _require_finite(f"{name} schedule", prm)
-        return NoiseSchedule(
-            kind=name,
-            d=d,
-            r=r,
-            h=h,
-            params=prm,
-            base=base,
-            envelope=env,
-            analytic_L=L,
-            sigma_vanishes=L < math.inf,  # a finite L forces ||sigma(n)||_F -> 0
-            tail=tail,
-        )
-
-    if name == "zero":
-        _no_extra(params)
-        zeros = lambda ns: np.zeros_like(np.asarray(ns, dtype=np.float64))
-        return build(zeros, 0.0, _zero_tail, {})
-    if name == "constant":
-        c = _required(params, "c", f"{name} schedule")
-        _no_extra(params)
-        if c < 0:
-            raise ValueError("constant schedule needs c >= 0")
-        return build(
-            lambda ns, c=c: np.full_like(np.asarray(ns, dtype=np.float64), c),
-            math.inf if c > 0 else 0.0,
-            _zero_tail if c == 0.0 else None,
-            {"c": c},
-        )
-    if name == "power":
-        c = float(params.pop("c", 1.0))
-        p = _required(params, "p", f"{name} schedule")
-        _no_extra(params)
-        if c <= 0 or p <= 0:
-            raise ValueError("power schedule needs c > 0 and p > 0")
-        return build(
-            lambda ns, c=c, p=p: c * (np.asarray(ns, dtype=np.float64) + 1.0) ** -p,
-            0.0,
-            partial(_power_tail, c, p, 1.0, 1.0),
-            {"c": c, "p": p},
-        )
+    what = f"{name} schedule"
     if name == "geometric":
         c = float(params.pop("c", 1.0))
-        rho = _required(params, "rho", f"{name} schedule")
+        rho = _required(params, "rho", what)
         _no_extra(params)
         if c <= 0 or not 0.0 < rho < 1.0:
             raise ValueError("geometric schedule needs c > 0 and 0 < rho < 1")
-        return build(
-            lambda ns, c=c, rho=rho: c * rho ** np.asarray(ns, dtype=np.float64),
-            0.0,
-            partial(_geometric_tail, c, rho),
-            {"c": c, "rho": rho},
-        )
-    if name == "inverse_log":
-        a = _required(params, "a", f"{name} schedule")
-        b = float(params.pop("b", 2.0))
-        _no_extra(params)
-        if a <= 0 or b <= 1.0:
-            raise ValueError("inverse_log schedule needs a > 0 and b > 1")
-        return build(
-            lambda ns, a=a, b=b: np.sqrt(a / np.log(np.asarray(ns, dtype=np.float64) + b)),
-            a,
-            partial(_invlog_tail, a, b, 1.0),
-            {"a": a, "b": b},
-        )
-    raise ValueError(f"unknown schedule family: {name!r}")
+        prm, L, tail = {"c": c, "rho": rho}, 0.0, partial(_geometric_tail, c, rho)
+        _require_finite(what, prm)
+        env = lambda ns: c * rho ** np.asarray(ns, dtype=np.float64)
+    elif name in _AT_T_EQUALS_N:
+        if name == "zero":
+            _no_extra(params)  # its c is fixed at 0.0
+        entry, defaults = _AT_T_EQUALS_N[name]
+        src = _sigma_family(entry, what, 1, 1, None, {**defaults, **params})
+        prm = {} if name == "zero" else src.params
+        env, L = src.envelope, src.analytic_L
+        tail = src.tail_for(1.0) if src.tail_for is not None else None
+    else:
+        raise ValueError(f"unknown schedule family: {name!r}")
+    return NoiseSchedule(
+        kind=name, d=d, r=r, h=h, params=prm, base=base, envelope=env, analytic_L=L, tail=tail
+    )
 
 
 def _required(params: dict, key: str, what: str) -> float:
@@ -426,7 +395,6 @@ class ContinuousSigma:
     base: Optional[np.ndarray] = None
     monotone_sq_fro: bool = False
     analytic_L: Optional[float] = None
-    sigma_vanishes: Optional[bool] = None
     params: dict = field(default_factory=dict)
     tail_for: Optional[Callable[[float], Callable[[float, int, str], float]]] = None
 
@@ -446,10 +414,15 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
     power_decay(c, p)     Sigma(t) = c (1 + t)^{-p}, p > 0
     inverse_log_t(a, b)   ||Sigma(t)||_F^2 = a / log(b + t), b > 1
     """
+    return _sigma_family(name, f"{name} sigma", d, r, base, params)
+
+
+def _sigma_family(name: str, what: str, d: int, r: int, base, params: dict) -> ContinuousSigma:
+    """``sigma_family``, its errors naming the family as ``what``."""
     unit = _unit_base(base, d, r)
 
     def build(env, env_sq_cell, L, tail_for, prm):
-        _require_finite(f"{name} sigma", prm)
+        _require_finite(what, prm)
         return ContinuousSigma(
             name=name,
             d=d,
@@ -460,7 +433,6 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
             base=unit,
             monotone_sq_fro=True,  # every family here has non-increasing ||Sigma||_F^2
             analytic_L=L,
-            sigma_vanishes=L < math.inf,
             params=prm,
             tail_for=tail_for,
         )
@@ -493,10 +465,10 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
             {"c": c, "a": a},
         )
     if name == "constant":
-        c = _required(params, "c", f"{name} sigma")
+        c = _required(params, "c", what)
         _no_extra(params)
         if c < 0:
-            raise ValueError("constant needs c >= 0")
+            raise ValueError(f"{what} needs c >= 0")
         return build(
             lambda t, c=c: np.full_like(np.asarray(t, dtype=np.float64), c),
             lambda t0, h, c=c: np.full_like(np.asarray(t0, dtype=np.float64), c * c * h),
@@ -506,36 +478,39 @@ def sigma_family(name: str, *, d: int = 1, r: int = 1, base=None, **params) -> C
         )
     if name == "power_decay":
         c = float(params.pop("c", 1.0))
-        p = _required(params, "p", f"{name} sigma")
+        p = _required(params, "p", what)
         _no_extra(params)
         if c <= 0 or p <= 0:
-            raise ValueError("power_decay needs c > 0 and p > 0")
+            raise ValueError(f"{what} needs c > 0 and p > 0")
 
         def cell(t0, h, c=c, p=p):
             t0 = np.asarray(t0, dtype=np.float64)
             if p == 0.5:
                 return c * c * np.log1p(h / (1.0 + t0))
-            return (
-                c
-                * c
-                * (1.0 + t0) ** (1.0 - 2.0 * p)
-                * -np.expm1((1.0 - 2.0 * p) * np.log1p(h / (1.0 + t0)))
-                / (2.0 * p - 1.0)
-            )
+            # At t0 = inf (n h overflowed) this is inf * 0.0 for p < 0.5; the limit is 0.0.
+            with np.errstate(invalid="ignore"):
+                val = (
+                    c
+                    * c
+                    * (1.0 + t0) ** (1.0 - 2.0 * p)
+                    * -np.expm1((1.0 - 2.0 * p) * np.log1p(h / (1.0 + t0)))
+                    / (2.0 * p - 1.0)
+                )
+            return np.where(t0 < math.inf, val, 0.0)
 
         return build(
             lambda t, c=c, p=p: c * (1.0 + np.asarray(t, dtype=np.float64)) ** -p,
             cell,
             0.0,
-            lambda h, c=c, p=p: partial(_power_tail, c, p, h, 1.0),
+            lambda h, c=c, p=p: partial(_power_tail, c, p, h),
             {"c": c, "p": p},
         )
     if name == "inverse_log_t":
-        a = _required(params, "a", f"{name} sigma")
+        a = _required(params, "a", what)
         b = float(params.pop("b", math.e**2))
         _no_extra(params)
         if a <= 0 or b <= 1.0:
-            raise ValueError("inverse_log_t needs a > 0 and b > 1")
+            raise ValueError(f"{what} needs a > 0 and b > 1")
         # Squared antiderivative involves the logarithmic integral; keep the
         # quadrature route for cell averages and register only asymptotics.
         return build(
@@ -557,7 +532,6 @@ def _derived(sigma: ContinuousSigma, h: float, derivation: str, **fields) -> Noi
         h=h,
         params=dict(sigma.params),
         analytic_L=sigma.analytic_L,
-        sigma_vanishes=sigma.sigma_vanishes,
         **fields,
     )
     if sigma.tail_for is not None:
@@ -589,8 +563,10 @@ def _cell_rms(sq: Callable[[np.ndarray], np.ndarray], cells: np.ndarray, h: floa
     ``cells`` is an increasing int array, so a failure names the lowest
     failing cell.
     """
+    with np.errstate(over="ignore"):  # n h = inf: that cell fails, and is named, below
+        a, b = cells * h, (cells + 1) * h
     try:
-        val = adaptive_simpson(sq, cells * h, (cells + 1) * h, rel_tol=rel_tol)
+        val = adaptive_simpson(sq, a, b, rel_tol=rel_tol)
     except QuadratureError as exc:
         raise QuadratureError(
             f"cell-rms quadrature failed on cell n={cells[exc.index]}{entry}: {exc}", exc.index

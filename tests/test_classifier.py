@@ -314,7 +314,7 @@ def test_power_tail_bound_stays_finite_at_extreme_parameters(build, n_trunc):
 @pytest.mark.parametrize("kind", ["s", "sprime"])
 def test_power_tail_bound_stays_positive_when_the_direct_form_underflows(c, p, kind):
     # Every remaining term is positive, so 0.0 would undercut the remainder.
-    assert _power_tail(c, p, 1.0, 1.0, 0.01, 100_000, kind) > 0.0
+    assert _power_tail(c, p, 1.0, 0.01, 100_000, kind) > 0.0
 
 
 def _s_terms_whole_array(fro, eps):

@@ -464,7 +464,7 @@ def test_drift_matrix_needs_the_linear_drift(tmp_path, capsys, command):
         assert "config.drift.A = -1,0;0,-1\n" in (tmp_path / "out" / "regime_report.kv").read_text()
 
 
-@pytest.mark.parametrize("command, config, pair, codes, message", [
+@pytest.mark.parametrize("command, config, pairs, codes, message", [
     ("simulate", "regime_b.cfg", "drift.A=-1e308", (0,), ""),
     ("affine", "affine_demo.cfg", "run.h=1e308", (2,), "I - hA overflows at step size h = 1e+308"),
     ("consistency", "consistency_exp.cfg", "schedule.sigma_a=1e308", (0, 1), ""),
@@ -472,17 +472,78 @@ def test_drift_matrix_needs_the_linear_drift(tmp_path, capsys, command):
     ("consistency", "consistency_exp.cfg", "schedule.sigma_c=1e-320", (0, 1), ""),
     ("consistency", "consistency_exp.cfg", "schedule.sigma_c=1e308", (2,),
      "exp_decay needs c * c / (2 a) finite, got c = 1e+308, a = 1.0"),
-], ids=["drift_A", "affine_h", "sigma_a", "h_grid", "sigma_c_tiny", "sigma_c_huge"])
-def test_an_extreme_value_raises_no_overflow_warning(tmp_path, capsys, command, config, pair,
+    ("classify", "regime_a.cfg",
+     "schedule.kind=sigma_cell_rms schedule.sigma=power_decay schedule.sigma_p=0.25 run.h=1e308",
+     (0,), ""),
+    ("classify", "regime_a.cfg",
+     "schedule.kind=sigma_cell_rms schedule.sigma=inverse_log_t schedule.sigma_a=2 run.h=1e308",
+     (2,), "cell-rms quadrature failed on cell n=0"),
+], ids=["drift_A", "affine_h", "sigma_a", "h_grid", "sigma_c_tiny", "sigma_c_huge",
+        "power_decay_cell", "cell_rms_interval"])
+def test_an_extreme_value_raises_no_overflow_warning(tmp_path, capsys, command, config, pairs,
                                                      codes, message):
     # Each warned from numpy (-0.5 (A + A.T), h A, -a t, n h, eps / f1[0],
-    # c c / (2 a) times 0.0), and the suite's error::RuntimeWarning filter
-    # raised the warning out of main. The limits are computed where they
-    # are the values (exp(-a t) = 0.0, Q(inf) = 0.0); the rest exit 2.
-    argv = [command, str(ROOT / "configs" / config), "--out", str(tmp_path), "--set", pair,
+    # c c / (2 a) times 0.0, power_decay's cell form inf * 0.0, the cell-rms
+    # interval n h), and the suite's error::RuntimeWarning filter raised the
+    # warning out of main. The limits are computed where they are the values
+    # (exp(-a t) = 0.0, Q(inf) = 0.0, a cell at t = inf is 0.0); the rest
+    # exit 2.
+    argv = [command, str(ROOT / "configs" / config), "--out", str(tmp_path),
             "--set", "run.steps=20", "--set", "run.paths=2"]
-    assert main(argv) in codes
+    argv += [arg for pair in pairs.split() for arg in ("--set", pair)]
+    rc = main(argv)
+    assert rc in codes
     assert message in capsys.readouterr().err
+    if rc == 0 and command == "classify":
+        assert "nan" not in (tmp_path / "regime_report.kv").read_text()
+
+
+# Every schedule family, by its config lines and the parameters it takes.
+CATALOGUE = {
+    "zero": ("schedule.kind = zero\n", {}),
+    "constant": ("schedule.kind = constant\n", {"c": 1.0}),
+    "power": ("schedule.kind = power\n", {"c": 1.0, "p": 1.0}),
+    "geometric": ("schedule.kind = geometric\n", {"c": 1.0, "rho": 0.5}),
+    "inverse_log": ("schedule.kind = inverse_log\n", {"a": 2.0, "b": 2.0}),
+    **{
+        f"{kind}[{sigma}]": (f"schedule.kind = {kind}\nschedule.sigma = {sigma}\n",
+                             {f"sigma_{k}": v for k, v in params.items()})
+        for kind in ("sigma_sampled", "sigma_cell_rms")
+        for sigma, params in (("exp_decay", {"c": 1.0, "a": 1.0}), ("constant", {"c": 1.0}),
+                              ("power_decay", {"c": 1.0, "p": 1.0}),
+                              ("inverse_log_t", {"a": 2.0, "b": 3.0}))
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(CATALOGUE))
+def test_the_catalogue_at_extreme_values_exits_0_or_2_and_writes_no_nan(tmp_path, capsys, family):
+    # Each family at each step size, with each parameter in turn at each value.
+    # Under the suite's error::RuntimeWarning filter a numpy warning escapes
+    # main; power_decay's cell form (inf * 0.0 at n h = inf) and the cell-rms
+    # interval n h warned at the extreme h.
+    head, params = CATALOGUE[family]
+    cfg = tmp_path / "family.cfg"
+    cfg.write_text(head + "".join(f"schedule.{k} = {v!r}\n" for k, v in params.items())
+                   + "classify.truncation = 2000\n")
+    cases = [[]] + [[f"schedule.{k}={v!r}"] for k in params
+                    for v in (1e308, 1e-320, 1e-300, 0.25, 0.5, 2.0, 1e300)]
+    failed = []
+    for h in (1.0, 1e-300, 1e-320, 1e300, 1e308):
+        for pairs in cases:
+            argv = ["classify", str(cfg), "--out", str(tmp_path / "out"), "--set", f"run.h={h!r}"]
+            argv += [arg for pair in pairs for arg in ("--set", pair)]
+            report = tmp_path / "out" / "regime_report.kv"
+            report.unlink(missing_ok=True)
+            try:
+                rc = main(argv)
+            except RuntimeWarning as exc:
+                failed.append((h, pairs, repr(exc)))
+                continue
+            if rc not in (0, 2) or (rc == 0 and "nan" in report.read_text()):
+                failed.append((h, pairs, rc))
+    capsys.readouterr()
+    assert failed == []
 
 
 @pytest.mark.parametrize("config, pair, message", [

@@ -413,3 +413,21 @@ def test_an_overflowing_derivative_bisects():
     for x in (1e300, -1e200):
         sol = solve_scalar(drift, 0.1, x, 1e-12)
         assert abs(sol.x_star - x + 0.1 * np.arctan(sol.x_star)) <= sol.residual
+
+
+@pytest.mark.parametrize("c", [1.0, 0.37, 25.0])
+def test_saturating_scalar_stage_keeps_the_array_route_bits(c):
+    # At d = 1 the saturating drift's scalar_eval evaluates c y / (1 + y y) on
+    # floats; without it solve_scalar evaluated f through a numpy array.
+    import dataclasses
+
+    sat = builtin_drift("saturating", c=c)
+    via_array = dataclasses.replace(sat, scalar_eval=None)
+    assert sat.scalar_eval is not None and builtin_drift("saturating", d=3).scalar_eval is None
+    rng = np.random.default_rng(1)
+    for _ in range(1000):
+        h = float(10.0 ** rng.uniform(-3, 2))
+        x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6))
+        got, want = solve_scalar(sat, h, x), solve_scalar(via_array, h, x)
+        assert repr((got.x_star, got.iterations, got.residual)) == \
+            repr((want.x_star, want.iterations, want.residual))

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ import pytest
 from ssbelab.quadrature import QuadratureError
 from ssbelab.schedules import (
     ContinuousSigma,
+    NoiseSchedule,
+    _invlog_tail,
+    _power_tail,
+    _zero_tail,
     from_sigma_cell_rms,
     from_sigma_sampled,
     schedule_family,
@@ -260,3 +265,55 @@ def test_a_geometric_ratio_rounded_to_one_claims_no_tail_bound(derive):
     for kind in ("s", "sprime"):
         assert sched.series_tail_bound(0.01, 10, kind) == math.inf
     assert classify(sched, n_trunc=1000).regime == "A"
+
+
+def _written_out(name, *, h, d=1, r=1, base=None, **params):
+    """The families that schedule_family now takes from sigma_family at t = n, as written out before."""
+    if name == "zero":
+        env, L, tail, prm = lambda ns: np.zeros_like(np.asarray(ns, dtype=np.float64)), 0.0, _zero_tail, {}
+    elif name == "constant":
+        c = params["c"]
+        env = lambda ns: np.full_like(np.asarray(ns, dtype=np.float64), c)
+        L, tail, prm = math.inf if c > 0 else 0.0, _zero_tail if c == 0.0 else None, {"c": c}
+    elif name == "power":
+        c, p = params.get("c", 1.0), params["p"]
+        env = lambda ns: c * (np.asarray(ns, dtype=np.float64) + 1.0) ** -p
+        L, tail, prm = 0.0, partial(_power_tail, c, p, 1.0), {"c": c, "p": p}
+    else:
+        a, b = params["a"], params.get("b", 2.0)
+        env = lambda ns: np.sqrt(a / np.log(np.asarray(ns, dtype=np.float64) + b))
+        L, tail, prm = a, partial(_invlog_tail, a, b, 1.0), {"a": a, "b": b}
+    return NoiseSchedule(kind=name, d=d, r=r, h=h, params=prm, base=base, envelope=env,
+                         analytic_L=L, tail=tail)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("zero", {}), ("constant", {"c": 0.0}), ("constant", {"c": 1.7}),
+    ("power", {"p": 1.0}), ("power", {"c": 0.3, "p": 0.6}), ("power", {"c": 2.0, "p": 2.5}),
+    ("inverse_log", {"a": 2.0}), ("inverse_log", {"a": 0.5, "b": 1.5}),
+    ("inverse_log", {"a": 3.0, "b": 9.0}),
+])
+def test_the_families_at_t_equals_n_keep_the_bits_of_their_written_out_forms(name, params):
+    new, old = (build(name, h=0.1, **params) for build in (schedule_family, _written_out))
+    assert (new.kind, new.params, new.analytic_L) == (old.kind, old.params, old.analytic_L)
+    ns = np.concatenate([np.arange(200_001), [10**9, 2**53 - 1]])
+    assert np.array_equal(new.frobenius_grid(ns).view(np.int64), old.frobenius_grid(ns).view(np.int64))
+    for eps in (0.5, 2.0, 5.0):
+        for kind in ("s", "sprime"):
+            got, want = (s.series_tail_bound(eps, 1000, kind) for s in (new, old))
+            assert repr(got) == repr(want), (eps, kind)
+    xi = np.random.default_rng(11).standard_normal((300, 5, 3))
+    # This base, scaled to unit norm, moves when scaled again: the schedule
+    # must normalise the caller's base once.
+    for base in (None, np.random.default_rng(0).uniform(-1.0, 1.0, size=(3, 3))):
+        new, old = (build(name, h=0.1, d=3, r=3, base=base, **params)
+                    for build in (schedule_family, _written_out))
+        for got, want in zip(new.shocks(xi, 7), old.shocks(xi, 7)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 2.0])
+def test_a_power_decay_cell_past_the_double_range_is_zero(p):
+    # n h = inf from n = 2 on, where the cell form was inf * 0.0 = nan for p < 0.5.
+    fro = from_sigma_cell_rms(sigma_family("power_decay", p=p), 1e308).frobenius_grid(np.arange(5))
+    assert np.isfinite(fro).all() and (fro[2:] == 0.0).all()
