@@ -114,12 +114,12 @@ def _lyapunov_kron(C: np.ndarray) -> np.ndarray:
     return vec.reshape(d, d)
 
 
-def solve_discrete_lyapunov(C, tol: float = 1e-12, method: str = "both") -> LyapunovSolution:
+def solve_discrete_lyapunov(C, tol: float = 1e-12) -> LyapunovSolution:
     """Solve C^T M C - M = -I for symmetric positive definite M.
 
-    ``method`` selects 'series', 'kron', or 'both' (cross-checked, the
-    Kronecker solution is returned).  P is the symmetric square root of M,
-    so M = P P^T exactly in exact arithmetic.
+    The series and Kronecker solutions are cross-checked (their distance
+    is ``method_gap``) and the Kronecker solution is returned.  P is the
+    symmetric square root of M, so M = P P^T exactly in exact arithmetic.
     """
     C = np.asarray(C, dtype=np.float64)
     d = C.shape[0]
@@ -128,17 +128,9 @@ def solve_discrete_lyapunov(C, tol: float = 1e-12, method: str = "both") -> Lyap
     rho = float(np.abs(np.linalg.eigvals(C)).max())
     if rho >= 1.0:
         raise ValueError(f"spectral radius {rho:.6f} >= 1; no positive definite solution")
-    gap = 0.0
-    if method == "series":
-        M = _lyapunov_series(C, tol)
-    elif method == "kron":
-        M = _lyapunov_kron(C)
-    elif method == "both":
-        M_series = _lyapunov_series(C, tol)
-        M = _lyapunov_kron(C)
-        gap = float(np.linalg.norm(M_series - M))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    M_series = _lyapunov_series(C, tol)
+    M = _lyapunov_kron(C)
+    gap = float(np.linalg.norm(M_series - M))
     M = 0.5 * (M + M.T)
     eigvals, eigvecs = np.linalg.eigh(M)
     if eigvals.min() <= 0:
@@ -171,7 +163,7 @@ class AffineSystem:
 def build_affine_system(A, h: float, tol: float = 1e-12) -> AffineSystem:
     A = np.asarray(A, dtype=np.float64)
     C = build_C(A, h)
-    sol = solve_discrete_lyapunov(C, tol=tol, method="both")
+    sol = solve_discrete_lyapunov(C, tol=tol)
     return AffineSystem(
         A=A,
         h=h,

@@ -18,8 +18,9 @@ Evaluation is batched: ``eval`` maps (..., d) -> (..., d).  Componentwise
 families additionally expose elementwise ``scalar_eval``/``scalar_deriv``
 (ufunc-compatible), and rotationally symmetric families expose the radial
 gain g with f(x) = g(||x||) x/||x||; the implicit solver exploits both.
-The saturating drift at d = 1 also exposes ``scalar_eval``, so that the
-scalar solve evaluates it on floats.
+The saturating drift at d = 1 also exposes ``scalar_eval``, and the
+linear one's ``scalar_eval`` maps a float to a float, so that the scalar
+solve evaluates them on floats.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             raise ValueError(f"linear drift requires a finite lam > 0, got {lam!r}")
 
         def sc_eval(x, lam=lam):
-            return lam * np.asarray(x, dtype=np.float64)
+            # A float stays a float: the scalar solve's drift evaluations skip numpy.
+            return lam * (x if isinstance(x, float) else np.asarray(x, dtype=np.float64))
 
         def sc_deriv(x, lam=lam):
             return np.full_like(np.asarray(x, dtype=np.float64), lam)

@@ -42,7 +42,7 @@ class GaussianStream:
     master_seed: int
     path_index: int
     r: int
-    position: int = 1
+    position: int = field(default=1, init=False)
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -162,7 +162,6 @@ def run_ensemble(
         tol=run.tol,
         window=run.window,
     )
-    summaries.sort(key=lambda s: s.path_index)
     fractions = compute_fractions(summaries, run.thresholds)
     regime = classify(schedule, epsilon_grid=epsilon_grid)
     verdict = consistency_verdict(regime.regime, fractions, run.thresholds)
@@ -294,11 +293,12 @@ def run_consistency_suite(
 ) -> ConsistencyReport:
     """Compare both schedule derivations of Sigma across a step-size grid.
 
-    Each derivation's ensemble is the one ``run`` describes, judged by
-    ``run.thresholds``.  Refuses configurations outside the suite's
-    hypotheses: the drift must be strongly mean-reverting, and Sigma must
-    either register an exact cell antiderivative or have non-increasing
-    squared Frobenius norm.
+    Each derivation's ensemble is ``run_ensemble`` on its derived schedule,
+    the run ``run`` describes, so its label and verdict are those of
+    ``experiment``.  Refuses configurations outside the suite's hypotheses:
+    the drift must be strongly mean-reverting, and Sigma must either
+    register an exact cell antiderivative or have non-increasing squared
+    Frobenius norm.
     """
     if not drift.strong_mean_reverting:
         raise ValueError(
@@ -314,36 +314,21 @@ def run_consistency_suite(
     for h in h_grid:
         s_sampled = from_sigma_sampled(sigma, float(h))
         s_cell = from_sigma_cell_rms(sigma, float(h))
-        rep1 = classify(s_sampled, epsilon_grid=epsilon_grid)
-        rep2 = classify(s_cell, epsilon_grid=epsilon_grid)
+        sampled = run_ensemble(drift, s_sampled, run, epsilon_grid)
+        cell = run_ensemble(drift, s_cell, run, epsilon_grid)
         if sigma.monotone_sq_fro:
             termwise, series = _sandwich_checks(s_sampled, s_cell, SANDWICH_EPS, SANDWICH_TERMS)
         else:
             termwise = series = None
-        cons = []
-        for sched, rep in ((s_sampled, rep1), (s_cell, rep2)):
-            summaries = integrate_paths_lockstep(
-                drift,
-                sched,
-                run.zeta,
-                run.steps,
-                run.r,
-                run.master_seed,
-                range(run.paths),
-                tol=run.tol,
-                window=run.window,
-            )
-            fr = compute_fractions(summaries, run.thresholds)
-            cons.append(consistency_verdict(rep.regime, fr, run.thresholds))
         rows.append(
             ConsistencyRow(
                 h=float(h),
-                regime_sampled=rep1.regime,
-                regime_cell_rms=rep2.regime,
+                regime_sampled=sampled.predicted,
+                regime_cell_rms=cell.predicted,
                 sandwich_ok=termwise,
                 series_sandwich_ok=series,
-                ensemble_consistent_sampled=cons[0],
-                ensemble_consistent_cell_rms=cons[1],
+                ensemble_consistent_sampled=sampled.consistent,
+                ensemble_consistent_cell_rms=cell.consistent,
             )
         )
     return ConsistencyReport(

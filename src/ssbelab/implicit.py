@@ -8,6 +8,9 @@ dimension the solver dispatches on drift structure: componentwise drifts
 decompose into scalar problems, rotationally symmetric drifts reduce to a
 radius equation on the ray through x, and general drifts get damped Newton
 (analytic Jacobian, else damped fixed point, else finite differences).
+Every solve accepts a residual of max(tol, four ulps of the state): per
+entry for scalar and componentwise solves, on the radius for radial ones
+and on max_i |x_i| for the generic route's ||F||.
 The radial reduction is one row loop, ``solve_radial``, shared by both
 engines: ``solve_vector`` passes it one state, the integrator's block
 stage a block of states.
@@ -337,7 +340,8 @@ def solve_vector(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL) -> Im
 
     Dispatches on drift structure; the generic route is Newton from
     y0 = x with step halving, then damped fixed point, then Newton on a
-    finite-difference Jacobian.
+    finite-difference Jacobian.  It accepts ||F|| <= max(tol, four ulps of
+    max_i |x_i|), the floor of ``_residual_floor``.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -354,6 +358,8 @@ def solve_vector(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL) -> Im
         Y, iters, resid = solve_radial(drift, h, x[None], tol)
         return ImplicitSolution(Y[0], iters, resid)
     else:
+        # ||F|| rounds at the scale of the largest entry of x.
+        tol = _residual_floor(tol, float(np.abs(x).max()))
         if drift.jac is not None:
             y, iters, resid = _newton_vector(drift, h, x, tol, drift.jac)
         else:

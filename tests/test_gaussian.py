@@ -45,6 +45,15 @@ def test_position_is_one_based():
     assert s.position == 2
 
 
+def test_position_is_not_a_constructor_argument():
+    # A stream always starts at xi(1); a position passed in would misreport what it draws.
+    with pytest.raises(TypeError):
+        GaussianStream(0, 0, 1, position=5)
+    s = GaussianStream(0, 0, 1)
+    assert s.position == 1
+    assert (s.next_vector() == derive_substream(0, 0, 1).next_vector()).all()
+
+
 def test_no_key_collisions_over_grid():
     # Distinct path indices must map to distinct generator keys; pairwise
     # distinctness over the 1e4 x 1e4 grid is uniqueness of 1e4 keys.

@@ -96,8 +96,8 @@ def test_radial_solution_is_collinear():
 
 
 def test_general_newton_without_structure():
-    # Plain eval-only drift (no jacobian, not componentwise) exercises the
-    # damped fixed-point route with the finite-difference rescue.
+    # Plain eval-only drift (no jacobian, not componentwise): the damped fixed
+    # point solves it alone (the finite-difference rescue is tested below).
     gen = make_drift(
         lambda x: np.tanh(np.asarray(x, float)) + 0.1 * np.asarray(x, float),
         2,
@@ -108,6 +108,44 @@ def test_general_newton_without_structure():
     resid = np.linalg.norm(np.asarray(sol.x_star) - x + 0.5 * gen(np.asarray(sol.x_star)))
     assert resid <= 1e-12
     assert np.linalg.norm(sol.x_star) < np.linalg.norm(x)
+
+
+def test_finite_difference_newton_rescues_a_stalled_fixed_point(monkeypatch):
+    # With no Jacobian the damped fixed point runs first; here it uses up its
+    # 200 iterations short of tol, and Newton on a finite-difference Jacobian
+    # then solves the state.
+    from ssbelab import implicit
+
+    wig = make_drift(
+        lambda x: np.asarray(x, float) * (1 + 0.9 * np.cos(np.asarray(x, float))), 3, name="wiggle3"
+    )
+    h = 0.4701474891667907
+    x = np.array([0.04680225873253637, -0.15824046190763832, -0.0005833097855893088])
+    assert implicit._fixed_point_vector(wig, h, x, 1e-12)[1] == 4 * implicit.MAX_NEWTON
+    calls = []
+    fd_jac = implicit._fd_jac
+    monkeypatch.setattr(implicit, "_fd_jac", lambda *a: calls.append(a) or fd_jac(*a))
+    sol = solve_vector(wig, h, x)
+    assert calls
+    assert np.linalg.norm(sol.x_star - x + h * wig(sol.x_star)) <= 1e-12
+    assert sol.residual <= 1e-12
+
+
+@pytest.mark.parametrize("jac", [True, False])
+def test_generic_vector_residual_floor_scales_with_the_state(jac):
+    # The generic route compared ||F|| with the raw tol, which no iterate can
+    # meet once an ulp of the state exceeds it: at |x| ~ 1e5 most solves of
+    # this linear drift raised SolverError.
+    lin = builtin_drift("linear", A=[[-1.0, 0.5], [-0.5, -2.0]])
+    gen = make_drift(lin.eval, 2, jac=lin.jac if jac else None)
+    rng = np.random.default_rng(0)
+    for scale in (1e4, 1e5, 1e6, 1e9):
+        for _ in range(50):
+            x = rng.standard_normal(2) * scale
+            sol = solve_vector(gen, 0.1, x)
+            floor = max(1e-12, 4.0 * np.spacing(np.abs(x).max()))
+            assert sol.residual <= floor
+            assert np.linalg.norm(sol.x_star - x + 0.1 * gen(sol.x_star)) <= 2.0 * floor
 
 
 def _wiggle_drift():
@@ -429,5 +467,24 @@ def test_saturating_scalar_stage_keeps_the_array_route_bits(c):
         h = float(10.0 ** rng.uniform(-3, 2))
         x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6))
         got, want = solve_scalar(sat, h, x), solve_scalar(via_array, h, x)
+        assert repr((got.x_star, got.iterations, got.residual)) == \
+            repr((want.x_star, want.iterations, want.residual))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.37, 25.0])
+def test_linear_scalar_stage_keeps_the_array_route_bits(lam):
+    # The linear drift's scalar_eval maps a float to a float; it evaluated
+    # lam * x through a numpy array, and solve_scalar takes the same iterates.
+    import dataclasses
+
+    lin = builtin_drift("linear", lam=lam)
+    via_array = dataclasses.replace(lin, scalar_eval=lambda y: lam * np.asarray(y, float))
+    assert type(lin.scalar_eval(1.5)) is float
+    assert isinstance(lin.scalar_eval(np.ones(3)), np.ndarray)
+    rng = np.random.default_rng(1)
+    for _ in range(1000):
+        h = float(10.0 ** rng.uniform(-3, 2))
+        x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6))
+        got, want = solve_scalar(lin, h, x), solve_scalar(via_array, h, x)
         assert repr((got.x_star, got.iterations, got.residual)) == \
             repr((want.x_star, want.iterations, want.residual))

@@ -55,13 +55,15 @@ def test_the_rule_sees_every_import_form():
     ]
 
 
-def _attribute_calls(source: str, attrs) -> dict[str, int]:
-    """How many calls of the form ``<expr>.<attr>(...)`` the source makes, per attr."""
-    counts = dict.fromkeys(attrs, 0)
+def _calls(source: str, names) -> dict[str, int]:
+    """How many calls ``<name>(...)`` or ``<expr>.<name>(...)`` the source makes, per name."""
+    counts = dict.fromkeys(names, 0)
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in counts:
-                counts[node.func.attr] += 1
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in counts:
+                counts[name] += 1
     return counts
 
 
@@ -69,9 +71,17 @@ def test_the_engines_share_one_step_loop():
     # Both engines run the one private step loop: a second loop, with its
     # own overflow context, shock assembly or diagnostics fold, fails here.
     source = (SRC / "integrator.py").read_text()
-    assert _attribute_calls(source, ("errstate", "shocks", "fold")) == {
+    assert _calls(source, ("errstate", "shocks", "fold")) == {
         "errstate": 1, "shocks": 1, "fold": 1,
     }
+
+
+def test_the_harness_judges_an_ensemble_in_one_place():
+    # The consistency suite runs run_ensemble on each derived schedule; a
+    # second simulate -> classify -> verdict pipeline fails here.
+    names = ("integrate_paths_lockstep", "classify", "compute_fractions", "consistency_verdict")
+    assert _calls((SRC / "harness.py").read_text(), names) == dict.fromkeys(names, 1)
+    assert _calls("f(1)\nf(g(2))\nobj.f(3)\nf\nf()()\n", ("f", "g")) == {"f": 4, "g": 1}
 
 
 def _config_reads(source: str) -> list[int]:
