@@ -217,10 +217,11 @@ def _regime_from_L(L: float) -> tuple[str, Optional[float]]:
     return "B", math.sqrt(2.0 * L)
 
 
-def _sigma_vanishes_empirically(schedule: NoiseSchedule, n_probe: int) -> Optional[bool]:
-    """Empirical flatness check; None when the trend is ambiguous."""
-    probes = np.unique(np.geomspace(max(2, n_probe // 1000), n_probe, 24).astype(np.int64))
-    fro = schedule.frobenius_grid(probes)
+def _sigma_vanishes_empirically(fro_all: np.ndarray) -> Optional[bool]:
+    """Empirical flatness check on the norms at 0 .. n; None when the trend is ambiguous."""
+    n = len(fro_all) - 1
+    probes = np.geomspace(max(2, n // 1000), max(2, n), 24).astype(np.int64)
+    fro = fro_all[np.unique(np.minimum(probes, n))]
     top = float(fro.max())
     if top == 0.0:
         return True
@@ -359,7 +360,7 @@ def classify(
     # A finite L forces ||sigma(n)||_F -> 0; without L the norms are probed.
     vanishes = None if schedule.analytic_L is None else float(schedule.analytic_L) < math.inf
     if vanishes is None:
-        vanishes = _sigma_vanishes_empirically(schedule, n_trunc)
+        vanishes = _sigma_vanishes_empirically(fro)
         notes.append("norm-vanishing trend judged empirically")
     if vanishes is False:
         if float(fro.max()) > 0.0:
@@ -370,7 +371,6 @@ def classify(
                 agreement=agreement,
                 notes=tuple(notes + ["Frobenius norms do not vanish; series terms cannot vanish"]),
             )
-        vanishes = True  # identically-zero schedule
 
     regime, eps_prime, bracket = _assemble(evidence)
     method = "partial_sum_with_tail_bound" if regime != "inconclusive" else "empirical_trend"

@@ -15,7 +15,9 @@ of 1000).  Alongside the extremes the state tracks:
   to zero exactly when the schedule vanishes.
 
 Snapshots are taken at logarithmically spaced checkpoints so trend
-evidence survives without storing whole paths.
+evidence survives without storing whole paths.  A snapshot and a path's
+final summary share one definition of these statistics,
+``BatchDiagnostics._stats``.
 
 The statistics have one implementation, ``BatchDiagnostics.fold``: it
 takes k consecutive steps of a block of m paths as (k, m, d) arrays, or
@@ -180,18 +182,7 @@ class BatchDiagnostics:
             self.shock_sq = self._sum(self.shock_sq, shock[lo:hi])
             self.n = cn = n0 + hi
             if cn in CHECKPOINTS:
-                self.snapshots.append(
-                    (
-                        cn,
-                        {
-                            "time_avg_sq": self.sum_sq / cn,
-                            "m_over_n": self.M / cn,
-                            "m_abs_over_qv": np.abs(self.M) / np.maximum(1.0, self.QV),
-                            "shock_sq_avg": self.shock_sq / cn,
-                            "sup_norm": self.sup,
-                        },
-                    )
-                )
+                self.snapshots.append((cn, self._stats(cn)))
             lo = hi
         self.last_norms = norms[-1].copy()
 
@@ -211,32 +202,37 @@ class BatchDiagnostics:
             return earlier, earlier.step_index
         return exc, step
 
+    def _stats(self, n: int) -> dict[str, np.ndarray]:
+        """The Checkpoint statistics of the block after ``n`` steps, one array per field."""
+        return {
+            "time_avg_sq": self.sum_sq / n,
+            "m_over_n": self.M / n,
+            # fmax: a NaN bound (an overflowed 4 h ||x*||^2 times a zero norm) counts as 1.
+            "m_abs_over_qv": np.abs(self.M) / np.fmax(1.0, self.QV),
+            "shock_sq_avg": self.shock_sq / n,
+            "sup_norm": self.sup,
+        }
+
     def summaries(self, path_indices, final_norms: np.ndarray) -> list[PathSummary]:
         filled = min(self.ring_len, self.window)
-        wmin = self.ring[:filled].min(axis=0)
-        wmax = self.ring[:filled].max(axis=0)
-        n = max(self.n, 1)
-        out = []
-        for i, p in enumerate(path_indices):
-            cps = tuple(
-                Checkpoint(n=cn, **{k: float(v[i]) for k, v in snap.items()})
-                for cn, snap in self.snapshots
+        final = self._stats(max(self.n, 1))
+        final.update(
+            final_norm=final_norms,
+            window_min=self.ring[:filled].min(axis=0),
+            window_max=self.ring[:filled].max(axis=0),
+        )
+
+        def row(cols, i):
+            return {k: float(v[i]) for k, v in cols.items()}
+
+        return [
+            PathSummary(
+                path_index=int(p),
+                checkpoints=tuple(Checkpoint(n=cn, **row(snap, i)) for cn, snap in self.snapshots),
+                **row(final, i),
             )
-            out.append(
-                PathSummary(
-                    path_index=int(p),
-                    final_norm=float(final_norms[i]),
-                    sup_norm=float(self.sup[i]),
-                    window_min=float(wmin[i]),
-                    window_max=float(wmax[i]),
-                    time_avg_sq=float(self.sum_sq[i] / n),
-                    m_over_n=float(self.M[i] / n),
-                    m_abs_over_qv=float(abs(self.M[i]) / max(1.0, self.QV[i])),
-                    shock_sq_avg=float(self.shock_sq[i] / n),
-                    checkpoints=cps,
-                )
-            )
-        return out
+            for i, p in enumerate(path_indices)
+        ]
 
 
 class DiagnosticState(BatchDiagnostics):

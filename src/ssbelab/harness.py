@@ -178,22 +178,11 @@ def run_ensemble(
 
 def summaries_csv_text(summaries: Sequence[PathSummary], header_lines: Sequence[str]) -> str:
     """Ensemble CSV body with a frozen column schema."""
-    out = []
-    for line in header_lines:
-        out.append(f"# {line}")
-    out.append(",".join(SUMMARY_COLUMNS))
+    own = {f.name for f in fields(PathSummary)}
+    direct = [name for name in SUMMARY_COLUMNS if name in own]
+    out = [f"# {line}" for line in header_lines] + [",".join(SUMMARY_COLUMNS)]
     for s in summaries:
-        row = [
-            str(s.path_index),
-            repr(s.final_norm),
-            repr(s.sup_norm),
-            repr(s.window_min),
-            repr(s.window_max),
-            repr(s.time_avg_sq),
-            repr(s.m_over_n),
-            repr(s.m_abs_over_qv),
-            repr(s.shock_sq_avg),
-        ]
+        row = [repr(getattr(s, name)) for name in direct]
         for name in ("time_avg_sq", "m_over_n"):
             row += [repr(_checkpoint(s, n, name)) for n in CHECKPOINTS]
         out.append(",".join(row))

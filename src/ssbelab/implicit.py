@@ -289,13 +289,14 @@ def _fd_jac(drift, y, f0, eps=1e-7):
 def _newton_vector(drift, h, x, tol, jac):
     d = x.size
     y = x.copy()
-    F = y - x + h * drift(y)
+    fy = drift(y)
+    F = y - x + h * fy
     nF = float(np.linalg.norm(F))
     eye = np.eye(d)
     for it in range(1, MAX_NEWTON + 1):
         if nF <= tol:
             return y, it - 1, nF
-        J = eye + h * (jac(y) if jac is not None else _fd_jac(drift, y, drift(y)))
+        J = eye + h * (jac(y) if jac is not None else _fd_jac(drift, y, fy))
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
@@ -303,10 +304,11 @@ def _newton_vector(drift, h, x, tol, jac):
         t = 1.0
         while t >= 2.0**-30:
             y_try = y - t * step
-            F_try = y_try - x + h * drift(y_try)
+            f_try = drift(y_try)
+            F_try = y_try - x + h * f_try
             n_try = float(np.linalg.norm(F_try))
             if n_try < nF:
-                y, F, nF = y_try, F_try, n_try
+                y, fy, F, nF = y_try, f_try, F_try, n_try
                 break
             t *= 0.5
         else:

@@ -75,19 +75,16 @@ class PathRecord:
     h: float
     N: int
     d: int
-    r: int
     drift_id: str
     schedule_id: str
     master_seed: int
     path_index: int
-    tol: float
     record_mode: str
     X: Optional[np.ndarray]  # (K, d) stored states
     X_star: Optional[np.ndarray]  # (K-1, d) implicit stages (full mode only)
     U: Optional[np.ndarray]  # (K-1, d); row n holds U(n+1)
     stored_steps: Optional[np.ndarray]  # indices of stored rows of X
     summary: PathSummary
-    selection_policy: str = ROOT_SELECTION_POLICY
 
 
 def _parse_record_mode(record_mode: str) -> tuple[str, int]:
@@ -218,9 +215,7 @@ def _step_loop(schedule, x, steps, window, ids, master_seed, stage, draw, chunk,
                     diag.fold(*part)
                     if keep:
                         keep(x_rows, n0, step)
-            # The row norm of a lone state too: without ``axis`` numpy uses
-            # x.dot(x), which may round differently for d > 1.
-            return diag.summaries(ids, np.linalg.norm(x.reshape(m, d), axis=1))
+            return diag.summaries(ids, diag.last_norms)
         except (SolverError, NonFiniteError) as exc:
             cause, at = diag.first_failure(exc, step, *part)
             if keep and part:
@@ -281,12 +276,10 @@ def integrate(
         h=schedule.h,
         N=steps,
         d=d,
-        r=stream.r,
         drift_id=drift.name,
         schedule_id=schedule.kind,
         master_seed=stream.master_seed,
         path_index=stream.path_index,
-        tol=tol,
         record_mode=record_mode,
         X=X,
         X_star=X_star,
@@ -413,7 +406,7 @@ def dump_path_csv(record: PathRecord, path) -> None:
         fh.write(f"# drift: {record.drift_id}\n")
         fh.write(f"# schedule: {record.schedule_id}\n")
         fh.write(f"# record_mode: {record.record_mode}\n")
-        fh.write(f"# root_selection: {record.selection_policy}\n")
+        fh.write(f"# root_selection: {ROOT_SELECTION_POLICY}\n")
         fh.write(",".join(cols) + "\n")
         for lo in range(0, len(record.stored_steps), CSV_ROWS):
             ns = record.stored_steps[lo : lo + CSV_ROWS]

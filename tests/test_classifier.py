@@ -163,6 +163,20 @@ def test_classify_tabulated_is_honest():
     assert rep2.regime == "inconclusive"
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 500])
+def test_classify_probes_the_norm_trend_on_its_own_grid(rows):
+    # Without analytic_L the norm trend is judged on probe indices into the
+    # grid classify already holds.  Evaluating the schedule again raised in
+    # np.geomspace on a 1-row table and read past a 2-row table.
+    sched = tabulated_schedule([[n, 1.0] for n in range(rows)], h=1.0)
+    calls = []
+    matrix_eval = sched.matrix_eval
+    sched.matrix_eval = lambda ns: calls.append(len(ns)) or matrix_eval(ns)
+    rep = classify(sched)
+    assert rep.regime == "C"
+    assert calls == [rows]
+
+
 def test_continuous_series_equals_cell_rms_series():
     sig = sigma_family("exp_decay", c=1.0, a=1.0)
     direct = partial_sum_Sc(sig, 1.0, 1.0, 200)

@@ -73,6 +73,18 @@ def test_classify_rejects_a_non_finite_table(tmp_path, capsys):
     assert not (tmp_path / "out" / "regime_report.kv").exists()
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_classify_a_tiny_table(tmp_path, capsys, rows):
+    # The truncation is clamped to the table; the norm-trend probe stays inside it.
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{n},1.0\n" for n in range(rows)))
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"schedule.kind = tabulated\nschedule.path = {table}\nrun.h = 0.1\n")
+    assert main(["classify", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "regime: C" in out and f"truncation clamped to the {rows}-row table" in out
+
+
 @pytest.mark.parametrize("text, message", [
     ("0,0.1\n1,abc\n", "could not convert string 'abc'"),
     ("0,0.1\n1,0.1,0.2\n", "the number of columns changed from 2 to 3"),

@@ -237,3 +237,32 @@ def test_lockstep_failure_mid_chunk_keeps_completed_steps():
     assert exc.step_index == 101 and 101 % CHUNK != 0
     completed = integrate_paths_lockstep(drift, sched, [1.0], 101, 1, 3, range(3), window=50)
     assert exc.partial_summaries == completed
+
+
+_LAST_CHECKPOINT_CASES = [
+    pytest.param(("cubic", {"d": 2}), ("power", {"c": 1.0, "p": 0.5}), 0.1, [0.5, -1.0], steps,
+                 id=f"cubic-{steps}")
+    for steps in (1000, 10_000)
+] + [
+    # 4 h ||x*||^2 overflows to inf and meets ||sigma||_F = 0: the QV bound
+    # is NaN, and the summary divides |M| = 0 by 1, as max(1.0, nan) does.
+    pytest.param(("linear", {"lam": 1e-12}), ("zero", {}), 10.0, [1.3e154], 1000, id="nan_qv"),
+]
+
+
+@pytest.mark.parametrize("engine", ["integrate", "lockstep"])
+@pytest.mark.parametrize("drift, sched, h, zeta, steps", _LAST_CHECKPOINT_CASES)
+def test_summary_equals_its_last_checkpoint(engine, drift, sched, h, zeta, steps):
+    drift = builtin_drift(drift[0], **drift[1])
+    sched = schedule_family(sched[0], h=h, d=drift.d, **sched[1])
+    if engine == "integrate":
+        summaries = [integrate(drift, sched, zeta, steps, derive_substream(7, p, 1),
+                               record_mode="summary").summary for p in range(3)]
+    else:
+        summaries = integrate_paths_lockstep(drift, sched, zeta, steps, 1, 7, range(3))
+    for s in summaries:
+        last = s.checkpoints[-1]
+        assert last.n == steps
+        for name in ("time_avg_sq", "m_over_n", "m_abs_over_qv", "shock_sq_avg", "sup_norm"):
+            got, want = getattr(s, name), getattr(last, name)
+            assert got == want or (math.isnan(got) and math.isnan(want)), name

@@ -116,17 +116,32 @@ def test_finite_difference_newton_rescues_a_stalled_fixed_point(monkeypatch):
     # then solves the state.
     from ssbelab import implicit
 
+    # Newton reuses the drift value of each accepted iterate as the base of
+    # its finite differences: 1 + 3 iterations x (3 columns + 1 line-search
+    # trial) evaluations, not a fresh drift(y) per iteration on top.
+    evals = []
     wig = make_drift(
-        lambda x: np.asarray(x, float) * (1 + 0.9 * np.cos(np.asarray(x, float))), 3, name="wiggle3"
+        lambda x: evals.append(1) or np.asarray(x, float) * (1 + 0.9 * np.cos(np.asarray(x, float))),
+        3,
+        name="wiggle3",
     )
     h = 0.4701474891667907
     x = np.array([0.04680225873253637, -0.15824046190763832, -0.0005833097855893088])
     assert implicit._fixed_point_vector(wig, h, x, 1e-12)[1] == 4 * implicit.MAX_NEWTON
-    calls = []
-    fd_jac = implicit._fd_jac
+    calls, newton_evals = [], []
+    fd_jac, newton = implicit._fd_jac, implicit._newton_vector
     monkeypatch.setattr(implicit, "_fd_jac", lambda *a: calls.append(a) or fd_jac(*a))
+
+    def counted_newton(*a):
+        before = len(evals)
+        out = newton(*a)
+        newton_evals.append(len(evals) - before)
+        return out
+
+    monkeypatch.setattr(implicit, "_newton_vector", counted_newton)
     sol = solve_vector(wig, h, x)
     assert calls
+    assert sol.iterations == 3 and newton_evals == [13]
     assert np.linalg.norm(sol.x_star - x + h * wig(sol.x_star)) <= 1e-12
     assert sol.residual <= 1e-12
 

@@ -132,3 +132,17 @@ def test_every_import_is_used():
         "from __future__ import annotations\nimport os\nimport numpy as np\nimport scipy.special\n"
         "from math import (\n    inf,\n    nan,\n)\nimport sys  # noqa: F401\nnp.zeros(1)\nx = inf\n"
     ) == ["os:2", "scipy:4", "nan:7"]
+
+
+def test_each_path_statistic_is_written_once():
+    # A checkpoint and a final summary read one definition of the statistics
+    # (BatchDiagnostics._stats): one quotient of the accumulators each for
+    # time_avg_sq, m_over_n, m_abs_over_qv and shock_sq_avg.
+    tree = ast.parse((SRC / "diagnostics.py").read_text())
+    accumulators = {"sum_sq", "M", "QV", "shock_sq"}
+    quotients = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        and any(isinstance(a, ast.Attribute) and a.attr in accumulators for a in ast.walk(node))
+    ]
+    assert len(quotients) == 4
