@@ -25,7 +25,7 @@ enabled that contraction is checked after each solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True, eq=False)
-class ImplicitSolution:
+class ImplicitSolution(NamedTuple):
     x_star: object  # float for scalar solves, (d,) ndarray for vector solves
     iterations: int
     residual: float
@@ -116,44 +115,40 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     gy = y - x + h * float(f(y))
     ag = abs(gy)
     best_y, best_g = y, ag
-    newton_used = 0
+    newton_used = 0 if df is not None else MAX_NEWTON
     for it in range(1, MAX_BISECT + 1):
         if ag <= tol:
             _check_contract(drift, abs(x), abs(y))
             return ImplicitSolution(y, it, ag)
-        # Try a Newton step from the current point; keep it only if it
-        # stays inside the bracket, otherwise bisect.
-        stepped = False
-        if df is not None and newton_used < MAX_NEWTON:
+        if ag < best_g:
+            best_y, best_g = y, ag
+        # A Newton step is kept if it stays in the bracket and lowers |G|; else the step bisects.
+        if newton_used < MAX_NEWTON:
             try:
                 slope = 1.0 + h * float(df(y))
             except OverflowError:  # arctan's 1 / (1 + y**2) past |y| ~ 1e154: bisect
                 slope = 0.0
-            if slope != 0.0:
-                cand = y - gy / slope
-                if lo < cand < hi:
-                    newton_used += 1
-                    y_new, g_new = cand, cand - x + h * float(f(cand))
-                    ag_new = abs(g_new)
-                    if ag_new < ag:
-                        if g_new * glo < 0.0:
-                            hi = y_new
-                        else:
-                            lo, glo = y_new, g_new
-                        y, gy, ag = y_new, g_new, ag_new
-                        stepped = True
-        if not stepped:
-            if gy * glo < 0.0:
-                hi = y
-            else:
-                lo, glo = y, gy
-            y = 0.5 * (lo + hi)
-            gy = y - x + h * float(f(y))
-            ag = abs(gy)
-        if ag < best_g:
-            best_y, best_g = y, ag
+            if slope != 0.0 and lo < (cand := y - gy / slope) < hi:
+                newton_used += 1
+                g_new = cand - x + h * float(f(cand))
+                if abs(g_new) < ag:
+                    if g_new * glo < 0.0:
+                        hi = cand
+                    else:
+                        lo, glo = cand, g_new
+                    y, gy, ag = cand, g_new, abs(g_new)
+                    continue
+        if gy * glo < 0.0:
+            hi = y
+        else:
+            lo, glo = y, gy
+        y = 0.5 * (lo + hi)
+        gy = y - x + h * float(f(y))
+        ag = abs(gy)
         if lo == hi:
             break
+    if ag < best_g:
+        best_y, best_g = y, ag
     if best_g <= tol:
         _check_contract(drift, abs(x), abs(best_y))
         return ImplicitSolution(best_y, MAX_BISECT, best_g)

@@ -15,18 +15,20 @@ componentwise states goes through ``solve_componentwise`` whole and a
 block of radial states through ``solve_radial`` row by row; any other
 state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
 
-Both run one step loop, ``_step_loop``, on a (d,) state or an (m, d)
-block.  Per NOISE_BLOCK steps it draws the noise; per chunk it assembles
-the shocks through ``NoiseSchedule.shocks``, runs the stage for each step
-into arrays the engine supplies and folds the chunk through one
-``BatchDiagnostics.fold``.  ``integrate`` folds once per NOISE_BLOCK steps,
-into a full record's own X, X_star and U slices or else into scratch rows;
-the lockstep engine once per CHUNK steps, into (CHUNK, m, d) scratch.
-The shock and the affine stage round a lone row as each row of a block
-(``fixed_order_product``), so a path's values depend on
-``(master_seed, path_index)`` alone, not on the block it runs in.  A
-failed stage solve, or a shock or state that is not finite, stops the
-loop with one error, ``PathError``, naming path, master_seed and step.
+Both run one step loop, ``_step_loop``, on one path's state or an (m, d)
+block.  A lone path's state at d = 1 is a Python float: its ``+`` and ``*``
+are the IEEE operations numpy performs on a (1,) row, so the bits do not
+change.  Per NOISE_BLOCK steps the loop draws the noise; per chunk it
+assembles the shocks through ``NoiseSchedule.shocks``, runs the stage for
+each step into arrays the engine supplies and folds the chunk through one
+``BatchDiagnostics.fold``.  ``integrate`` folds once per NOISE_BLOCK
+steps, into a full record's own X, X_star and U slices or else into
+scratch rows; the lockstep engine once per CHUNK steps, into
+(CHUNK, m, d) scratch.  The shock and the affine stage round a lone row
+as each row of a block (``fixed_order_product``), so a path's values
+depend on ``(master_seed, path_index)`` alone, not on the block it runs
+in.  A failed stage solve, or a shock or state that is not finite, stops
+the loop with one error, ``PathError``, naming path, master_seed and step.
 
 ``integrate`` generates one path with its full, thinned or summary record.
 ``integrate_paths_lockstep`` advances a block of paths in parallel arrays
@@ -117,17 +119,16 @@ def _check_inputs(drift, schedule, zeta, steps: int, r: int) -> np.ndarray:
     return zeta
 
 
-def _solve_path(drift, h, x, tol):
-    if drift.d == 1:
-        return np.array([solve_scalar(drift, h, float(x[0]), tol).x_star])
-    return np.asarray(solve_vector(drift, h, x, tol).x_star, dtype=np.float64)
+def _lone_rows(a: np.ndarray):
+    """A lone path's view of the rows of a (k, d) array: Python floats at d = 1, else the rows."""
+    return a[:, 0].tolist() if a.shape[1] == 1 else a
 
 
-def _solve_rows(drift, h, X, tol):
+def _solve_rows(stage, X):
     out = np.empty_like(X)
-    for i, x in enumerate(X):
+    for i, x in enumerate(_lone_rows(X)):
         try:
-            out[i] = _solve_path(drift, h, x, tol)
+            out[i] = stage(x)
         except SolverError as exc:
             exc.row_index = i
             raise
@@ -137,26 +138,36 @@ def _solve_rows(drift, h, X, tol):
 def stage_rule(drift, h: float, tol: float, block: bool):
     """The implicit stage x -> x*, x* = x - h f(x*), chosen from the drift's structure.
 
-    Returns a map on one (d,) state, or on an (m, d) block of states when
-    ``block`` is set.  An affine drift applies C(h) = (I - hA)^{-1} through
+    Returns a map from one state, or an (m, d) block when ``block`` is set,
+    to a new float or array.  A lone state at d = 1 is a float, mapped by
+    ``solve_scalar`` or, for an affine drift, by x c(h): Python's float
+    ``*`` is the one IEEE product ``fixed_order_product`` takes on a (1,)
+    row.  Otherwise an affine drift applies C(h) = (I - hA)^{-1} through
     ``fixed_order_product``, so a lone state and each row of a block round
-    alike; a block of componentwise states is solved whole by
-    ``solve_componentwise``, a block of radial states (d > 1) row by row by
-    ``solve_radial``, the loop ``solve_vector`` runs on one state; any other
-    state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.  A
-    failing row of a block is named by ``SolverError.row_index``.
+    alike; a lone (d,) state goes through ``solve_vector``; a block of
+    componentwise states is solved whole by ``solve_componentwise``, a
+    block of radial states (d > 1) row by row by ``solve_radial``, any
+    other block row by row by the lone stage.  A failing row of a block is
+    named by ``SolverError.row_index``.
     """
+    if drift.d == 1 and not block:
+        if drift.affine:
+            c = float(build_C(drift.affine_matrix, h)[0, 0])
+            return lambda x: x * c
+        # solve_scalar is looked up here at each call, so a wrapper installed on it sees every solve.
+        return lambda x: solve_scalar(drift, h, x, tol).x_star
     if drift.affine:
         C_T = build_C(drift.affine_matrix, h).T
         return lambda x: fixed_order_product(x, C_T)
     if not block:
-        return lambda x: _solve_path(drift, h, x, tol)
+        return lambda x: np.asarray(solve_vector(drift, h, x, tol).x_star, dtype=np.float64)
     if drift.componentwise:
         return lambda X: solve_componentwise(drift, h, X, tol)[0]
     if drift.radial and drift.d > 1:
         # Each row's radius solve goes through this module's solve_scalar.
         return lambda X: solve_radial(drift, h, X, tol, solve_scalar)[0]
-    return lambda X: _solve_rows(drift, h, X, tol)
+    lone = stage_rule(drift, h, tol, block=False)
+    return lambda X: _solve_rows(lone, X)
 
 
 class PathError(RuntimeError):
@@ -177,40 +188,44 @@ class PathError(RuntimeError):
 
 
 def _step_loop(schedule, x, steps, window, ids, master_seed, stage, draw, chunk,
-               rows=None, keep=None):
+               rows=None, keep=None, view=None):
     """Advance ``x`` by ``steps`` steps; return the summaries of the paths ``ids``.
 
-    The one step loop of both engines.  ``x`` is one path's (d,) state or
-    a block's (m, d) states, and ``stage`` maps it to its implicit stage.
-    Per NOISE_BLOCK steps ``draw(k)`` returns k steps of noise, (k, r) or
-    (k, m, r).  Per ``chunk`` of those steps the shocks u are assembled,
-    each step's state and stage are written into the arrays ``rows(n0, u)``
+    The one step loop of both engines.  ``x`` is one path's state (a float
+    at d = 1, else (d,)) or a block's (m, d) states, and ``stage`` maps it
+    to its implicit stage.  Per NOISE_BLOCK steps ``draw(k)`` returns k
+    steps of noise, (k, r) or (k, m, r).  Per ``chunk`` of those steps the
+    shocks u are assembled and read step by step through ``view(u)`` (u
+    by default; floats at d = 1, whose ``+`` is numpy's IEEE addition), each
+    step's state and stage are written into the arrays ``rows(n0, u)``
     returns for the chunk starting at step n0 (by default one chunk of
-    scratch rows), and the chunk is folded; ``keep(x_rows, n0, n)`` then
-    reads the states of the steps folded, n0+1 .. n.  A failed stage or a
-    non-finite state raises PathError with the ``partial_summaries``.
+    scratch rows, (chunk, d) for a lone path), and the chunk is folded;
+    ``keep(x_rows, n0, n)`` then reads the states of the steps folded,
+    n0+1 .. n.  A failed stage or a non-finite state raises PathError with
+    the ``partial_summaries``.
     """
     m, d = len(ids), schedule.d
     window = default_window(steps) if window is None else int(window)
     diag = BatchDiagnostics(m, d, schedule.h, window)
     if rows is None:
         # One chunk of states and stages, folded and then overwritten.
-        scratch = np.empty((2, min(chunk, steps)) + x.shape)
+        scratch = np.empty((2, min(chunk, steps)) + np.atleast_1d(x).shape)
         rows = lambda n0, u: (scratch[0, : len(u)], scratch[1, : len(u)])
     step, part = 0, ()
     # Overflow is not warned about: the fold's check names the step.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            diag.start(x.reshape(m, d))
+            diag.start(np.reshape(x, (m, d)))
             while step < steps:
                 noise = draw(min(NOISE_BLOCK, steps - step))
                 for c in range(0, len(noise), chunk):
                     u, fro = schedule.shocks(noise[c : c + chunk], step)
                     n0, (x_rows, xs_rows) = step, rows(step, u)
                     part = (x_rows, xs_rows, u, fro)
-                    for j in range(len(u)):
-                        xs_rows[j] = x_star = stage(x)
-                        x = np.add(x_star, u[j], out=x_rows[j])
+                    for j, u_j in enumerate(u if view is None else view(u)):
+                        xs_rows[j] = x = stage(x)
+                        x += u_j  # in place on a block: every stage returns a new array
+                        x_rows[j] = x
                         step += 1
                     diag.fold(*part)
                     if keep:
@@ -265,9 +280,9 @@ def integrate(
         X[0] = zeta
     stage = stage_rule(drift, schedule.h, tol, block=False)
     try:
-        (summary,) = _step_loop(schedule, zeta, steps, window, [stream.path_index],
-                                stream.master_seed, stage, stream.draw_block, NOISE_BLOCK,
-                                rows=rows, keep=keep)
+        (summary,) = _step_loop(schedule, _lone_rows(zeta[None])[0], steps, window,
+                                [stream.path_index], stream.master_seed, stage, stream.draw_block,
+                                NOISE_BLOCK, rows=rows, keep=keep, view=_lone_rows)
     except PathError as err:
         (err.partial_summary,) = err.partial_summaries
         err.partial_states = None if X is None else X[stored <= err.step_index]

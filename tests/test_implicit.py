@@ -503,3 +503,46 @@ def test_linear_scalar_stage_keeps_the_array_route_bits(lam):
         got, want = solve_scalar(lin, h, x), solve_scalar(via_array, h, x)
         assert repr((got.x_star, got.iterations, got.residual)) == \
             repr((want.x_star, want.iterations, want.residual))
+
+
+# SHA-256 of (x*, iterations, residual) over 300 seeded (h, x) pairs per
+# drift, recorded before solve_scalar's loop was restructured.  The radial
+# ray has no derivative, so every one of its steps bisects.
+SCALAR_SOLVE_DIGESTS = {
+    "linear": "417c0ac2fe6d1af2059fdb9fbfbcad540a72d1431e1aed124714a6557f3c966f",
+    "cubic": "1788c74e15e7135b16d2dc9bd78a0ebb0ccaf67945f1eb18583d67796540ccf6",
+    "arctan": "d6e14fcd3077075bf9fb39abc8dfae4bda17fcbeb84bb1131986456d0bacbdbb",
+    "saturating": "3b63a4f30562e4e7b958db7df31fc2d4c812b36c66f8c3e48679198bc023ef43",
+    "ray": "1cd4204161de2f8666bd625b88bf9fee000a155c97eda09634e8595bc3cebc7d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_SOLVE_DIGESTS))
+def test_scalar_solves_keep_their_bits(name):
+    import hashlib
+    import struct
+
+    from ssbelab.implicit import _Ray
+
+    if name == "ray":
+        drift = _Ray(builtin_drift("saturating", c=2.0, d=3).radial_gain)
+    else:
+        drift = builtin_drift(name, **{"linear": {"lam": 0.37}, "saturating": {"c": 2.0}}.get(name, {}))
+    rng = np.random.default_rng(19)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        h = float(10.0 ** rng.uniform(-3, 1))
+        x = float(10.0 ** rng.uniform(-4, 3))
+        if name != "ray" and rng.random() < 0.5:
+            x = -x
+        sol = solve_scalar(drift, h, x)
+        digest.update(struct.pack("<dqd", sol.x_star, sol.iterations, sol.residual))
+    assert digest.hexdigest() == SCALAR_SOLVE_DIGESTS[name]
+
+
+def test_an_implicit_solution_is_immutable():
+    sol = solve_scalar(builtin_drift("cubic"), 0.5, 2.0)
+    assert type(sol.x_star) is float and type(sol.iterations) is int and sol.residual <= 1e-12
+    for field in ("x_star", "iterations", "residual"):
+        with pytest.raises(AttributeError):
+            setattr(sol, field, 0.0)

@@ -587,3 +587,42 @@ def test_an_initial_state_of_overflowing_norm_fails_at_step_0(engine):
     assert (exc.path_index, exc.step_index) == (4, 0)
     if engine == "integrate":
         assert (exc.partial_states == [zeta]).all()
+
+
+_LONE_SCALAR_DRIFTS = {
+    "cubic": builtin_drift("cubic"),
+    "arctan": builtin_drift("arctan"),
+    "saturating": builtin_drift("saturating", c=2.0),
+    "linear": builtin_drift("linear", lam=0.7),
+    # No scalar_eval: solve_scalar evaluates f through a (1,) array.
+    "opaque": make_drift(lambda x: np.asarray(x, float) * (1.0 + 0.5 * np.cos(x)), 1, name="opaque"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONE_SCALAR_DRIFTS))
+def test_a_lone_scalar_path_is_the_scalar_recurrence_on_floats(name):
+    # The oracle: each step of a d = 1 full record, replayed on Python
+    # floats, past one noise block.  The thinned and summary records of the
+    # same path end on the same summary.
+    from ssbelab.affine import build_C
+    from ssbelab.implicit import solve_scalar
+    from ssbelab.integrator import NOISE_BLOCK
+
+    drift = _LONE_SCALAR_DRIFTS[name]
+    sched = schedule_family("power", h=0.2, c=1.0, p=0.3)
+    steps = NOISE_BLOCK + 7
+    rec = integrate(drift, sched, [1.5], steps, derive_substream(11, 2, 1))
+    X, X_star, U = (a[:, 0].tolist() for a in (rec.X, rec.X_star, rec.U))
+
+    def bits(values):
+        return [v.hex() for v in values]
+
+    if drift.affine:
+        c = float(build_C(drift.affine_matrix, sched.h)[0, 0])
+        assert bits(X_star) == bits(x * c for x in X[:-1])
+    else:
+        assert bits(X_star) == bits(solve_scalar(drift, sched.h, x).x_star for x in X[:-1])
+    assert bits(X[1:]) == bits(xs + u for xs, u in zip(X_star, U))
+    for mode in ("thin:7", "summary"):
+        other = integrate(drift, sched, [1.5], steps, derive_substream(11, 2, 1), mode)
+        assert other.summary == rec.summary
