@@ -3,17 +3,20 @@
 For scalar dissipative drifts the root is bracketed between 0 and x (the
 residual G_x(y) = y - x + h f(y) changes sign across that interval), so a
 safeguarded bisection/Newton hybrid is guaranteed to converge; the solver
-deterministically selects the root inside that bracket.  In higher
-dimension the solver dispatches on drift structure: componentwise drifts
-decompose into scalar problems, rotationally symmetric drifts reduce to a
-radius equation on the ray through x, and general drifts get damped Newton
-(analytic Jacobian, else damped fixed point, else finite differences).
+deterministically selects the root inside that bracket.  Bisection is the
+fall-through loop, for a solve without a derivative or with its Newton steps
+spent.  In higher dimension the solver dispatches on drift structure:
+componentwise drifts decompose into scalar problems, rotationally symmetric
+drifts reduce to a radius equation on the ray through x, and general drifts
+get damped Newton (analytic Jacobian, else damped fixed point, else finite
+differences).
 Every solve accepts a residual of max(tol, four ulps of the state): per
 entry for scalar and componentwise solves, on the radius for radial ones
 and on max_i |x_i| for the generic route's ||F||.
-The radial reduction is one row loop, ``solve_radial``, shared by both
+The radial reduction is one block stage, ``solve_radial``, shared by both
 engines: ``solve_vector`` passes it one state, the integrator's block
-stage a block of states.
+stage a block of states.  Radii and scaling are taken once per block,
+the radius solves row by row.
 
 Multiple solutions are tolerated; the chosen root is deterministic
 (bracket toward the origin for scalars, Newton basin of y0 = x otherwise)
@@ -85,7 +88,9 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     """Root of y - x + h f(y) in the closed interval between 0 and x.
 
     x = 0 returns exactly 0.  The sign change over [0, x] is guaranteed for
-    dissipative f; its absence is reported as SolverError.
+    dissipative f; its absence is reported as SolverError.  Bisection is the
+    fall-through loop: a solve without ``scalar_deriv`` runs only it, a
+    hybrid solve once its ``MAX_NEWTON`` Newton steps are spent.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -115,15 +120,21 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     gy = y - x + h * float(f(y))
     ag = abs(gy)
     best_y, best_g = y, ag
-    newton_used = 0 if df is not None else MAX_NEWTON
-    for it in range(1, MAX_BISECT + 1):
-        if ag <= tol:
-            _check_contract(drift, abs(x), abs(y))
-            return ImplicitSolution(y, it, ag)
-        if ag < best_g:
-            best_y, best_g = y, ag
+    start = 1
+    if df is not None:
         # A Newton step is kept if it stays in the bracket and lowers |G|; else the step bisects.
-        if newton_used < MAX_NEWTON:
+        # Unless its Newton steps run out, a solve ends in this loop and skips the one below.
+        start = MAX_BISECT + 1
+        newton_used = 0
+        for it in range(1, MAX_BISECT + 1):
+            if newton_used == MAX_NEWTON:
+                start = it
+                break
+            if ag <= tol:
+                _check_contract(drift, abs(x), abs(y))
+                return ImplicitSolution(y, it, ag)
+            if ag < best_g:
+                best_y, best_g = y, ag
             try:
                 slope = 1.0 + h * float(df(y))
             except OverflowError:  # arctan's 1 / (1 + y**2) past |y| ~ 1e154: bisect
@@ -138,6 +149,22 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
                         lo, glo = cand, g_new
                     y, gy, ag = cand, g_new, abs(g_new)
                     continue
+            if gy * glo < 0.0:
+                hi = y
+            else:
+                lo, glo = y, gy
+            y = 0.5 * (lo + hi)
+            gy = y - x + h * float(f(y))
+            ag = abs(gy)
+            if lo == hi:
+                break
+    # Bisection only: a solve without a derivative, or one whose Newton steps are spent.
+    for it in range(start, MAX_BISECT + 1):
+        if ag <= tol:
+            _check_contract(drift, abs(x), abs(y))
+            return ImplicitSolution(y, it, ag)
+        if ag < best_g:
+            best_y, best_g = y, ag
         if gy * glo < 0.0:
             hi = y
         else:
@@ -239,34 +266,40 @@ class _Ray:
 def solve_radial(
     drift, h: float, X: np.ndarray, tol: float = DEFAULT_TOL, scalar_solve=solve_scalar
 ):
-    """Row-by-row stage of an (m, d) block for a rotationally symmetric drift.
+    """Stage of an (m, d) block for a rotationally symmetric drift.
 
     The radius t of row x's stage solves t + h g(t) = ||x|| (``scalar_solve``
-    on the ``_Ray`` view) and the stage is (t / ||x||) x.  ``scalar_solve``
+    on the ``_Ray`` view) and the stage is (t / ||x||) x: radii and scaling
+    once per block, a radius solve per nonzero row.  ``scalar_solve``
     is ``solve_scalar`` as the caller looks it up, so a wrapper the caller
     installed (timing, counting) sees every radius solve.  A failing row is
     named by ``SolverError.row_index``.  Returns (Y, most iterations of any
     row, max_residual).
     """
     ray = _Ray(drift.radial_gain)
-    Y = np.empty_like(X)
+    # np.linalg.norm's formula, sqrt(x.dot(x)), on every row at once: vecdot rounds a row as dot does.
+    radii = np.sqrt(np.vecdot(X, X)).tolist()
+    scale = [0.0] * len(radii)
+    zero_rows = []
     iters, max_resid = 0, 0.0
-    for i, x in enumerate(X):
-        # np.linalg.norm's own formula; a batched einsum rounds differently.
-        rho = math.sqrt(x.dot(x))
+    for i, rho in enumerate(radii):
         if rho == 0.0:
-            Y[i] = 0.0
+            zero_rows.append(i)
             continue
         try:
             sol = scalar_solve(ray, h, rho, tol)
         except SolverError as exc:
             exc.row_index = i
             raise
-        y = Y[i]
-        np.multiply(sol.x_star / rho, x, out=y)
-        _check_contract(drift, rho, math.sqrt(y.dot(y)))
+        scale[i] = sol.x_star / rho
         iters = max(iters, sol.iterations)
         max_resid = max(max_resid, sol.residual)
+    Y = X * np.array(scale)[:, None]
+    if zero_rows:
+        # +0.0 in every entry: x * 0.0 is -0.0 where x is negative or -0.0.
+        Y[zero_rows] = 0.0
+    for rho, y_norm in zip(radii, np.sqrt(np.vecdot(Y, Y)).tolist()):
+        _check_contract(drift, rho, y_norm)
     return Y, iters, max_resid
 
 

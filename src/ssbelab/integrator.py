@@ -12,8 +12,8 @@ Both engines take the implicit stage from one rule, read from the drift's
 declared structure (``stage_rule``): an affine drift f(x) = -A x applies
 the precomputed one-step map C(h) = (I - hA)^{-1}; a block of
 componentwise states goes through ``solve_componentwise`` whole and a
-block of radial states through ``solve_radial`` row by row; any other
-state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
+block of radial states through ``solve_radial``, a radius solve per row;
+any other state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
 
 Both run one step loop, ``_step_loop``, on one path's state or an (m, d)
 block.  A lone path's state at d = 1 is a Python float: its ``+`` and ``*``
@@ -146,8 +146,8 @@ def stage_rule(drift, h: float, tol: float, block: bool):
     ``fixed_order_product``, so a lone state and each row of a block round
     alike; a lone (d,) state goes through ``solve_vector``; a block of
     componentwise states is solved whole by ``solve_componentwise``, a
-    block of radial states (d > 1) row by row by ``solve_radial``, any
-    other block row by row by the lone stage.  A failing row of a block is
+    block of radial states (d > 1) by ``solve_radial``, a radius per row,
+    any other block row by row by the lone stage.  A failing row of a block is
     named by ``SolverError.row_index``.
     """
     if drift.d == 1 and not block:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,16 +394,22 @@ def _radial_row_reference(gain, h, x, tol=1e-12):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("c", [0.5, 2.0, 7.0])
-@pytest.mark.parametrize("m", [1, 4, 16])
-def test_radial_rows_match_per_row_reference_bitwise(seed, c, m):
+@pytest.mark.parametrize(
+    "m, d",
+    [(1, 3), (4, 3), (16, 3), (1, 2), (4, 2), (16, 2), (1, 8), (4, 8), (16, 8)],
+    ids=["1", "4", "16", "1-d2", "4-d2", "16-d2", "1-d8", "4-d8", "16-d8"],
+)
+def test_radial_rows_match_per_row_reference_bitwise(seed, c, m, d):
     from ssbelab.integrator import stage_rule
 
-    drift = builtin_drift("saturating", c=c, d=3)
+    drift = builtin_drift("saturating", c=c, d=d)
     rng = np.random.default_rng(seed)
     for h in (0.05, 0.5, 5.0):
         stage = stage_rule(drift, h, 1e-12, block=True)
         for k in range(12):
-            X = rng.standard_normal((m, 3)) * 10.0 ** rng.uniform(-4.0, 2.0, (m, 1))
+            X = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-4.0, 2.0, (m, 1))
+            # A -0.0 entry of a nonzero row keeps its sign in the stage; a zero row's stage is +0.0.
+            X[(k + 1) % m, k % d] = -0.0
             if m > 1:
                 X[k % m] = 0.0 if k % 2 else -0.0
             ref = [_radial_row_reference(drift.radial_gain, h, x) for x in X]
@@ -411,6 +419,51 @@ def test_radial_rows_match_per_row_reference_bitwise(seed, c, m):
                 sol = solve_vector(drift, h, x)
                 assert np.asarray(sol.x_star).tobytes() == y.tobytes()
                 assert sol.iterations == it and sol.residual == resid
+
+
+def test_block_radii_keep_the_row_dot_bits():
+    # solve_radial takes a block's radii with one vecdot; np.linalg.norm, the
+    # per-row oracle, is sqrt(x.dot(x)).
+    rng = np.random.default_rng(20)
+    for d in range(2, 9):
+        for scale in (1e-150, 1e-75, 1e-8, 1.0, 1e8, 1e75, 1e150):
+            X = rng.standard_normal((500, d)) * scale * 10.0 ** rng.uniform(-1.0, 1.0, (500, 1))
+            rows = np.array([math.sqrt(x.dot(x)) for x in X])
+            assert np.sqrt(np.vecdot(X, X)).tobytes() == rows.tobytes()
+
+
+def test_radial_block_solves_each_nonzero_row_once_through_the_integrator(monkeypatch):
+    from ssbelab import integrator
+    from ssbelab.schedules import schedule_family
+
+    calls = []
+
+    def counting(drift, h, x, tol=1e-12):
+        calls.append(x)
+        return solve_scalar(drift, h, x, tol)
+
+    monkeypatch.setattr(integrator, "solve_scalar", counting)
+    drift = builtin_drift("saturating", c=2.0, d=3)
+    sched = schedule_family("power", h=0.1, c=1.0, p=0.5, d=3, r=3)
+    summaries = integrator.integrate_paths_lockstep(drift, sched, [1.0, -2.0, 0.5], 50, 3, 42, range(5))
+    assert len(summaries) == 5 and len(calls) == 5 * 50
+    calls.clear()
+    X = np.array([[0.0, 0.0, 0.0], [1.0, -0.0, 2.0], [-0.0, -0.0, 0.0], [0.0, 0.0, 3.0]])
+    Y = integrator.stage_rule(drift, 0.1, 1e-12, block=True)(X)
+    assert calls == [math.sqrt(5.0), 3.0]
+    assert Y[[0, 2]].tobytes() == np.zeros((2, 3)).tobytes()
+
+
+def test_radial_stage_checks_contraction_of_each_row():
+    from ssbelab.implicit import ImplicitSolution, solve_radial
+
+    def outward(ray, h, rho, tol):
+        return ImplicitSolution(1.5 * rho, 1, 0.0)
+
+    drift = builtin_drift("saturating", c=2.0, d=3)
+    X = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
+    with pytest.raises(AssertionError, match="contraction violated"):
+        solve_radial(drift, 0.1, X, 1e-12, outward)
 
 
 def test_radial_integrate_path_matches_per_row_reference_bitwise():
@@ -507,13 +560,17 @@ def test_linear_scalar_stage_keeps_the_array_route_bits(lam):
 
 # SHA-256 of (x*, iterations, residual) over 300 seeded (h, x) pairs per
 # drift, recorded before solve_scalar's loop was restructured.  The radial
-# ray has no derivative, so every one of its steps bisects.
+# ray has no derivative, so every one of its steps bisects.  The short_newton
+# cubic declares a slope far too steep: its Newton steps fall short, and 175
+# of its 300 solves spend all MAX_NEWTON of them and end in the bisection
+# loop that follows.
 SCALAR_SOLVE_DIGESTS = {
     "linear": "417c0ac2fe6d1af2059fdb9fbfbcad540a72d1431e1aed124714a6557f3c966f",
     "cubic": "1788c74e15e7135b16d2dc9bd78a0ebb0ccaf67945f1eb18583d67796540ccf6",
     "arctan": "d6e14fcd3077075bf9fb39abc8dfae4bda17fcbeb84bb1131986456d0bacbdbb",
     "saturating": "3b63a4f30562e4e7b958db7df31fc2d4c812b36c66f8c3e48679198bc023ef43",
     "ray": "1cd4204161de2f8666bd625b88bf9fee000a155c97eda09634e8595bc3cebc7d",
+    "short_newton": "7996a193ea5e71f831419ffd9f04cce99da43a759df3452330b66bc5b4290dd1",
 }
 
 
@@ -526,6 +583,9 @@ def test_scalar_solves_keep_their_bits(name):
 
     if name == "ray":
         drift = _Ray(builtin_drift("saturating", c=2.0, d=3).radial_gain)
+    elif name == "short_newton":
+        drift = make_drift(lambda x: x + x**3, 1, scalar_eval=lambda y: y + y * y * y,
+                           scalar_deriv=lambda y: 100.0 + 0.0 * y)
     else:
         drift = builtin_drift(name, **{"linear": {"lam": 0.37}, "saturating": {"c": 2.0}}.get(name, {}))
     rng = np.random.default_rng(19)
