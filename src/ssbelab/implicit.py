@@ -4,12 +4,11 @@ For scalar dissipative drifts the root is bracketed between 0 and x (the
 residual G_x(y) = y - x + h f(y) changes sign across that interval), so a
 safeguarded bisection/Newton hybrid is guaranteed to converge; the solver
 deterministically selects the root inside that bracket.  Bisection is the
-fall-through loop, for a solve without a derivative or with its Newton steps
-spent.  In higher dimension the solver dispatches on drift structure:
-componentwise drifts decompose into scalar problems, rotationally symmetric
-drifts reduce to a radius equation on the ray through x, and general drifts
-get damped Newton (analytic Jacobian, else damped fixed point, else finite
-differences).
+hybrid's fall-through step.  In higher dimension the solver dispatches on
+drift structure: componentwise drifts decompose into scalar problems,
+rotationally symmetric drifts reduce to a radius equation on the ray
+through x, and general drifts get damped Newton (analytic Jacobian, else
+damped fixed point, else finite differences).
 Every solve accepts a residual of max(tol, four ulps of the state): per
 entry for scalar and componentwise solves, on the radius for radial ones
 and on max_i |x_i| for the generic route's ||F||.
@@ -88,9 +87,10 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     """Root of y - x + h f(y) in the closed interval between 0 and x.
 
     x = 0 returns exactly 0.  The sign change over [0, x] is guaranteed for
-    dissipative f; its absence is reported as SolverError.  Bisection is the
-    fall-through loop: a solve without ``scalar_deriv`` runs only it, a
-    hybrid solve once its ``MAX_NEWTON`` Newton steps are spent.
+    dissipative f; its absence is reported as SolverError.  One loop serves
+    every solve, with bisection as its fall-through step: each step of a
+    solve without ``scalar_deriv`` (its Newton budget starts spent), and each
+    step whose Newton candidate is rejected or comes after ``MAX_NEWTON``.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -120,21 +120,15 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     gy = y - x + h * float(f(y))
     ag = abs(gy)
     best_y, best_g = y, ag
-    start = 1
-    if df is not None:
+    newton_used = 0 if df is not None else MAX_NEWTON
+    for it in range(1, MAX_BISECT + 1):
+        if ag <= tol:
+            _check_contract(drift, abs(x), abs(y))
+            return ImplicitSolution(y, it, ag)
+        if ag < best_g:
+            best_y, best_g = y, ag
         # A Newton step is kept if it stays in the bracket and lowers |G|; else the step bisects.
-        # Unless its Newton steps run out, a solve ends in this loop and skips the one below.
-        start = MAX_BISECT + 1
-        newton_used = 0
-        for it in range(1, MAX_BISECT + 1):
-            if newton_used == MAX_NEWTON:
-                start = it
-                break
-            if ag <= tol:
-                _check_contract(drift, abs(x), abs(y))
-                return ImplicitSolution(y, it, ag)
-            if ag < best_g:
-                best_y, best_g = y, ag
+        if newton_used < MAX_NEWTON:
             try:
                 slope = 1.0 + h * float(df(y))
             except OverflowError:  # arctan's 1 / (1 + y**2) past |y| ~ 1e154: bisect
@@ -149,22 +143,6 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
                         lo, glo = cand, g_new
                     y, gy, ag = cand, g_new, abs(g_new)
                     continue
-            if gy * glo < 0.0:
-                hi = y
-            else:
-                lo, glo = y, gy
-            y = 0.5 * (lo + hi)
-            gy = y - x + h * float(f(y))
-            ag = abs(gy)
-            if lo == hi:
-                break
-    # Bisection only: a solve without a derivative, or one whose Newton steps are spent.
-    for it in range(start, MAX_BISECT + 1):
-        if ag <= tol:
-            _check_contract(drift, abs(x), abs(y))
-            return ImplicitSolution(y, it, ag)
-        if ag < best_g:
-            best_y, best_g = y, ag
         if gy * glo < 0.0:
             hi = y
         else:

@@ -562,8 +562,8 @@ def test_linear_scalar_stage_keeps_the_array_route_bits(lam):
 # drift, recorded before solve_scalar's loop was restructured.  The radial
 # ray has no derivative, so every one of its steps bisects.  The short_newton
 # cubic declares a slope far too steep: its Newton steps fall short, and 175
-# of its 300 solves spend all MAX_NEWTON of them and end in the bisection
-# loop that follows.
+# of its 300 solves spend all MAX_NEWTON of them and finish on the bisection
+# steps that follow, which pins the hand-over from Newton to bisection.
 SCALAR_SOLVE_DIGESTS = {
     "linear": "417c0ac2fe6d1af2059fdb9fbfbcad540a72d1431e1aed124714a6557f3c966f",
     "cubic": "1788c74e15e7135b16d2dc9bd78a0ebb0ccaf67945f1eb18583d67796540ccf6",
