@@ -87,10 +87,9 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     """Root of y - x + h f(y) in the closed interval between 0 and x.
 
     x = 0 returns exactly 0.  The sign change over [0, x] is guaranteed for
-    dissipative f; its absence is reported as SolverError.  One loop serves
-    every solve, with bisection as its fall-through step: each step of a
-    solve without ``scalar_deriv`` (its Newton budget starts spent), and each
-    step whose Newton candidate is rejected or comes after ``MAX_NEWTON``.
+    dissipative f; its absence is reported as SolverError.  Bisection is
+    the loop's fall-through step; a solve without ``scalar_deriv`` starts
+    with its ``MAX_NEWTON`` Newton steps spent, so every step bisects.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
