@@ -20,8 +20,8 @@ the radius solves row by row.
 Multiple solutions are tolerated; the chosen root is deterministic
 (bracket toward the origin for scalars, Newton basin of y0 = x otherwise)
 and recorded in path metadata.  Every solution of the relation satisfies
-0 < ||x*|| < ||x|| for x != 0 when the drift is dissipative; with asserts
-enabled that contraction is checked after each solve.
+0 < ||x*|| < ||x|| for x != 0 when the drift is dissipative; that
+contraction is checked after each solve, and a violation is a SolverError.
 """
 
 from __future__ import annotations
@@ -77,10 +77,8 @@ def _check_contract(drift, x_norm: float, y_norm: float) -> None:
     # Non-strict at this level: residual-based termination may stop exactly
     # at y = x when |h f(x)| is already below tolerance.  Strictness over
     # representative domains is asserted by the property tests.
-    if drift.dissipative and x_norm > 0.0:
-        assert 0.0 < y_norm <= x_norm, (
-            f"contraction violated: ||x*||={y_norm!r} vs ||x||={x_norm!r}"
-        )
+    if drift.dissipative and x_norm > 0.0 and not 0.0 < y_norm <= x_norm:
+        raise SolverError(f"contraction violated: ||x*||={y_norm!r} vs ||x||={x_norm!r}")
 
 
 def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> ImplicitSolution:
@@ -275,8 +273,12 @@ def solve_radial(
     if zero_rows:
         # +0.0 in every entry: x * 0.0 is -0.0 where x is negative or -0.0.
         Y[zero_rows] = 0.0
-    for rho, y_norm in zip(radii, np.sqrt(np.vecdot(Y, Y)).tolist()):
-        _check_contract(drift, rho, y_norm)
+    for i, (rho, y_norm) in enumerate(zip(radii, np.sqrt(np.vecdot(Y, Y)).tolist())):
+        try:
+            _check_contract(drift, rho, y_norm)
+        except SolverError as exc:
+            exc.row_index = i
+            raise
     return Y, iters, max_resid
 
 

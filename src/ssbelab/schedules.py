@@ -556,36 +556,20 @@ def from_sigma_sampled(sigma: ContinuousSigma, h: float) -> NoiseSchedule:
     return _derived(sigma, h, "sampled", matrix_eval=matrix_eval)
 
 
-def _cell_rms(sq: Callable[[np.ndarray], np.ndarray], cells: np.ndarray, h: float, rel_tol: float,
-              entry: str = "") -> np.ndarray:
-    """sqrt of the mean of ``sq`` over each cell [nh, (n+1)h], by one adaptive Simpson call.
-
-    ``cells`` is an increasing int array, so a failure names the lowest
-    failing cell.
-    """
-    with np.errstate(over="ignore"):  # n h = inf: that cell fails, and is named, below
-        a, b = cells * h, (cells + 1) * h
-    try:
-        val = adaptive_simpson(sq, a, b, rel_tol=rel_tol)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"cell-rms quadrature failed on cell n={cells[exc.index]}{entry}: {exc}", exc.index
-        ) from exc
-    return np.sqrt(np.maximum(val, 0.0) / h)
-
-
 def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10) -> NoiseSchedule:
     """Cell root-mean-square derivation.
 
     [sigma(n)]_ij = sqrt((1/h) int_{nh}^{(n+1)h} Sigma_ij(s)^2 ds), using a
     registered antiderivative when the family has one and adaptive Simpson
-    quadrature otherwise.  Quadrature failures name the offending cell.
+    quadrature otherwise.
 
-    On the quadrature route the envelope is evaluated on whole arrays of
-    points and squared with ``np.float_power``, which rounds as Python's
-    ``float ** 2`` does (numpy's ``x * x`` does not, in the last bit).
-    Cell values are computed once, every missing cell of a request in one
-    quadrature call, and kept for later requests.
+    Quadrature averages one entry for an envelope source, its square, and
+    one per (i, j) for a matrix source, Sigma_ij^2, squared by
+    ``np.float_power`` as Python's ``float ** 2`` rounds (numpy's ``x * x``
+    does not, in the last bit).  A request makes one quadrature call per
+    entry over all its missing cells, kept in an (n,) or (n, d, r) cache.
+    A failure names the lowest failing cell of the first failing entry, in
+    (i, j) order.
     """
     if sigma.envelope is not None and sigma.env_sq_cell is not None:
         def env(ns, cell=sigma.env_sq_cell, h=h):
@@ -596,41 +580,40 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
         return _derived(sigma, h, "cell_rms", base=sigma.base, envelope=env)
 
     if sigma.envelope is not None:
-        rms, done = np.empty(0), np.empty(0, dtype=bool)
+        shape, squares = (), {(): lambda t, e=sigma.envelope: np.float_power(e(t), 2.0)}
+    else:
+        shape = (sigma.d, sigma.r)
+        squares = {
+            ij: lambda ts, ij=ij, s=sigma: np.float_power([np.asarray(s(t))[ij] for t in ts], 2.0)
+            for ij in np.ndindex(shape)
+        }
+    rms, done = np.empty((0,) + shape), np.empty(0, dtype=bool)
 
-        def env_quad(ns, e=sigma.envelope, h=h, rel_tol=rel_tol):
-            nonlocal rms, done
-            idx = np.asarray(ns).astype(np.int64)
-            if idx.size == 0:
-                return np.empty(idx.shape)
-            if idx.min() < 0:
-                raise ValueError("schedule index must be non-negative")
-            if idx.max() >= len(rms):
-                grow = max(int(idx.max()) + 1, 2 * len(rms)) - len(rms)
-                rms = np.concatenate([rms, np.empty(grow)])
-                done = np.concatenate([done, np.zeros(grow, dtype=bool)])
-            cells = np.unique(idx[~done[idx]])
-            if cells.size:
-                rms[cells] = _cell_rms(lambda t: np.float_power(e(t), 2.0), cells, h, rel_tol)
-                done[cells] = True
-            return rms[idx]
+    def cell_values(ns):
+        nonlocal rms, done
+        idx = np.asarray(ns).astype(np.int64)
+        if idx.size == 0:
+            return np.empty(idx.shape + shape)
+        if idx.min() < 0:
+            raise ValueError("schedule index must be non-negative")
+        if idx.max() >= len(rms):
+            grow = max(int(idx.max()) + 1, 2 * len(rms)) - len(rms)
+            rms = np.concatenate([rms, np.empty((grow,) + shape)])
+            done = np.concatenate([done, np.zeros(grow, dtype=bool)])
+        cells = np.unique(idx[~done[idx]])
+        if cells.size:
+            with np.errstate(over="ignore"):  # n h = inf: that cell fails, and is named, below
+                a, b = cells * h, (cells + 1) * h
+            for entry, sq in squares.items():
+                try:
+                    val = adaptive_simpson(sq, a, b, rel_tol=rel_tol)
+                except QuadratureError as exc:
+                    which = ", entry ({},{})".format(*entry) if entry else ""
+                    raise QuadratureError(f"cell-rms quadrature failed on cell n={cells[exc.index]}"
+                                          f"{which}: {exc}", exc.index) from exc
+                rms[(cells,) + entry] = np.sqrt(np.maximum(val, 0.0) / h)
+            done[cells] = True
+        return rms[idx]
 
-        return _derived(sigma, h, "cell_rms", base=sigma.base, envelope=env_quad)
-
-    cache_m: dict[int, np.ndarray] = {}
-
-    def cell(n: int, s=sigma, h=h, rel_tol=rel_tol) -> np.ndarray:
-        if n not in cache_m:
-            out = np.empty((s.d, s.r))
-            for i, j in np.ndindex(s.d, s.r):
-                def sq(ts, i=i, j=j):
-                    return np.float_power([np.asarray(s(t))[i, j] for t in ts], 2.0)
-
-                out[i, j] = _cell_rms(sq, np.array([n]), h, rel_tol, f", entry ({i},{j})")[0]
-            cache_m[n] = out
-        return cache_m[n]
-
-    def matrix_eval(ns: np.ndarray, s=sigma) -> np.ndarray:
-        return np.array([cell(n) for n in ns.ravel().tolist()]).reshape(ns.shape + (s.d, s.r))
-
-    return _derived(sigma, h, "cell_rms", matrix_eval=matrix_eval)
+    route = {"base": sigma.base, "envelope": cell_values} if shape == () else {"matrix_eval": cell_values}
+    return _derived(sigma, h, "cell_rms", **route)

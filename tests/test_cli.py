@@ -693,6 +693,22 @@ def test_a_missing_family_parameter_exits_2(tmp_path, capsys):
     assert "power schedule needs p" in capsys.readouterr().err
 
 
+def test_a_contraction_violation_exits_2(tmp_path, capsys):
+    # Path 0 decays to 5e-324 by step 1080, where its stage rounds to 0.0.
+    # The contraction check raises SolverError (an assert would vanish under
+    # python -O), which the engine names by path and step.
+    text = (ROOT / "configs/regime_a.cfg").read_text()
+    cfg = tmp_path / "geometric.cfg"
+    cfg.write_text(text.replace("= power", "= geometric").replace("schedule.p = 1.0", "schedule.rho = 0.5"))
+    argv = ["simulate", str(cfg), "--out", str(tmp_path), "--set", "run.h=1.0",
+            "--set", "run.steps=20000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: path 0 (master_seed 42) failed at step 1080: "
+        "contraction violated: ||x*||=0.0 vs ||x||=5e-324\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
 def test_arctan_overflow_exits_2(tmp_path, capsys, command):
     # simulate's scalar solve raised OverflowError from arctan's 1 / (1 + y**2).

@@ -462,8 +462,9 @@ def test_radial_stage_checks_contraction_of_each_row():
 
     drift = builtin_drift("saturating", c=2.0, d=3)
     X = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
-    with pytest.raises(AssertionError, match="contraction violated"):
+    with pytest.raises(SolverError, match="contraction violated") as exc:
         solve_radial(drift, 0.1, X, 1e-12, outward)
+    assert exc.value.row_index == 1
 
 
 def test_radial_integrate_path_matches_per_row_reference_bitwise():

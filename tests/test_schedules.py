@@ -109,6 +109,58 @@ def test_quadrature_failure_names_cell():
         sched.frobenius_grid([5, 4, 3])
 
 
+def test_quadrature_failure_names_cell_and_entry():
+    # Entry (0,1) fails on cells 3 and 5, entry (1,0) on cells 0 and 1.
+    # Entries are averaged in (i, j) order over every missing cell of the
+    # request, so the lowest failing cell of entry (0,1) is named.
+    def step(lo, hi, t):
+        return 1.0 if lo < t < hi else 0.0
+
+    def fn(t):
+        return np.array([[1.0 / (1.0 + t), step(3.5, 5.5, t)], [step(0.5, 1.5, t), 0.0]])
+
+    sched = from_sigma_cell_rms(ContinuousSigma(name="steps", d=2, r=2, fn=fn), 1.0, rel_tol=1e-13)
+    with pytest.raises(QuadratureError, match=r"cell n=3, entry \(0,1\): "):
+        sched.frobenius_grid([5, 4, 3, 1])
+    with pytest.raises(QuadratureError, match=r"cell n=0, entry \(1,0\): "):
+        sched.frobenius_grid([2, 0])
+
+
+def _matrix_source():
+    def fn(t):
+        return np.array([[math.sqrt(2.0 / math.log(t + 3.0)), 0.3 * math.exp(-t)],
+                         [0.0, 1.0 / (1.0 + t)]])
+
+    return ContinuousSigma(name="matrix", d=2, r=2, fn=fn)
+
+
+@pytest.mark.parametrize("source, entries", [
+    (lambda: sigma_family("inverse_log_t", a=2.0, b=3.0), 1),
+    (_matrix_source, 4),
+], ids=["envelope", "matrix"])
+def test_cell_rms_makes_one_quadrature_call_per_entry(monkeypatch, source, entries):
+    import ssbelab.schedules as schedules
+
+    calls = []
+    real = schedules.adaptive_simpson
+
+    def counted(f, a, b, **kw):
+        calls.append(len(a))
+        return real(f, a, b, **kw)
+
+    monkeypatch.setattr(schedules, "adaptive_simpson", counted)
+    sched = from_sigma_cell_rms(source(), 0.1)
+    batch = sched.frobenius_grid(np.arange(12))
+    assert calls == [12] * entries
+    sched.frobenius_grid([11, 3, 0])
+    assert calls == [12] * entries  # every cell is cached: no call
+    sched.frobenius_grid(np.arange(10, 15))
+    assert calls == [12] * entries + [3] * entries  # only the missing cells 12, 13, 14
+    # A cell has the same bits in a batch as alone.
+    lone = from_sigma_cell_rms(source(), 0.1)
+    assert np.concatenate([lone.frobenius_grid([n]) for n in range(12)]).tobytes() == batch.tobytes()
+
+
 def test_monotone_sandwich_termwise():
     # For non-increasing squared norms the cell value is wedged between
     # consecutive sampled values.

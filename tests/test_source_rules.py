@@ -146,3 +146,14 @@ def test_each_path_statistic_is_written_once():
         and any(isinstance(a, ast.Attribute) and a.attr in accumulators for a in ast.walk(node))
     ]
     assert len(quotients) == 4
+
+
+def test_the_package_holds_no_assert():
+    # python -O strips assert statements: a check the package relies on raises instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
