@@ -11,9 +11,9 @@ inside the unit disc.  The discrete Lyapunov equation
     C^T M C - M = -I
 
 then has a unique symmetric positive definite solution, computed here two
-independent ways (truncated series sum of (C^T)^k C^k and the vectorised
-Kronecker linear system) and cross-checked.  V(x) = x^T M x is the energy
-used by the bounded-regime bookkeeping.
+independent ways (the series of (C^T)^k C^k, summed by doubling, and the
+vectorised Kronecker linear system) and cross-checked.  V(x) = x^T M x is
+the energy used by the bounded-regime bookkeeping.
 """
 
 from __future__ import annotations
@@ -91,20 +91,15 @@ class LyapunovSolution:
 
 
 def _lyapunov_series(C: np.ndarray, tol: float) -> np.ndarray:
-    d = C.shape[0]
-    term = np.eye(d)
-    M = np.eye(d)
-    small = 0
-    for _ in range(200_000):
-        term = C.T @ term @ C
-        M += term
-        if np.linalg.norm(term) < tol:
-            small += 1
-            if small >= 2:
-                return M
-        else:
-            small = 0
-    raise RuntimeError("Lyapunov series did not converge (spectral radius too close to 1?)")
+    # Doubling: with P = C^(2^j), M + P^T M P sums the first 2^(j+1) terms of (C^T)^k C^k.
+    M, P = np.eye(C.shape[0]), C
+    for _ in range(64):
+        step = P.T @ M @ P
+        M += step
+        if np.linalg.norm(step) <= tol * np.linalg.norm(M):
+            return M
+        P = P @ P
+    raise ValueError("Lyapunov series did not converge (spectral radius too close to 1?)")
 
 
 def _lyapunov_kron(C: np.ndarray) -> np.ndarray:
@@ -134,7 +129,7 @@ def solve_discrete_lyapunov(C, tol: float = 1e-12) -> LyapunovSolution:
     M = 0.5 * (M + M.T)
     eigvals, eigvecs = np.linalg.eigh(M)
     if eigvals.min() <= 0:
-        raise RuntimeError("Lyapunov solution is not positive definite")
+        raise ValueError("Lyapunov solution is not positive definite")
     P = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
     residual = float(np.linalg.norm(C.T @ M @ C - M + np.eye(d)))
     return LyapunovSolution(M=M, P=P, residual=residual, method_gap=gap)

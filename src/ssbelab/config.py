@@ -112,8 +112,8 @@ _EPS_MIN, _EPS_MAX, _EPS_POINTS = default_epsilon_grid.__defaults__
 SCHEMA = {
     "drift.name": (TEXT, None),
     "drift.d": (COUNT, 1),
-    "drift.lam": (NUMBER, 1.0),
-    "drift.c": (NUMBER, 1.0),
+    "drift.lam": (NUMBER, None),
+    "drift.c": (NUMBER, None),
     "drift.A": (MATRIX, None),
     "schedule.kind": (TEXT, None),
     "schedule.path": (TEXT, None),
@@ -213,22 +213,13 @@ def _drift_A(cfg: dict[str, str]):
 
 
 def build_drift(cfg: dict[str, str]) -> DriftSpec:
+    """The ``drift.name`` family with every drift key that is set; drift.A replaces lam and d."""
     name = get(cfg, "drift.name", required=True)
-    d, A = get(cfg, "drift.d"), _drift_A(cfg)
+    keys = ("A", "c") if _drift_A(cfg) is not None else ("lam", "c", "d")
     try:
-        if name == "linear":
-            if A is not None:
-                return builtin_drift("linear", A=A)
-            return builtin_drift("linear", lam=get(cfg, "drift.lam"), d=d)
-        if name == "cubic":
-            return builtin_drift("cubic", d=d)
-        if name == "arctan":
-            return builtin_drift("arctan", d=d)
-        if name == "saturating":
-            return builtin_drift("saturating", c=get(cfg, "drift.c"), d=d)
+        return builtin_drift(name, **_set_params(cfg, "drift.", keys))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown drift.name: {name!r}")
 
 
 def _set_params(cfg: dict[str, str], prefix: str, names) -> dict:

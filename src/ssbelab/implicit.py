@@ -226,6 +226,20 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     return y, iters, max_resid
 
 
+_TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)  # below it, x.dot(x) may have underflowed
+
+
+def _row_norms(X: np.ndarray) -> list:
+    """sqrt(x.dot(x)) per row, np.linalg.norm's formula (vecdot rounds a row as dot does);
+    a nonzero row under ``_TINY_NORM`` is taken again scaled by 2^600, which is exact."""
+    norms = np.sqrt(np.vecdot(X, X)).tolist()
+    if norms and min(norms) < _TINY_NORM:
+        for i in np.flatnonzero((np.array(norms) < _TINY_NORM) & X.any(axis=1)).tolist():
+            x = X[i] * 2.0**600
+            norms[i] = math.sqrt(x.dot(x)) * 2.0**-600
+    return norms
+
+
 class _Ray:
     """Scalar view of the radius equation t + h g(t) = rho for ``solve_scalar``."""
 
@@ -252,8 +266,7 @@ def solve_radial(
     row, max_residual).
     """
     ray = _Ray(drift.radial_gain)
-    # np.linalg.norm's formula, sqrt(x.dot(x)), on every row at once: vecdot rounds a row as dot does.
-    radii = np.sqrt(np.vecdot(X, X)).tolist()
+    radii = _row_norms(X)
     scale = [0.0] * len(radii)
     zero_rows = []
     iters, max_resid = 0, 0.0
@@ -273,7 +286,7 @@ def solve_radial(
     if zero_rows:
         # +0.0 in every entry: x * 0.0 is -0.0 where x is negative or -0.0.
         Y[zero_rows] = 0.0
-    for i, (rho, y_norm) in enumerate(zip(radii, np.sqrt(np.vecdot(Y, Y)).tolist())):
+    for i, (rho, y_norm) in enumerate(zip(radii, _row_norms(Y))):
         try:
             _check_contract(drift, rho, y_norm)
         except SolverError as exc:

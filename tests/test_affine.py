@@ -151,3 +151,20 @@ def test_decrement_identity_zero_noise():
     sched = schedule_family("zero", h=1.0)
     rec = integrate(builtin_drift("linear", A=A), sched, [2.0], 50, derive_substream(0, 0, 1))
     assert float(lyapunov_decrement_residuals(system, rec).max()) <= 1e-12
+
+
+def test_lyapunov_series_that_does_not_settle_is_a_value_error():
+    # Doubling sums 2^64 terms at most; a NaN step never meets the stop.
+    from ssbelab.affine import _lyapunov_series
+
+    with pytest.raises(ValueError, match="Lyapunov series did not converge"):
+        _lyapunov_series(np.array([[np.nan]]), 1e-12)
+
+
+def test_lyapunov_series_sums_by_doubling():
+    # After j doublings M holds the first 2^j terms of sum_k (C^T)^k C^k.
+    from ssbelab.affine import _lyapunov_series
+
+    for c in (0.5, 0.9, 1.0 - 1e-6):
+        M = _lyapunov_series(np.array([[c]]), 1e-12)
+        assert M[0, 0] == pytest.approx(1.0 / (1.0 - c * c), rel=1e-9)

@@ -467,3 +467,21 @@ def test_cross_check_verdicts_equal_the_whole_array_verdicts(case):
             assert _verdicts(sched, fro, grid, kind, n_trunc, probes) == want
             rows = _evidence(sched, fro, grid, kind, n_trunc, np.empty_like(fro), probes)
             assert [row.verdict for row in rows] == want
+
+
+def _assembled(verdicts):
+    from ssbelab.classifier import EpsilonEvidence, _assemble
+
+    grid = default_epsilon_grid(0.01, 10.0, len(verdicts))
+    return _assemble([EpsilonEvidence(float(eps), v, None) for eps, v in zip(grid, verdicts)])
+
+
+def test_all_infinite_evidence_assembles_to_regime_c():
+    assert _assembled(["infinite"] * 4) == ("C", None, None)
+
+
+def test_a_finite_verdict_below_an_infinite_one_is_inconclusive():
+    # The S series shrinks as eps grows, so finite at a smaller eps and
+    # infinite at a larger one contradicts itself.
+    assert _assembled(["infinite", "finite", "infinite", "finite"]) == ("inconclusive", None, None)
+    assert _assembled(["infinite", "unknown", "finite", "finite"])[0] == "B"

@@ -714,3 +714,53 @@ def test_arctan_overflow_exits_2(tmp_path, capsys, command):
     # simulate's scalar solve raised OverflowError from arctan's 1 / (1 + y**2).
     text = OVERFLOW_CFG.replace("cubic", "arctan").replace("1.7e308", "1e200")
     _exits_2_at_step_0(tmp_path, capsys, command, text, "non-finite state norm: inf")
+
+
+@pytest.mark.parametrize("config, pair, key", [
+    ("regime_a.cfg", "drift.lam=5", "lam"),
+    ("regime_a.cfg", "drift.c=-5", "c"),
+    ("regime_b.cfg", "drift.c=2", "c"),
+])
+def test_a_drift_key_the_drift_does_not_read_exits_2(tmp_path, capsys, config, pair, key):
+    # build_drift read only the keys of the named family: drift.lam on the
+    # cubic drift of regime_a.cfg exited 0 with the rows of the file alone.
+    argv = ["experiment", str(ROOT / "configs" / config), "--out", str(tmp_path / "out"),
+            "--set", pair, "--set", "run.steps=10", "--set", "run.paths=2"]
+    assert main(argv) == 2
+    name = "cubic" if config == "regime_a.cfg" else "linear"
+    assert capsys.readouterr().err == f"error: unexpected {name} params: ['{key}']\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_drift_matrix_replaces_the_linear_rate(tmp_path):
+    # regime_b.cfg sets drift.lam = 1.0 and drift.d = 1; drift.A = -2 takes
+    # their place, so its rows are those of drift.lam = 2.
+    rows = {}
+    for pair in ("drift.A=-2", "drift.lam=2"):
+        out = tmp_path / pair
+        argv = ["experiment", str(ROOT / "configs/regime_b.cfg"), "--out", str(out),
+                "--set", pair, "--set", "run.steps=200", "--set", "run.paths=3"]
+        assert main(argv) == 0
+        text = (out / "ensemble.csv").read_text()
+        rows[pair] = [line for line in text.splitlines() if not line.startswith("#")]
+    assert rows["drift.A=-2"] == rows["drift.lam=2"]
+    assert len(rows["drift.A=-2"]) == 4
+
+
+@pytest.mark.parametrize("A, h", [("-1e-5", "0.1"), ("-1,0;0,-1e-12", "0.2")])
+def test_affine_finishes_on_a_weakly_stable_matrix(tmp_path, capsys, A, h):
+    # C(h) has a spectral radius within 1e-6 (and 2e-13) of 1: the Lyapunov
+    # series, summed term by term, ran out of its 200 000 terms and exited 1
+    # with a RuntimeError traceback.
+    import numpy as np
+
+    from ssbelab.affine import build_C, solve_discrete_lyapunov
+    from ssbelab.config import parse_matrix
+
+    argv = ["affine", str(ROOT / "configs/affine_demo.cfg"), "--out", str(tmp_path),
+            "--set", f"affine.A={A}", "--set", f"run.h={h}"]
+    assert main(argv) == 0
+    assert "eigen_map_ok = true" in capsys.readouterr().out
+    assert (tmp_path / "affine_report.txt").exists()
+    sol = solve_discrete_lyapunov(build_C(parse_matrix(A), float(h)))
+    assert sol.method_gap <= 1e-8 * np.linalg.norm(sol.M)

@@ -135,3 +135,26 @@ def test_arctan_ratio_bounded():
     rng = np.random.default_rng(1)
     ratios = [_shell_min_inner(arctan, rad, 8, rng) / rad for rad in (10.0, 100.0, 1000.0)]
     assert max(ratios) < math.pi / 2.0
+
+
+@pytest.mark.parametrize("name, params, unread", [
+    ("linear", {"c": 1.0}, "['c']"),
+    ("linear", {"A": -np.eye(2), "lam": 2.0}, "['lam']"),
+    ("linear", {"A": -np.eye(2), "d": 2}, "['d']"),
+    ("cubic", {"lam": 1.0}, "['lam']"),
+    ("cubic", {"c": 1.0, "A": -np.eye(1)}, "['A', 'c']"),
+    ("arctan", {"lam": 1.0}, "['lam']"),
+    ("saturating", {"lam": 1.0, "d": 3}, "['lam']"),
+])
+def test_a_family_rejects_a_parameter_it_does_not_read(name, params, unread):
+    # Every family read its own keys and rejected the rest in a branch of its
+    # own; the one rule now runs before any family is built.
+    with pytest.raises(ValueError) as excinfo:
+        builtin_drift(name, **params)
+    assert str(excinfo.value) == f"unexpected {name} params: {unread}"
+
+
+def test_an_unknown_family_is_named_before_its_parameters():
+    with pytest.raises(ValueError, match="unknown drift family: 'quintic'"):
+        builtin_drift("quintic", lam=1.0)
+

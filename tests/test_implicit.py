@@ -607,3 +607,114 @@ def test_an_implicit_solution_is_immutable():
     for field in ("x_star", "iterations", "residual"):
         with pytest.raises(AttributeError):
             setattr(sol, field, 0.0)
+
+
+@pytest.mark.parametrize("x", [1e200, -1e200])
+def test_an_exact_root_at_the_far_end_of_the_bracket(x):
+    # The saturating gain c x / (1 + x x) rounds to 0.0 at |x| = 1e200, so
+    # G_x vanishes at y = x, the end of the bracket [0, x] away from 0.
+    assert solve_scalar(builtin_drift("saturating"), 0.1, x) == (x, 0, 0.0)
+
+
+def test_a_tiny_radius_keeps_its_row():
+    # x.dot(x) underflows to 0.0 at 1e-170: the row read as a zero row and
+    # came back as [0, 0, 0] without its contraction check.
+    sol = solve_vector(builtin_drift("saturating", d=3), 0.1, [1e-170, 0.0, 0.0])
+    assert sol.x_star.tolist() == [5e-171, 0.0, 0.0]
+    assert sol.iterations == 1
+
+
+def test_a_tiny_radius_in_a_block_leaves_the_other_rows_their_bits():
+    from ssbelab.implicit import solve_radial
+
+    drift = builtin_drift("saturating", c=2.0, d=3)
+    ordinary = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [3e-154, 1e-154, 0.0], [-7.0, 0.25, 1e3]])
+    X = np.insert(ordinary, 2, [[1e-170, -1e-170, 0.0], [-1e-320, 5e-324, 0.0]], axis=0)
+    Y, _, _ = solve_radial(drift, 0.1, X)
+    Y_ordinary, _, _ = solve_radial(drift, 0.1, ordinary)
+    assert Y[[0, 1, 4, 5]].tobytes() == Y_ordinary.tobytes()
+    for x, y in zip(X[2:4], Y[2:4]):
+        assert 0.0 < np.abs(y).max() < np.abs(x).max()
+        assert np.array_equal(np.sign(y), np.sign(x) * (np.abs(y) > 0))
+
+
+def _linear_generic(h, jac_sign, calls):
+    # f(y) = y with no componentwise or radial structure: the generic vector
+    # route, whose root is x / (1 + h). jac_sign = -1 declares the wrong sign.
+    def jac(y):
+        calls.append("jac")
+        return jac_sign * np.eye(y.size)
+
+    return make_drift(lambda y: calls.append("f") or np.asarray(y, float), 2, name="lin2", jac=jac)
+
+
+def _solves_to(sol, x, h):
+    assert np.abs(sol.x_star - x / (1.0 + h)).max() <= 1e-12
+    assert sol.residual <= 1e-12
+
+
+def test_a_singular_newton_matrix_hands_over_to_the_fixed_point():
+    # I + h J is the zero matrix at h = 1 with J = -I: Newton stops before
+    # its line search.
+    from ssbelab import implicit
+
+    calls = []
+    x = np.array([1.0, -2.0])
+    drift = _linear_generic(1.0, -1.0, calls)
+    y, iters, _ = implicit._newton_vector(drift, 1.0, x, 1e-12, drift.jac)
+    assert calls == ["f", "jac"]
+    assert y.tolist() == x.tolist() and iters == implicit.MAX_NEWTON
+    _solves_to(solve_vector(drift, 1.0, x), x, 1.0)
+
+
+def test_newtons_line_search_running_out_hands_over_to_the_fixed_point():
+    # At h = 2 the flipped Jacobian makes each Newton direction an ascent:
+    # no step length from 1 down to 2^-30 lowers ||F||.
+    from ssbelab import implicit
+
+    calls = []
+    x = np.array([1.0, -2.0])
+    drift = _linear_generic(2.0, -1.0, calls)
+    y, iters, _ = implicit._newton_vector(drift, 2.0, x, 1e-12, drift.jac)
+    assert calls == ["f", "jac"] + ["f"] * 31
+    assert y.tolist() == x.tolist() and iters == implicit.MAX_NEWTON
+    _solves_to(solve_vector(drift, 2.0, x), x, 2.0)
+
+
+def test_newton_spending_every_iteration_is_rescued_by_the_fixed_point():
+    # At h = 0.33 the flipped Jacobian's full steps shrink ||F|| by 0.985
+    # each, which MAX_NEWTON steps leave far above tol.
+    from ssbelab import implicit
+
+    calls = []
+    x = np.array([1.0, -2.0])
+    drift = _linear_generic(0.33, -1.0, calls)
+    _, iters, resid = implicit._newton_vector(drift, 0.33, x, 1e-12, drift.jac)
+    assert calls.count("jac") == implicit.MAX_NEWTON and iters == implicit.MAX_NEWTON
+    assert 1e-3 < resid < 0.33 * np.linalg.norm(x)
+    sol = solve_vector(drift, 0.33, x)
+    _solves_to(sol, x, 0.33)
+    assert sol.iterations < implicit.MAX_NEWTON
+
+
+def test_the_damped_fixed_point_halves_its_step():
+    # f(y) = 30 y at h = 1: the full fixed-point step y -> x - 30 y overshoots
+    # (||F|| grows 30-fold), so theta halves until it contracts.
+    from ssbelab import implicit
+
+    drift = make_drift(lambda y: 30.0 * np.asarray(y, float), 2, name="steep")
+    x = np.array([1.0, -2.0])
+    y, _, resid = implicit._fixed_point_vector(drift, 1.0, x, 1e-12)
+    assert resid < 0.1 * np.linalg.norm(30.0 * x)
+    assert np.abs(y - x / 31.0).max() < np.abs(x / 31.0).max()
+    sol = solve_vector(drift, 1.0, x)
+    assert np.abs(sol.x_star - x / 31.0).max() <= 1e-12
+
+
+def test_the_generic_route_stalls_when_both_routes_fail():
+    # f(y) = -y at h = 1 leaves F(y) = -x for every y: no root exists.
+    anti = make_drift(lambda y: -np.asarray(y, float), 2, name="anti", dissipative=False,
+                      jac=lambda y: -np.eye(2))
+    with pytest.raises(SolverError, match="vector implicit solve stalled at residual") as excinfo:
+        solve_vector(anti, 1.0, np.array([3.0, 4.0]))
+    assert excinfo.value.residual == 5.0

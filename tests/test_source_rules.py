@@ -84,6 +84,12 @@ def test_the_harness_judges_an_ensemble_in_one_place():
     assert _calls("f(1)\nf(g(2))\nobj.f(3)\nf\nf()()\n", ("f", "g")) == {"f": 4, "g": 1}
 
 
+def test_the_config_reads_the_drift_catalogue_once():
+    # build_drift passes every drift key that is set to the one catalogue,
+    # which alone knows each family's name and parameters.
+    assert _calls((SRC / "config.py").read_text(), ("builtin_drift",)) == {"builtin_drift": 1}
+
+
 def _config_reads(source: str) -> list[int]:
     """Lines that read a config dict ``cfg`` by subscript or by ``cfg.get(...)``."""
     found = []
