@@ -24,7 +24,8 @@ so the decision procedure is layered and honest:
 3. evidence: per grid eps, a registered rigorous tail majorant proves
    finiteness; terms staying above n^{-1/2} on the probe range evidence
    divergence; anything else stays unknown.  The per-eps verdicts are
-   assembled into a regime or reported as inconclusive.
+   assembled into a regime or reported as inconclusive, as is a grid that
+   reads infinite throughout: eps' may lie above it.
 
 The evidence reported is that of S (of S' under policy 'sprime'); the other
 series contributes verdicts only, and they must agree whenever both commit.
@@ -298,11 +299,10 @@ def _assemble(evidence: list[EpsilonEvidence]) -> tuple[str, Optional[float], Op
         return "inconclusive", None, None
     if all(v == "finite" for v in verdicts):
         return "A", None, None
-    if all(v == "infinite" for v in verdicts):
-        return "C", None, None
     if last_inf is not None and first_fin is not None:
         bracket = (eps[last_inf], eps[first_fin])
         return "B", math.sqrt(bracket[0] * bracket[1]), bracket
+    # No bracket: even a grid infinite throughout fits B with eps' above it as well as C.
     return "inconclusive", None, None
 
 

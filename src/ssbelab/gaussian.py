@@ -5,16 +5,16 @@ an accident:
 
 * uniform bits come from the Philox counter-based generator keyed by
   ``numpy.random.SeedSequence([master_seed, path_index])``;
-* each normal deviate is ``ndtri((k + 0.5) * 2**-53)`` where ``k`` is one
-  53-bit integer from the bit stream (inverse CDF on the centred dyadic
-  grid, strictly inside (0, 1)).
+* each normal deviate is ``ndtri((k + 0.5) * 2**-53)``, formed as
+  ``(2k + 1) * 2**-54``, where ``k`` is the top 53 bits of one raw 64-bit
+  Philox output (what ``Generator.integers(2**53)`` returns).
 
 Philox bit streams are stable across platforms and numpy releases, and the
 inverse CDF is a fixed double-precision algorithm, so equal
 ``(master_seed, path_index)`` reproduce bit-identical vectors anywhere.
-The 53-bit grid truncates the extreme tails at |x| ~ 8.21; a single draw
-lands there with probability below 6e-17, immaterial at any feasible path
-count.
+Above k = 2**52 ``k + 0.5`` rounds to an even integer, so adjacent k share
+a deviate, and k = 2**53 - 1 gives u = 1.0 and +inf, a non-finite state at
+the fold, once per 2**53 draws; the finite deviates span [-8.2924, 8.1259].
 
 Substreams are derived by hash-mixing ``(master_seed, path_index)`` rather
 than by jump-ahead, so path ensembles parallelise without coordination.
@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-
-_TWO53 = float(1 << 53)
 
 
 @dataclass
@@ -43,7 +41,7 @@ class GaussianStream:
     path_index: int
     r: int
     position: int = field(default=1, init=False)
-    _rng: np.random.Generator = field(init=False, repr=False, compare=False)
+    _bits: np.random.Philox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.master_seed) < 2**64:
@@ -53,7 +51,7 @@ class GaussianStream:
         if self.r < 1:
             raise ValueError("dimension r must be positive")
         seq = np.random.SeedSequence([int(self.master_seed), int(self.path_index)])
-        self._rng = np.random.Generator(np.random.Philox(seed=seq))
+        self._bits = np.random.Philox(seed=seq)
 
     def next_vector(self) -> np.ndarray:
         """Return xi(position) as an (r,) array and advance the stream."""
@@ -70,10 +68,12 @@ class GaussianStream:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        k = self._rng.integers(1 << 53, size=(count, self.r), dtype=np.uint64)
-        u = (k.astype(np.float64) + 0.5) / _TWO53
+        bits = self._bits.random_raw(count * self.r).reshape(count, self.r)
+        bits >>= 10  # 2k + (the bit below k)
+        bits |= 1
+        u = bits * 2.0**-54
         self.position += count
-        return ndtri(u, out=out)
+        return ndtri(u, out=u if out is None else out)
 
 
 def derive_substream(master_seed: int, path_index: int, r: int) -> GaussianStream:

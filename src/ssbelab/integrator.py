@@ -139,26 +139,25 @@ def stage_rule(drift, h: float, tol: float, block: bool):
     """The implicit stage x -> x*, x* = x - h f(x*), chosen from the drift's structure.
 
     Returns a map from one state, or an (m, d) block when ``block`` is set,
-    to a new float or array.  A lone state at d = 1 is a float, mapped by
-    ``solve_scalar`` or, for an affine drift, by x c(h): Python's float
-    ``*`` is the one IEEE product ``fixed_order_product`` takes on a (1,)
-    row.  Otherwise an affine drift applies C(h) = (I - hA)^{-1} through
-    ``fixed_order_product``, so a lone state and each row of a block round
-    alike; a lone (d,) state goes through ``solve_vector``; a block of
-    componentwise states is solved whole by ``solve_componentwise``, a
-    block of radial states (d > 1) by ``solve_radial``, a radius per row,
-    any other block row by row by the lone stage.  A failing row of a block is
-    named by ``SolverError.row_index``.
+    to a new float or array.  An affine drift applies C(h) = (I - hA)^{-1}
+    through ``fixed_order_product``, so a lone state and each row of a
+    block round alike; at d = 1 that is the one IEEE product x c(h), taken
+    by ``*`` on a lone float or an (m, 1) block.  A lone state at d = 1 is
+    otherwise mapped by ``solve_scalar``, a lone (d,) state by
+    ``solve_vector``; a block of componentwise states is solved whole by
+    ``solve_componentwise``, a block of radial states (d > 1) by
+    ``solve_radial``, a radius per row, any other block row by row by the
+    lone stage.  A failing row of a block is named by ``SolverError.row_index``.
     """
-    if drift.d == 1 and not block:
-        if drift.affine:
-            c = float(build_C(drift.affine_matrix, h)[0, 0])
-            return lambda x: x * c
-        # solve_scalar is looked up here at each call, so a wrapper installed on it sees every solve.
-        return lambda x: solve_scalar(drift, h, x, tol).x_star
     if drift.affine:
         C_T = build_C(drift.affine_matrix, h).T
+        if drift.d == 1:
+            c = float(C_T[0, 0])
+            return lambda x: x * c
         return lambda x: fixed_order_product(x, C_T)
+    if drift.d == 1 and not block:
+        # solve_scalar is looked up here at each call, so a wrapper installed on it sees every solve.
+        return lambda x: solve_scalar(drift, h, x, tol).x_star
     if not block:
         return lambda x: np.asarray(solve_vector(drift, h, x, tol).x_star, dtype=np.float64)
     if drift.componentwise:

@@ -476,8 +476,15 @@ def _assembled(verdicts):
     return _assemble([EpsilonEvidence(float(eps), v, None) for eps, v in zip(grid, verdicts)])
 
 
-def test_all_infinite_evidence_assembles_to_regime_c():
-    assert _assembled(["infinite"] * 4) == ("C", None, None)
+def test_all_infinite_evidence_is_inconclusive():
+    # Infinite at every grid eps only puts eps' above the grid, which regime B
+    # allows as well as C: inverse_log with L = 5 has eps' = sqrt(10).
+    assert _assembled(["infinite"] * 4) == ("inconclusive", None, None)
+    sched = schedule_family("inverse_log", h=0.1, a=5.0, b=2.0)
+    rep = classify(sched, epsilon_grid=[0.01, 0.1, 1.0], policy="s", n_trunc=2000)
+    assert [e.verdict for e in rep.evidence] == ["infinite"] * 3
+    assert (rep.regime, rep.method) == ("inconclusive", "empirical_trend")
+    assert classify(sched, policy="s", n_trunc=100_000).regime == "B"
 
 
 def test_a_finite_verdict_below_an_infinite_one_is_inconclusive():

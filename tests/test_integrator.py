@@ -626,3 +626,26 @@ def test_a_lone_scalar_path_is_the_scalar_recurrence_on_floats(name):
     for mode in ("thin:7", "summary"):
         other = integrate(drift, sched, [1.5], steps, derive_substream(11, 2, 1), mode)
         assert other.summary == rec.summary
+
+
+@pytest.mark.parametrize("drift", [builtin_drift("linear", lam=0.7), builtin_drift("linear", A=[[-2.5]])])
+@pytest.mark.parametrize("h", [0.1, 1.0, 3.0])
+def test_the_d1_affine_stage_is_the_fixed_order_product(drift, h):
+    # A lone float and an (m, 1) block take the one product x c(h), which
+    # is fixed_order_product's on one column, bit for bit, and the block
+    # stage returns a new array, since the step loop adds the shock in place.
+    from ssbelab.affine import build_C
+    from ssbelab.integrator import stage_rule
+    from ssbelab.schedules import fixed_order_product
+
+    x = np.array([[1.5], [0.0], [-0.0], [5e-324], [-2.2e-310], [1e300], [np.inf], [-np.inf], [np.nan],
+                  [-np.nan], [-3.7]])
+    want = fixed_order_product(x, build_C(drift.affine_matrix, h).T).view(np.uint64)
+    block = stage_rule(drift, h, 1e-12, block=True)
+    y = block(x)
+    assert y.shape == x.shape and not np.shares_memory(y, x)
+    assert (y.view(np.uint64) == want).all()
+    lone = stage_rule(drift, h, 1e-12, block=False)
+    got = [lone(v) for v in x[:, 0].tolist()]
+    assert all(type(v) is float for v in got)
+    assert (np.array(got).view(np.uint64) == want[:, 0]).all()

@@ -163,3 +163,15 @@ def test_the_package_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_the_noise_reads_raw_philox_bits():
+    # The deviates' bits rest on Philox's raw stream and ndtri alone, not on
+    # how a numpy release implements a Generator method such as integers.
+    import numpy as np
+
+    names = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    names |= {"Generator", "default_rng"}
+    assert not any(_calls((SRC / "gaussian.py").read_text(), names).values())
+    found = _calls("g = np.random.Generator(b)\nk = g.integers(5)\nb.random_raw(3)\n", names)
+    assert {name for name, n in found.items() if n} == {"Generator", "integers"}
