@@ -12,6 +12,9 @@ damped fixed point, else finite differences).
 Every solve accepts a residual of max(tol, four ulps of the state): per
 entry for scalar and componentwise solves, on the radius for radial ones
 and on max_i |x_i| for the generic route's ||F||.
+The componentwise loop updates arrays of its own in place (the iterate,
+its residual, the bracket and the Newton candidate); no solver writes into
+the state it is given or into an array a drift returns.
 The radial reduction is one block stage, ``solve_radial``, shared by both
 engines: ``solve_vector`` passes it one state, the integrator's block
 stage a block of states.  Radii and scaling are taken once per block,
@@ -45,7 +48,10 @@ def _residual_floor(tol, x):
     if isinstance(x, float):
         # math, not numpy: the scalar solver runs once a step, where numpy's call overhead shows.
         return max(tol, 4.0 * math.ulp(x))
-    return np.maximum(tol, 4.0 * np.spacing(np.abs(x)))
+    floor = np.abs(x)
+    np.spacing(floor, out=floor)
+    floor *= 4.0
+    return np.maximum(floor, tol, out=floor)
 
 
 class SolverError(RuntimeError):
@@ -169,61 +175,83 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     max_residual).  Without a declared ``scalar_deriv`` every step bisects.
     On an (m, d) block a failure is named by ``SolverError.row_index``, the
     row with the largest failing residual.
+
+    The loop updates arrays it owns in place, through masked copies: the
+    iterate, its residual and |residual|, the bracket (lo, hi and the
+    residual at lo) and the Newton candidate.  It only reads what the drift
+    returns, and the returned y is a new array, so a caller may write into it.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
     f = drift.scalar_eval
     df = drift.scalar_deriv
     x = np.asarray(x, dtype=np.float64)
+    shape = x.shape
+    if x.ndim == 0:
+        x = x.reshape(1)  # numpy returns scalars from 0-d arithmetic, which out= cannot take
     lo = np.minimum(x, 0.0)
     hi = np.maximum(x, 0.0)
     y = x.copy()
-    g = y - x + h * f(y)
-    glo = lo - x + h * f(lo)
     tol = _residual_floor(tol, x)
     iters = 0
-    # A converged entry keeps y_new = y, so its residual recomputes to the
-    # same bits and it never reactivates: y and g are replaced whole.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A converged entry keeps its y, so its residual recomputes to the same
+    # bits and it never reactivates.  The bracket of an entry matters only
+    # while it is active, so each iteration's bracket update waits until
+    # the next one has found an active entry.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = y - x + h * f(y)
+        glo = lo - x + h * f(lo)
+        ag, ag_prev, cand = np.abs(g), np.empty_like(x), np.empty_like(x)
         for iters in range(1, MAX_BISECT + 1):
-            active = np.abs(g) > tol
+            active = ag > tol
             if not np.count_nonzero(active):
                 break
-            mid = 0.5 * (lo + hi)
+            if iters > 1:
+                shrink_hi = active & (g * glo < 0.0)
+                shrink_lo = np.greater(active, shrink_hi)  # active & ~shrink_hi
+                np.copyto(hi, y, where=shrink_hi)
+                np.copyto(lo, y, where=shrink_lo)
+                np.copyto(glo, g, where=shrink_lo)
             if df is None:
-                y_new = np.where(active, mid, y)
+                np.copyto(y, 0.5 * (lo + hi), where=active)
             else:
-                cand = y - g / (1.0 + h * df(y))
+                # cand = y - g / (1 + h df(y)), built in place.
+                np.multiply(h, df(y), out=cand)
+                cand += 1.0
+                np.divide(g, cand, out=cand)
+                np.subtract(y, cand, out=cand)
                 # NaN and infinite candidates fail both comparisons: the bracket is finite.
                 good = active & (cand > lo) & (cand < hi)
-                y_new = np.where(active, np.where(good, cand, mid), y)
-            g_new = y_new - x + h * f(y_new)
+                np.copyto(y, cand, where=good)
+                bad = np.greater(active, good)  # active & ~good
+                if np.count_nonzero(bad):
+                    mid = 0.5 * (lo + hi)
+                    np.copyto(y, mid, where=bad)
+            np.subtract(y, x, out=g)
+            g += h * f(y)
+            ag_prev, ag = ag, np.abs(g, out=ag_prev)  # two buffers: the last |g| stays readable
             if df is not None:
                 # Newton candidates that fail to improve fall back to the midpoint.
-                worse = good & (np.abs(g_new) >= np.abs(g))
+                worse = good & (ag >= ag_prev)
                 if np.count_nonzero(worse):
-                    y_new = np.where(worse, mid, y_new)
-                    g_new = np.where(worse, mid - x + h * f(mid), g_new)
-            shrink_hi = active & (g_new * glo < 0.0)
-            shrink_lo = active & ~shrink_hi
-            hi = np.where(shrink_hi, y_new, hi)
-            lo = np.where(shrink_lo, y_new, lo)
-            glo = np.where(shrink_lo, g_new, glo)
-            y, g = y_new, g_new
-    resid = np.abs(g)
-    max_resid = float(resid.max()) if g.size else 0.0
+                    mid = 0.5 * (lo + hi)
+                    np.copyto(y, mid, where=worse)
+                    np.copyto(g, mid - x + h * f(mid), where=worse)
+                    np.abs(g, out=ag)
+    max_resid = float(ag.max()) if g.size else 0.0
     # Written so that a NaN residual fails too.
-    if not (resid <= tol).all():
-        failing = np.where(resid <= tol, 0.0, resid)
+    if not (ag <= tol).all():
+        failing = np.where(ag <= tol, 0.0, ag)
         worst = float(failing.max())
         exc = SolverError(
-            f"componentwise solve stalled at residual {worst:.3e}", best=y, residual=worst
+            f"componentwise solve stalled at residual {worst:.3e}",
+            best=y.reshape(shape),
+            residual=worst,
         )
         if g.ndim == 2:
             exc.row_index = int(np.argmax(failing.max(axis=1)))
         raise exc
-    y = np.where(x == 0.0, 0.0, y)
-    return y, iters, max_resid
+    return np.where(x == 0.0, 0.0, y).reshape(shape), iters, max_resid
 
 
 _TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)  # below it, x.dot(x) may have underflowed

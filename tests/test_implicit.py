@@ -718,3 +718,111 @@ def test_the_generic_route_stalls_when_both_routes_fail():
     with pytest.raises(SolverError, match="vector implicit solve stalled at residual") as excinfo:
         solve_vector(anti, 1.0, np.array([3.0, 4.0]))
     assert excinfo.value.residual == 5.0
+
+
+def _componentwise_battery_drift(name):
+    cube = lambda y: y + y * y * y
+    if name == "no_deriv":
+        return make_drift(cube, 1, name="no_deriv", scalar_eval=cube)
+    if name == "short_newton":
+        return make_drift(cube, 1, name="short_newton", scalar_eval=cube,
+                          scalar_deriv=lambda y: 100.0 + 0.0 * y)
+    if name == "wiggle":
+        return _wiggle_drift()
+    return builtin_drift(name, **({"lam": 0.37} if name == "linear" else {}))
+
+
+def _componentwise_battery_digest(drift):
+    """SHA-256 over y's bits, iterations and max_residual of a seeded battery
+    of blocks: shapes from 0-d to (256,), entries 0.0 and -0.0 among |x| in
+    [1e-8, 1e4], h in [1e-3, 10].  A failing solve adds its message, its
+    best iterate and its row instead."""
+    import hashlib
+    import struct
+    import warnings
+
+    rng = np.random.default_rng(24)
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in [(200, 1), (4, 6), (7, 3), (256,), (0, 1), ()]:
+            for _ in range(25):
+                h = float(10.0 ** rng.uniform(-3, 1))
+                x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 4, shape)
+                x = np.where(rng.random(shape) < 0.05, rng.choice([0.0, -0.0], shape), x)
+                try:
+                    y, iters, resid = solve_componentwise(drift, h, x)
+                except SolverError as exc:
+                    digest.update(str(exc).encode())
+                    digest.update(np.asarray(exc.best).tobytes())
+                    digest.update(struct.pack("<q", getattr(exc, "row_index", -1)))
+                    continue
+                assert np.shape(y) == shape
+                digest.update(y.tobytes())
+                digest.update(struct.pack("<qd", iters, resid))
+    return digest.hexdigest()
+
+
+# Recorded before solve_componentwise's loop was restructured.  Without a
+# derivative every step bisects; the short_newton cubic's slope of 100 sends
+# candidates out of the bracket and makes others fail to improve, so the
+# midpoint fallbacks run; the wiggle drift's residual is non-monotone.
+COMPONENTWISE_SOLVE_DIGESTS = {
+    "cubic": "99f4fd937b6111e820738602a2a1cd6b14e3261f0a7009ee5ad5dc21ecc5d6bd",
+    "arctan": "9dd2a21d80c824449fb2a5dcbf8e2bea0b78b4218450ca0a9056a4647f3ad23b",
+    "linear": "62ab414e478a0369fb9c0ad585105f0ec23be2a0ad0f45b87c5fb29c015a3b35",
+    "no_deriv": "235a80d2660c67cbc5e773593afab440b92763b6b4fef1abc9df2d870d302069",
+    "short_newton": "6cad936b78cec82c278d1fd5e61b78a4553fa8c9eb00254dc7f21a0995431e4a",
+    "wiggle": "5cf0a5225f35591223a26b89f63079a36ef5322b4950369b3e6856a744e6acb3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENTWISE_SOLVE_DIGESTS))
+def test_componentwise_solves_keep_their_bits(name):
+    digest = _componentwise_battery_digest(_componentwise_battery_drift(name))
+    assert digest == COMPONENTWISE_SOLVE_DIGESTS[name]
+
+
+_SHARED_ONES = np.ones((4, 3))
+
+
+@pytest.mark.parametrize("deriv", ["argument", "shared", "numpy_float", None])
+@pytest.mark.parametrize("drift_value", ["argument", "shared", "numpy_float"])
+def test_the_componentwise_solve_writes_into_no_drift_output(drift_value, deriv):
+    # A drift may hand back its argument, an array it keeps, or a numpy
+    # scalar; the solver only reads them, and returns an array of its own.
+    outputs = []
+
+    def returned(kind, y):
+        out = {"argument": y, "shared": _SHARED_ONES, "numpy_float": np.float64(1.0)}[kind]
+        outputs.append(out)
+        return out
+
+    drift = make_drift(lambda x: np.asarray(x, float), 3, name="read_only",
+                       scalar_eval=lambda y: returned(drift_value, y),
+                       scalar_deriv=None if deriv is None else lambda y: returned(deriv, y))
+    x = np.linspace(1.5, 3.0, 12).reshape(4, 3)
+    x_before = x.copy()
+    y, _, resid = solve_componentwise(drift, 0.5, x)
+    f_y = y if drift_value == "argument" else 1.0
+    assert resid <= 1e-12 and np.abs(y - x + 0.5 * f_y).max() <= 1e-12
+    assert x.tobytes() == x_before.tobytes()
+    assert (_SHARED_ONES == 1.0).all()
+    assert not np.shares_memory(y, x)
+    assert not any(np.shares_memory(y, out) for out in outputs if isinstance(out, np.ndarray))
+
+
+def test_overflow_inside_a_componentwise_solve_is_quiet():
+    # The cubic's f, its slope and the Newton candidate overflow at 1e200;
+    # only the solve's own SolverError comes out.  Arctan's slope
+    # 1 / (1 + y**2) overflows too, and its solve succeeds.
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([[1e200]], [1e200, 1.0, -1e160], 1e200):
+            with pytest.raises(SolverError, match="componentwise solve stalled at residual inf"):
+                solve_componentwise(builtin_drift("cubic"), 50.0, np.array(x))
+        x = np.array([[1e300, -1e200]])
+        y, _, resid = solve_componentwise(builtin_drift("arctan"), 50.0, x)
+    assert y.tobytes() == x.tobytes() and resid == 50.0 * math.atan(1e300)
