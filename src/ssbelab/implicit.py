@@ -4,11 +4,14 @@ For scalar dissipative drifts the root is bracketed between 0 and x (the
 residual G_x(y) = y - x + h f(y) changes sign across that interval), so a
 safeguarded bisection/Newton hybrid is guaranteed to converge; the solver
 deterministically selects the root inside that bracket.  Bisection is the
-hybrid's fall-through step.  In higher dimension the solver dispatches on
-drift structure: componentwise drifts decompose into scalar problems,
-rotationally symmetric drifts reduce to a radius equation on the ray
-through x, and general drifts get damped Newton (analytic Jacobian, else
-damped fixed point, else finite differences).
+hybrid's fall-through step.  The bracket's side is the sign of G at its
+starting lo, fixed at set-up: a residual of that sign moves lo, any other
+moves hi.  In higher dimension the solver dispatches on drift structure:
+componentwise drifts decompose into scalar problems, rotationally
+symmetric drifts reduce to a radius equation on the ray through x, and
+general drifts get damped Newton (on the declared Jacobian, else on
+finite differences), then the damped fixed point as the one rescue.
+Every solver returns an ``ImplicitSolution``.
 Every solve accepts a residual of max(tol, four ulps of the state): per
 entry for scalar and componentwise solves, on the radius for radial ones
 and on max_i |x_i| for the generic route's ||F||.
@@ -68,7 +71,7 @@ class SolverError(RuntimeError):
 
 
 class ImplicitSolution(NamedTuple):
-    x_star: object  # float for scalar solves, (d,) ndarray for vector solves
+    x_star: object  # float from solve_scalar, else an ndarray of the state's shape
     iterations: int
     residual: float
 
@@ -112,7 +115,9 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
         return ImplicitSolution(lo, 0, 0.0)
     if ghi == 0.0:
         return ImplicitSolution(hi, 0, 0.0)
-    if glo * ghi > 0.0:
+    # The bracket's side, by sign: a product of two tiny residuals underflows to zero.
+    side = 1.0 if glo > 0.0 else -1.0
+    if ghi * side > 0.0:
         raise SolverError(
             "no sign change between 0 and x; drift is not dissipative there",
             best=x,
@@ -140,16 +145,16 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
                 newton_used += 1
                 g_new = cand - x + h * float(f(cand))
                 if abs(g_new) < ag:
-                    if g_new * glo < 0.0:
+                    if g_new * side < 0.0:
                         hi = cand
                     else:
-                        lo, glo = cand, g_new
+                        lo = cand
                     y, gy, ag = cand, g_new, abs(g_new)
                     continue
-        if gy * glo < 0.0:
+        if gy * side < 0.0:
             hi = y
         else:
-            lo, glo = y, gy
+            lo = y
         y = 0.5 * (lo + hi)
         gy = y - x + h * float(f(y))
         ag = abs(gy)
@@ -171,15 +176,15 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     """Vectorised elementwise solve for componentwise drifts.
 
     Operates on an array of any shape (each entry is an independent scalar
-    problem, with its own residual floor).  Returns (y, iterations,
-    max_residual).  Without a declared ``scalar_deriv`` every step bisects.
+    problem, with its own residual floor); the solution's residual is the
+    largest entry's.  Without a declared ``scalar_deriv`` every step bisects.
     On an (m, d) block a failure is named by ``SolverError.row_index``, the
     row with the largest failing residual.
 
     The loop updates arrays it owns in place, through masked copies: the
-    iterate, its residual and |residual|, the bracket (lo, hi and the
-    residual at lo) and the Newton candidate.  It only reads what the drift
-    returns, and the returned y is a new array, so a caller may write into it.
+    iterate, its residual and |residual|, the bracket (lo and hi) and the
+    Newton candidate.  It only reads what the drift returns, and the
+    returned y is a new array, so a caller may write into it.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -200,18 +205,16 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
     # the next one has found an active entry.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = y - x + h * f(y)
-        glo = lo - x + h * f(lo)
+        side = np.sign(lo - x + h * f(lo))  # the bracket's side, as in solve_scalar
         ag, ag_prev, cand = np.abs(g), np.empty_like(x), np.empty_like(x)
         for iters in range(1, MAX_BISECT + 1):
             active = ag > tol
             if not np.count_nonzero(active):
                 break
             if iters > 1:
-                shrink_hi = active & (g * glo < 0.0)
-                shrink_lo = np.greater(active, shrink_hi)  # active & ~shrink_hi
+                shrink_hi = active & (g * side < 0.0)
                 np.copyto(hi, y, where=shrink_hi)
-                np.copyto(lo, y, where=shrink_lo)
-                np.copyto(glo, g, where=shrink_lo)
+                np.copyto(lo, y, where=np.greater(active, shrink_hi))  # active & ~shrink_hi
             if df is None:
                 np.copyto(y, 0.5 * (lo + hi), where=active)
             else:
@@ -251,7 +254,7 @@ def solve_componentwise(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL
         if g.ndim == 2:
             exc.row_index = int(np.argmax(failing.max(axis=1)))
         raise exc
-    return np.where(x == 0.0, 0.0, y).reshape(shape), iters, max_resid
+    return ImplicitSolution(np.where(x == 0.0, 0.0, y).reshape(shape), iters, max_resid)
 
 
 _TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)  # below it, x.dot(x) may have underflowed
@@ -290,8 +293,8 @@ def solve_radial(
     once per block, a radius solve per nonzero row.  ``scalar_solve``
     is ``solve_scalar`` as the caller looks it up, so a wrapper the caller
     installed (timing, counting) sees every radius solve.  A failing row is
-    named by ``SolverError.row_index``.  Returns (Y, most iterations of any
-    row, max_residual).
+    named by ``SolverError.row_index``.  The solution's iterations and
+    residual are the largest of any row.
     """
     ray = _Ray(drift.radial_gain)
     radii = _row_norms(X)
@@ -320,7 +323,7 @@ def solve_radial(
         except SolverError as exc:
             exc.row_index = i
             raise
-    return Y, iters, max_resid
+    return ImplicitSolution(Y, iters, max_resid)
 
 
 def _fd_jac(drift, y, f0, eps=1e-7):
@@ -389,9 +392,10 @@ def solve_vector(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL) -> Im
     """Solve x* = x - h f(x*) for a d-dimensional drift.
 
     Dispatches on drift structure; the generic route is Newton from
-    y0 = x with step halving, then damped fixed point, then Newton on a
-    finite-difference Jacobian.  It accepts ||F|| <= max(tol, four ulps of
-    max_i |x_i|), the floor of ``_residual_floor``.
+    y0 = x with step halving, on the declared Jacobian or else on finite
+    differences, then the damped fixed point where Newton stops short.
+    It accepts ||F|| <= max(tol, four ulps of max_i |x_i|), the floor of
+    ``_residual_floor``.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -402,25 +406,16 @@ def solve_vector(drift, h: float, x: np.ndarray, tol: float = DEFAULT_TOL) -> Im
         return ImplicitSolution(np.zeros_like(x), 0, 0.0)
 
     if drift.componentwise:
-        y, iters, resid = solve_componentwise(drift, h, x, tol)
-        sol = ImplicitSolution(y, iters, resid)
+        sol = solve_componentwise(drift, h, x, tol)
     elif drift.radial:
-        Y, iters, resid = solve_radial(drift, h, x[None], tol)
-        return ImplicitSolution(Y[0], iters, resid)
+        sol = solve_radial(drift, h, x[None], tol)
+        return sol._replace(x_star=sol.x_star[0])
     else:
         # ||F|| rounds at the scale of the largest entry of x.
         tol = _residual_floor(tol, float(np.abs(x).max()))
-        if drift.jac is not None:
-            y, iters, resid = _newton_vector(drift, h, x, tol, drift.jac)
-        else:
-            y, iters, resid = _fixed_point_vector(drift, h, x, tol)
+        y, iters, resid = _newton_vector(drift, h, x, tol, drift.jac)
         if resid > tol:
-            # Rescue with the other route; finite differences are the
-            # last resort when no Jacobian is declared.
-            if drift.jac is not None:
-                y2, it2, r2 = _fixed_point_vector(drift, h, x, tol)
-            else:
-                y2, it2, r2 = _newton_vector(drift, h, x, tol, None)
+            y2, it2, r2 = _fixed_point_vector(drift, h, x, tol)
             if r2 < resid:
                 y, iters, resid = y2, it2, r2
         if resid > tol:

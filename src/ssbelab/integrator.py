@@ -161,10 +161,10 @@ def stage_rule(drift, h: float, tol: float, block: bool):
     if not block:
         return lambda x: np.asarray(solve_vector(drift, h, x, tol).x_star, dtype=np.float64)
     if drift.componentwise:
-        return lambda X: solve_componentwise(drift, h, X, tol)[0]
+        return lambda X: solve_componentwise(drift, h, X, tol).x_star
     if drift.radial and drift.d > 1:
         # Each row's radius solve goes through this module's solve_scalar.
-        return lambda X: solve_radial(drift, h, X, tol, solve_scalar)[0]
+        return lambda X: solve_radial(drift, h, X, tol, solve_scalar).x_star
     lone = stage_rule(drift, h, tol, block=False)
     return lambda X: _solve_rows(lone, X)
 

@@ -98,8 +98,8 @@ def test_radial_solution_is_collinear():
 
 
 def test_general_newton_without_structure():
-    # Plain eval-only drift (no jacobian, not componentwise): the damped fixed
-    # point solves it alone (the finite-difference rescue is tested below).
+    # Plain eval-only drift (no jacobian, not componentwise): Newton on a
+    # finite-difference Jacobian solves it.
     gen = make_drift(
         lambda x: np.tanh(np.asarray(x, float)) + 0.1 * np.asarray(x, float),
         2,
@@ -112,10 +112,10 @@ def test_general_newton_without_structure():
     assert np.linalg.norm(sol.x_star) < np.linalg.norm(x)
 
 
-def test_finite_difference_newton_rescues_a_stalled_fixed_point(monkeypatch):
-    # With no Jacobian the damped fixed point runs first; here it uses up its
-    # 200 iterations short of tol, and Newton on a finite-difference Jacobian
-    # then solves the state.
+def test_finite_difference_newton_solves_where_the_fixed_point_stalls(monkeypatch):
+    # The damped fixed point alone uses up its 200 iterations here short of
+    # tol; Newton on a finite-difference Jacobian, which runs first, solves
+    # the state and the fixed point never runs.
     from ssbelab import implicit
 
     # Newton reuses the drift value of each accepted iterate as the base of
@@ -141,9 +141,10 @@ def test_finite_difference_newton_rescues_a_stalled_fixed_point(monkeypatch):
         return out
 
     monkeypatch.setattr(implicit, "_newton_vector", counted_newton)
+    evals.clear()
     sol = solve_vector(wig, h, x)
     assert calls
-    assert sol.iterations == 3 and newton_evals == [13]
+    assert sol.iterations == 3 and newton_evals == [13] and len(evals) == 13
     assert np.linalg.norm(sol.x_star - x + h * wig(sol.x_star)) <= 1e-12
     assert sol.residual <= 1e-12
 
@@ -699,16 +700,21 @@ def test_newton_spending_every_iteration_is_rescued_by_the_fixed_point():
 
 def test_the_damped_fixed_point_halves_its_step():
     # f(y) = 30 y at h = 1: the full fixed-point step y -> x - 30 y overshoots
-    # (||F|| grows 30-fold), so theta halves until it contracts.
+    # (||F|| grows 30-fold), so theta halves until it contracts, and spends
+    # its 200 iterations short of tol.  Newton on finite differences, which
+    # runs first, solves the state in 7 drift evaluations.
     from ssbelab import implicit
 
-    drift = make_drift(lambda y: 30.0 * np.asarray(y, float), 2, name="steep")
+    evals = []
+    drift = make_drift(lambda y: evals.append(1) or 30.0 * np.asarray(y, float), 2, name="steep")
     x = np.array([1.0, -2.0])
-    y, _, resid = implicit._fixed_point_vector(drift, 1.0, x, 1e-12)
-    assert resid < 0.1 * np.linalg.norm(30.0 * x)
+    y, iters, resid = implicit._fixed_point_vector(drift, 1.0, x, 1e-12)
+    assert iters == 4 * implicit.MAX_NEWTON and resid < 0.1 * np.linalg.norm(30.0 * x)
     assert np.abs(y - x / 31.0).max() < np.abs(x / 31.0).max()
+    evals.clear()
     sol = solve_vector(drift, 1.0, x)
     assert np.abs(sol.x_star - x / 31.0).max() <= 1e-12
+    assert len(evals) <= 7
 
 
 def test_the_generic_route_stalls_when_both_routes_fail():
@@ -718,6 +724,161 @@ def test_the_generic_route_stalls_when_both_routes_fail():
     with pytest.raises(SolverError, match="vector implicit solve stalled at residual") as excinfo:
         solve_vector(anti, 1.0, np.array([3.0, 4.0]))
     assert excinfo.value.residual == 5.0
+
+
+def _generic_battery():
+    """Generic drifts (no componentwise or radial structure), each as
+    (eval, d, Jacobian); "linear_flipped" declares the negated Jacobian,
+    whose Newton directions fail and leave the state to the fixed point."""
+    lin = builtin_drift("linear", A=[[-1.0, 0.5], [-0.5, -2.0]])
+
+    def wiggle(y):
+        y = np.asarray(y, float)
+        return y * (1 + 0.9 * np.cos(y))
+
+    def saturating_jac(c):
+        def jac(y):
+            s = 1.0 + y.dot(y)
+            return c / s * np.eye(y.size) - 2.0 * c / (s * s) * np.outer(y, y)
+        return jac
+
+    return {
+        "tanh": (lambda y: np.tanh(np.asarray(y, float)) + 0.1 * np.asarray(y, float), 2,
+                 lambda y: np.diag(1.1 - np.tanh(y) ** 2)),
+        "wiggle": (wiggle, 3, lambda y: np.diag(1 + 0.9 * np.cos(y) - 0.9 * y * np.sin(y))),
+        "steep": (lambda y: 30.0 * np.asarray(y, float), 2, lambda y: 30.0 * np.eye(y.size)),
+        "saturating_c1": (builtin_drift("saturating", c=1.0, d=2).eval, 2, saturating_jac(1.0)),
+        "saturating_c10": (builtin_drift("saturating", c=10.0, d=3).eval, 3, saturating_jac(10.0)),
+        "cubic": (builtin_drift("cubic", d=2).eval, 2, lambda y: np.diag(1.0 + 3.0 * y * y)),
+        "arctan": (np.arctan, 2, lambda y: np.diag(1.0 / (1.0 + y * y))),
+        "linear": (lin.eval, 2, lin.jac),
+        "linear_flipped": (lin.eval, 2, lambda y: -lin.jac(y)),
+    }
+
+
+def _generic_battery_run(name, with_jac):
+    """Solve 200 seeded (h, x), h in [1e-3, 10] and |x_i| in [1e-4, 1e3];
+    returns the indices of the failing solves and a SHA-256 over x*,
+    iterations and residual of each success and the message of each failure."""
+    import hashlib
+    import struct
+
+    f, d, jac = _generic_battery()[name]
+    drift = make_drift(f, d, name=name, jac=jac if with_jac else None)
+    rng = np.random.default_rng(25 + sorted(_generic_battery()).index(name))
+    failed, digest = [], hashlib.sha256()
+    for i in range(200):
+        h = float(10.0 ** rng.uniform(-3, 1))
+        x = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-4, 3, d)
+        # Large h and x overflow the fixed point's trial iterates.
+        with np.errstate(all="ignore"):
+            try:
+                sol = solve_vector(drift, h, x)
+            except SolverError as exc:
+                failed.append(i)
+                digest.update(str(exc).encode())
+                continue
+        assert sol.residual <= max(1e-12, 4.0 * np.spacing(np.abs(x).max()))
+        digest.update(sol.x_star.tobytes())
+        digest.update(struct.pack("<qd", sol.iterations, sol.residual))
+    return failed, digest.hexdigest()
+
+
+# The generic solves without a Jacobian that fail, recorded while the damped
+# fixed point still ran before Newton on finite differences.  The wiggle's
+# residual is non-monotone and saturating at c = 10 is steep near the origin:
+# at large h neither route reaches tol.
+GENERIC_NO_JAC_FAILURES = {
+    "arctan": [], "cubic": [], "linear": [], "saturating_c1": [], "steep": [], "tanh": [],
+    "saturating_c10": [26, 50, 130, 132],
+    "wiggle": [15, 16, 25, 35, 37, 39, 40, 42, 55, 59, 70, 71, 88, 96, 107, 110, 118, 121, 131, 137,
+               139, 141, 146, 172, 177, 180, 189, 199],
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(_generic_battery()) - {"linear_flipped"}))
+def test_generic_solves_without_a_jacobian_keep_their_successes(name):
+    assert _generic_battery_run(name, with_jac=False)[0] == GENERIC_NO_JAC_FAILURES[name]
+
+
+# Recorded before Newton became the first solver of every generic drift;
+# a declared Jacobian always ran Newton first.
+GENERIC_JAC_DIGESTS = {
+    "arctan": "2e45b4b906af290833d91cc6fff25cf4758519a08537e1f3b8176ba1d7e65a04",
+    "cubic": "9098af64f62cb3591626faaf82ccd545cc766285c4f39cc492fd10096602977a",
+    "linear": "66392b087674513db8e1cf32964fa5919c7e64e18b57019c80c6bc921bb580b0",
+    "linear_flipped": "8ffeef0a47501d5371077c629b3841e2aa4e5e39e45a405ca19891d30774bf5e",
+    "saturating_c1": "ac50da5e058fb939889118a3e9e914dc63e6602f7c4fdb1f92ff1a9fe00a3413",
+    "saturating_c10": "709e99a213662563f676acabb219c44a83a89d3f432b7cd71dbadf9e8c46d444",
+    "steep": "de0129804222bc7cedd7c4a7a8e4e3ecdaa0068039381d28d094a51bd007fe5a",
+    "tanh": "7eedba4199f01ebacd9bfe40f968faead1530f4249ace2372c02689ec90ee7b9",
+    "wiggle": "bacf0001d9e6171a8824673372ae76c7aed76fc094a37e26e0bc44dc48014767",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_generic_battery()))
+def test_generic_solves_with_a_jacobian_keep_their_bits(name):
+    assert _generic_battery_run(name, with_jac=True)[1] == GENERIC_JAC_DIGESTS[name]
+
+
+def _cubic_without_derivative():
+    cube = lambda y: y + y * y * y
+    return make_drift(cube, 1, name="cubic_no_deriv", scalar_eval=cube)
+
+
+def test_tiny_states_keep_their_bracket_side():
+    # The side test g * glo < 0 underflowed to -0.0 once both residuals were
+    # tiny, moving lo where hi should move: at tol = 1e-300 both solvers
+    # stalled near 1e-150.  The root of y - x + h (y + y^3) there is x / (1 + h).
+    drift, h = _cubic_without_derivative(), 0.1
+    sol = solve_scalar(drift, h, 1e-150, tol=1e-300)
+    floor = 4.0 * math.ulp(1e-150)
+    assert sol.residual <= floor and abs(sol.x_star - 1e-150 / 1.1) <= floor
+    block = np.array([[1e-150, -1e-150], [0.5, -1e-150], [-3.0, 1e-150]])
+    for x in (np.array([1e-150]), np.array(1e-150), block):
+        y = solve_componentwise(drift, h, x, tol=1e-300).x_star
+        assert y.shape == x.shape
+        floor = 4.0 * np.spacing(np.abs(x))
+        assert (np.abs(y - x + h * (y + y**3)) <= floor).all()
+        tiny = np.abs(x) == 1e-150
+        assert (np.abs(y - x / 1.1)[tiny] <= floor[tiny]).all()
+
+
+@pytest.mark.parametrize("deriv", [True, False])
+def test_a_reversed_bracket_keeps_its_root(deriv):
+    # f(y) = 2 - 3 y + 0.1 y^3 is not dissipative: at x = 1, h = 1 the residual
+    # is positive at lo = 0 and negative at hi = x, the reverse of a dissipative
+    # drift's.  Root, iterations and residual as recorded before the side was
+    # fixed at set-up.
+    drift = make_drift(lambda y: 2.0 - 3.0 * y + 0.1 * y**3, 1, name="reversed", dissipative=False,
+                       scalar_eval=lambda y: 2.0 - 3.0 * y + 0.1 * y * y * y,
+                       scalar_deriv=(lambda y: -3.0 + 0.3 * y * y) if deriv else None)
+    y, iters, resid = solve_scalar(drift, 1.0, 1.0)
+    Y, block_iters, block_resid = solve_componentwise(drift, 1.0, np.array([1.0]))
+    if deriv:
+        assert repr((y, iters, resid)) == "(0.5064968097156131, 4, 0.0)"
+        assert repr((Y.tolist(), block_iters, block_resid)) == \
+            "([0.506496809715613], 5, 3.3306690738754696e-16)"
+    else:
+        assert repr((y, iters, resid)) == "(0.5064968097158271, 39, 4.1167069753100805e-13)"
+        assert repr((Y.tolist(), block_iters, block_resid)) == \
+            "([0.5064968097158271], 40, 4.1167069753100805e-13)"
+
+
+def test_every_stage_solver_returns_an_implicit_solution():
+    from ssbelab.implicit import ImplicitSolution, solve_radial
+
+    X = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
+    sat = builtin_drift("saturating", c=2.0, d=3)
+    solutions = [
+        solve_scalar(builtin_drift("cubic"), 0.1, 1.0),
+        solve_componentwise(builtin_drift("cubic"), 0.1, X),
+        solve_radial(sat, 0.1, X),
+        solve_vector(sat, 0.1, X[0]),
+        solve_vector(make_drift(sat.eval, 3), 0.1, X[0]),
+    ]
+    assert all(type(sol) is ImplicitSolution for sol in solutions)
+    assert [np.shape(sol.x_star) for sol in solutions] == [(), (2, 3), (2, 3), (3,), (3,)]
 
 
 def _componentwise_battery_drift(name):
