@@ -21,8 +21,8 @@ final summary share one definition of these statistics,
 
 The statistics have one implementation, ``BatchDiagnostics.fold``: it
 takes k consecutive steps of a block of m paths as (k, m, d) arrays, or
-(k, d) at m = 1, and folds them with one row reduction per statistic
-between checkpoints, bit-identical to a per-step fold.  The fold holds no
+(k, d) at m = 1, and folds them with one reduction for the four sums and
+one for the sup between checkpoints, bit-identical to a per-step fold.  The fold holds no
 step buffers of its own.  The engines' shared step loop
 (``integrator._step_loop``) calls it once per chunk; the chunk arrays
 belong to that loop and are only read here: a full record's own slices or
@@ -61,6 +61,16 @@ def _check_finite(norms: np.ndarray, n0: int, shocks=None) -> None:
         raise exc
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The norms of the (..., d) states ``x``, shaped (...).  At d = 1 a norm is
+    sqrt(x * x), the product and root ``np.linalg.norm`` takes on a one-entry
+    row, so it overflows alike, past |x| ~ 1.34e154."""
+    if x.shape[-1] == 1:
+        x = x[..., 0]
+        return np.sqrt(x * x)
+    return np.linalg.norm(x.reshape(-1, x.shape[-1]), axis=1).reshape(x.shape[:-1])
+
+
 @dataclass
 class Checkpoint:
     n: int
@@ -89,17 +99,18 @@ class BatchDiagnostics:
     """Diagnostics of a block of m paths advanced in lockstep.
 
     ``fold`` folds a chunk of steps into the running statistics with one
-    row reduction per statistic over each stretch of the chunk that ends at
-    a checkpoint or at the chunk's end, so a snapshot reads its exact step:
-    ``np.add.reduce`` along the steps for the sums (``np.cumsum`` for a
-    lone path) and ``np.maximum.reduce`` for the sup.  Both sums add in
-    step order and a maximum is exact, so every statistic is the same
-    sequence of float operations as a per-step fold, however the steps are
-    split into chunks.  ``n`` counts the folded steps, ``last_norms`` the
-    norms of the states they reached.  A chunk holding a state of
-    non-finite norm (the sign of a non-finite shock or state) is folded up
-    to the step before it, and NonFiniteError names that step.  The step
-    loop meets every such failure here.
+    reduction over each stretch of the chunk that ends at a checkpoint or
+    at the chunk's end, so a snapshot reads its exact step: one
+    ``np.add.reduce`` along the steps adds the four sums, held as the rows
+    of ``sums`` (``np.cumsum`` for a lone path), and ``np.maximum.reduce``
+    takes the sup.  The sums add in step order and a maximum is exact, so
+    every statistic is the same sequence of float operations as a per-step
+    fold, however the steps are split into chunks.  ``n`` counts the
+    folded steps, ``last_norms`` the norms of the states they reached.  A
+    chunk holding a state of non-finite norm (the sign of a non-finite
+    shock or state) is folded up to the step before it, and
+    NonFiniteError names that step.  The step loop meets every such
+    failure here.
     """
 
     def __init__(self, m: int, d: int, h: float, window: int):
@@ -109,20 +120,19 @@ class BatchDiagnostics:
         self.window = int(window)
         self.n = 0
         self.sup = np.zeros(m)
-        self.sum_sq = np.zeros(m)
-        self.M = np.zeros(m)
-        self.QV = np.zeros(m)
-        self.shock_sq = np.zeros(m)
+        # The running sums of ||X||^2, of the martingale M, of its QV bound
+        # and of ||U||^2 / h, one row each.
+        self.sums = np.zeros((4, m))
+        self.sum_sq, self.M, self.QV, self.shock_sq = self.sums
         self.ring = np.empty((self.window, m))
         self.ring_len = 0
         self.snapshots: list[tuple[int, dict[str, np.ndarray]]] = []
 
     def start(self, x0: np.ndarray) -> None:
-        norms = np.linalg.norm(x0, axis=1)
+        norms = _norms(x0)
         self.last_norms = norms
         self.sup = norms.copy()
-        self.ring[self.ring_len % self.window] = norms
-        self.ring_len += 1
+        self._push(norms[None])
         _check_finite(norms[None], 0)
 
     def update(self, x_new: np.ndarray, x_star_prev: np.ndarray, u_new: np.ndarray, fro_prev: float) -> None:
@@ -131,14 +141,14 @@ class BatchDiagnostics:
         x, xs, u = (np.reshape(a, shape) for a in (x_new, x_star_prev, u_new))
         self.fold(x, xs, u, np.array([fro_prev], dtype=np.float64))
 
-    @staticmethod
-    def _sum(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """acc + terms[0] + terms[1] + ..., added in step order; ``terms`` is overwritten."""
-        terms[0] += acc
-        if terms.shape[1] == 1:
-            # numpy sums a lone contiguous column pairwise, and rows in order.
-            return np.cumsum(terms, axis=0, out=terms)[-1].copy()
-        return np.add.reduce(terms, axis=0)
+    def _push(self, norms: np.ndarray) -> None:
+        """Write the last ``window`` rows of ``norms`` into the ring, in at most two slices."""
+        tail = norms[-self.window :]
+        at = (self.ring_len + len(norms) - len(tail)) % self.window
+        split = min(len(tail), self.window - at)
+        self.ring[at : at + split] = tail[:split]
+        self.ring[: len(tail) - split] = tail[split:]
+        self.ring_len += len(norms)
 
     def fold(self, x: np.ndarray, xs: np.ndarray, u: np.ndarray, fro: np.ndarray) -> None:
         """Fold steps n+1 .. n+k: X(n+j+1) = x[j], x*(n+j) = xs[j], U(n+j+1) = u[j].
@@ -150,36 +160,47 @@ class BatchDiagnostics:
         k = len(x)
         if k == 0:
             return
-        m, d, n0 = self.m, self.d, self.n
+        m, d, n0, h = self.m, self.d, self.n, self.h
         x, xs, u = (a.reshape(k, m, d) for a in (x, xs, u))
-        # (k * m, d) rows: the same row reductions a single step makes.
-        norms = np.linalg.norm(x.reshape(k * m, d), axis=1).reshape(k, m)
+        norms = _norms(x)
         if not np.isfinite(norms).all():
             t = int(np.argmin(np.isfinite(norms).all(axis=1)))
             self.fold(*(a[:t] for a in (x, xs, u, fro)))
             _check_finite(norms, n0, u)
-        xs_rows, u_rows = xs.reshape(k * m, d), u.reshape(k * m, d)
+        self._push(norms)
+        if d == 1:
+            # A one-term einsum is the product, but for the sign of a zero
+            # product, which no sum started at +0.0 can show.
+            xs, u, dot = xs[..., 0], u[..., 0], np.multiply
+        else:
+            xs, u = xs.reshape(k * m, d), u.reshape(k * m, d)
+            dot = lambda a, b, out: np.einsum("ij,ij->i", a, b, out=out.reshape(k * m))
+        # Each step's four terms, in the operation order of a per-step fold:
+        # ||X||^2, 2 <x*, U>, ((4 h ||x*||^2) ||sigma||_F) ||sigma||_F, ||U||^2 / h.
+        terms = np.empty((4, k, m))
+        sq, mart, qv, shock = terms
+        np.multiply(norms, norms, out=sq)
+        dot(xs, u, out=mart)
+        mart *= 2.0
+        dot(xs, xs, out=qv)
+        qv *= 4.0 * h
         fro = fro[:, None]
-        first = max(0, k - self.window)
-        rows = (self.ring_len + np.arange(first, k)) % self.window
-        self.ring[rows] = norms[first:]
-        self.ring_len += k
-        sq = norms * norms
-        mart = 2.0 * np.einsum("ij,ij->i", xs_rows, u_rows).reshape(k, m)
-        xs_sq = np.einsum("ij,ij->i", xs_rows, xs_rows).reshape(k, m)
-        qv = 4.0 * self.h * xs_sq * fro * fro
-        u_sq = np.einsum("ij,ij->i", u_rows, u_rows).reshape(k, m)
-        shock = u_sq / self.h
+        qv *= fro
+        qv *= fro
+        dot(u, u, out=shock)
+        shock /= h
         # Each stretch ends at a checkpoint or at the chunk's end, so a
         # snapshot reads the sums of its exact step.
-        ends = sorted({cn - n0 for cn in CHECKPOINTS if n0 < cn <= n0 + k} | {k})
         lo = 0
-        for hi in ends:
+        for hi in [cn - n0 for cn in CHECKPOINTS if n0 < cn < n0 + k] + [k]:
             self.sup = np.maximum(self.sup, np.maximum.reduce(norms[lo:hi], axis=0))
-            self.sum_sq = self._sum(self.sum_sq, sq[lo:hi])
-            self.M = self._sum(self.M, mart[lo:hi])
-            self.QV = self._sum(self.QV, qv[lo:hi])
-            self.shock_sq = self._sum(self.shock_sq, shock[lo:hi])
+            stretch = terms[:, lo:hi]
+            stretch[:, 0] += self.sums
+            if m == 1:
+                # numpy sums a lone contiguous column pairwise, and rows in order.
+                self.sums[:] = np.cumsum(stretch, axis=1, out=stretch)[:, -1]
+            else:
+                np.add.reduce(stretch, axis=1, out=self.sums)
             self.n = cn = n0 + hi
             if cn in CHECKPOINTS:
                 self.snapshots.append((cn, self._stats(cn)))
@@ -222,14 +243,17 @@ class BatchDiagnostics:
             window_max=self.ring[:filled].max(axis=0),
         )
 
-        def row(cols, i):
-            return {k: float(v[i]) for k, v in cols.items()}
+        def rows(stats):
+            """One dict of floats per path; each column is read once, by tolist."""
+            return [dict(zip(stats, v)) for v in zip(*(np.asarray(c).tolist() for c in stats.values()))]
 
+        final = rows(final)
+        snapshots = [(cn, rows(snap)) for cn, snap in self.snapshots]
         return [
             PathSummary(
                 path_index=int(p),
-                checkpoints=tuple(Checkpoint(n=cn, **row(snap, i)) for cn, snap in self.snapshots),
-                **row(final, i),
+                checkpoints=tuple(Checkpoint(n=cn, **snap[i]) for cn, snap in snapshots),
+                **final[i],
             )
             for i, p in enumerate(path_indices)
         ]

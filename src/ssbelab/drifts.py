@@ -10,6 +10,11 @@ structural hypotheses hold:
 * affine:                  f(x) = -A x with every eigenvalue of A in the
                            open left half plane
 
+and ``h_max``, the largest step with one implicit stage per state: the
+paper's "step size chosen sufficiently small".  The stage y + h f(y) = x
+has a unique root while 1 + h f' > 0, so a monotone family has no bound
+(inf) and ``saturating`` has 8 / c, its gain's slope being at least -c/8.
+
 The hypotheses are semi-infinite conditions that cannot be verified
 numerically, so the catalogue's declared flags are taken on trust, and
 user-supplied drifts carry their flags on the same basis.
@@ -47,6 +52,7 @@ class DriftSpec:
     radial: bool = False
     radial_gain: Optional[Callable[[float], float]] = None
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    h_max: float = math.inf
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -85,6 +91,7 @@ def make_drift(
     scalar_eval=None,
     scalar_deriv=None,
     jac=None,
+    h_max: float = math.inf,
 ) -> DriftSpec:
     """Wrap a user drift; flags are taken on trust.  The catalogue's componentwise
     families, cubic and arctan, are built through it too."""
@@ -99,6 +106,7 @@ def make_drift(
         scalar_eval=scalar_eval,
         scalar_deriv=scalar_deriv,
         jac=jac,
+        h_max=h_max,
     )
 
 
@@ -221,4 +229,6 @@ def builtin_drift(name: str, **params) -> DriftSpec:
         scalar_eval=gain if d == 1 else None,
         radial=True,
         radial_gain=gain,
+        # g' = c (1 - t^2) / (1 + t^2)^2 is smallest, -c/8, at t = sqrt(3).
+        h_max=8.0 / c,
     )

@@ -148,7 +148,11 @@ def stage_rule(drift, h: float, tol: float, block: bool):
     ``solve_componentwise``, a block of radial states (d > 1) by
     ``solve_radial``, a radius per row, any other block row by row by the
     lone stage.  A failing row of a block is named by ``SolverError.row_index``.
+    A step past the drift's ``h_max`` is a ValueError: there the stage may
+    have several roots, and a solver would pick one by its search order.
     """
+    if h > drift.h_max:
+        raise ValueError(f"step h = {h!r} exceeds the {drift.name} drift's bound h_max = {drift.h_max!r}")
     if drift.affine:
         C_T = build_C(drift.affine_matrix, h).T
         if drift.d == 1:

@@ -571,6 +571,18 @@ def test_classify_dimension_and_grid_keys_name_themselves(tmp_path, capsys, conf
     assert not (tmp_path / "regime_report.kv").exists()
 
 
+@pytest.mark.parametrize("h, rc", [("1", 2), ("0.8", 0)], ids=["past", "at"])
+def test_a_step_past_the_drifts_bound_exits_2(tmp_path, capsys, h, rc):
+    # The paper's "step size chosen sufficiently small": the saturating
+    # stage has one root for h <= 8 / c, which is 0.8 at c = 10.
+    argv = ["simulate", str(ROOT / "perfbench/configs/radial_d3.cfg"), "--out", str(tmp_path),
+            "--set", "drift.c=10", "--set", f"run.h={h}"]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert err == ("error: step h = 1.0 exceeds the saturating drift's bound h_max = 0.8\n" if rc else "")
+    assert (tmp_path / "path.csv").exists() == (rc == 0)
+
+
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
 @pytest.mark.parametrize("tol", ["-inf", "inf", "nan", "-1e-12"])
 def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, command, tol):

@@ -7,6 +7,7 @@ from ssbelab.diagnostics import (
     CHECKPOINTS,
     BatchDiagnostics,
     DiagnosticState,
+    NonFiniteError,
     summarize,
 )
 from ssbelab.drifts import builtin_drift, make_drift
@@ -137,36 +138,66 @@ class _PerStepBatch(BatchDiagnostics):
             )
 
 
-def _random_steps(rng, m, d, steps):
+def _random_steps(rng, m, d, steps, edge=None):
     """(x, xs, u, fro) of ``steps`` random steps: (steps, m, d) arrays and (steps,) norms.
 
     The three arrays are offset views of one draw, to hold long runs of
-    wide blocks in little memory.
+    wide blocks in little memory, so x[t] = xs[t + 1] = u[t + 2].  ``edge``
+    writes edge values into the draw: ``"zeros"`` +0.0 and -0.0 entries,
+    ``"neg_zero_stage"`` a -0.0 stage against a positive shock at every
+    even step, ``"tiny"`` subnormal entries and entries whose squares
+    underflow, and ``"overflow"`` one state past 1.34e154, whose squared
+    norm overflows, at step ``steps - 5`` of row ``m // 2``.
     """
     base = rng.standard_normal((steps + 2, m, d)) * rng.uniform(0.1, 3.0, (steps + 2, 1, 1))
+    if edge == "zeros":
+        base[::3, ::2] = 0.0
+        base[1::3, 1::2] = -0.0
+        base[2::5, :, 0] = -0.0
+    elif edge == "neg_zero_stage":
+        np.abs(base, out=base)
+        base[1::2] = -0.0
+    elif edge == "tiny":
+        base *= 10.0 ** rng.choice([-323.5, -315.0, -308.0, -170.0, -160.0, -155.0, 0.0], base.shape)
+    elif edge == "overflow":
+        base[steps - 3, m // 2, 0] = 1.5e154
     return base[2:], base[1:-1], base[:-2], rng.uniform(0.0, 2.0, steps)
 
 
-# (m, offset, d, steps, window); the 7-path cases with a bound on each
-# checkpoint keep the ids they had before m and the offset were added.
+# (m, offset, d, steps, window, edge); the 7-path cases with a bound on
+# each checkpoint keep the ids they had before m and the offset were added.
+# The edge cases fold chunks longer than their window of 7, so the ring
+# write wraps.
 _FOLD_CASES = [
-    pytest.param(m, offset, d, steps, window, id=f"{d}-{steps}-{window}"
+    pytest.param(m, offset, d, steps, window, None, id=f"{d}-{steps}-{window}"
                  + ("" if (m, offset) == (7, 0) else f"-m{m}{offset:+d}"))
     for d, steps, window in [(1, 1030, 10), (3, 1100, 100), (1, 37, 5), (3, 200, 1000),
                              (1, 10_002, 300)]
     for m in (1, 2, 7, 200)
     for offset in ((-1, 0, 1) if steps > CHECKPOINTS[0] else (0,))
+] + [
+    pytest.param(m, 0, d, 200, 7, edge, id=f"{d}-200-7-{edge}-m{m}")
+    for edge in ("wrap", "zeros", "neg_zero_stage", "tiny", "overflow")
+    for d in (1, 3)
+    for m in (1, 7)
 ]
 
+# The failure the "overflow" cases raise: NonFiniteError's step_index,
+# row_index and message, as recorded before the d = 1 fold took its norms
+# as sqrt(x * x).
+_OVERFLOW = {1: (195, 0, "non-finite state norm: inf"), 7: (195, 3, "non-finite state norm: inf")}
 
-@pytest.mark.parametrize("m, offset, d, steps, window", _FOLD_CASES)
-def test_chunked_fold_is_bit_identical_to_per_step(m, offset, d, steps, window):
+
+@pytest.mark.parametrize("m, offset, d, steps, window, edge", _FOLD_CASES)
+def test_chunked_fold_is_bit_identical_to_per_step(m, offset, d, steps, window, edge):
     # The same steps fed three ways: one ``update`` per step, ``fold`` over
     # random uneven chunks (an empty one among them), and the reference.
     # A chunk bound sits ``offset`` steps after each checkpoint, so a
     # checkpoint's step is a chunk's first, last or next-to-last row. The
     # fold sums a block's rows with np.add.reduce and a lone column
-    # (m = 1) with np.cumsum: both must add in step order.
+    # (m = 1) with np.cumsum: both must add in step order.  A state of
+    # non-finite norm stops both folds at its step, with the steps before
+    # it folded; the reference stops there too.
     h = 0.1
     rng = np.random.default_rng(steps + d + m)
     stepwise = BatchDiagnostics(m, d, h, window)
@@ -175,32 +206,46 @@ def test_chunked_fold_is_bit_identical_to_per_step(m, offset, d, steps, window):
     x0 = rng.standard_normal((m, d))
     for acc in (stepwise, split, reference):
         acc.start(x0)
-    data = _random_steps(rng, m, d, steps)
+    data = _random_steps(rng, m, d, steps, edge)
+    stop = _OVERFLOW[m][0] if edge == "overflow" else steps
     cuts = set(rng.choice(np.arange(1, steps), size=min(steps - 1, 12), replace=False).tolist())
     cuts |= {cn + offset for cn in (10**3, 10**4) if 0 < cn + offset < steps}
     cuts = sorted(cuts)
     half = int(cuts[len(cuts) // 2])
+    failures = []
 
     def feed(a, b):
-        for t in range(a, b):
-            stepwise.update(*(arr[t] for arr in data))
+        for t in range(a, min(b, stop)):
             reference.update(*(arr[t] for arr in data))
         bounds = [a, a] + [int(c) for c in cuts if a < c < b] + [b]
-        for lo, hi in zip(bounds, bounds[1:]):
-            split.fold(*(arr[lo:hi] for arr in data))
+        # As in the step loop, an overflow is not warned about but raised at its step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for t in range(a, b):
+                    stepwise.update(*(arr[t] for arr in data))
+            except NonFiniteError as exc:
+                failures.append(exc)
+            try:
+                for lo, hi in zip(bounds, bounds[1:]):
+                    split.fold(*(arr[lo:hi] for arr in data))
+            except NonFiniteError as exc:
+                failures.append(exc)
 
     feed(0, half)
-    # A summary taken mid-run reads the folded steps and the run goes on from there.
-    want = reference.summaries(range(m), np.ones(m))
-    assert stepwise.summaries(range(m), np.ones(m)) == want
-    assert split.summaries(range(m), np.ones(m)) == want
+    # A summary taken mid-run reads the folded steps and the run goes on from
+    # there.  The reprs tell -0.0 from +0.0, which == does not.
+    want = repr(reference.summaries(range(m), np.ones(m)))
+    assert repr(stepwise.summaries(range(m), np.ones(m))) == want
+    assert repr(split.summaries(range(m), np.ones(m))) == want
     feed(half, steps)
-    norms = np.linalg.norm(data[0][-1], axis=1)
+    failed = [(e.step_index, e.row_index, str(e)) for e in failures]
+    assert failed == ([_OVERFLOW[m]] * 2 if edge == "overflow" else [])
+    norms = np.linalg.norm(data[0][stop - 1], axis=1)
     want = reference.summaries(range(m), norms)
-    assert stepwise.summaries(range(m), norms) == want
-    assert split.summaries(range(m), norms) == want
-    assert stepwise.n == split.n == steps
-    assert [c.n for c in want[0].checkpoints] == [n for n in CHECKPOINTS if n <= steps]
+    assert repr(stepwise.summaries(range(m), norms)) == repr(want)
+    assert repr(split.summaries(range(m), norms)) == repr(want)
+    assert stepwise.n == split.n == stop
+    assert [c.n for c in want[0].checkpoints] == [n for n in CHECKPOINTS if n <= stop]
 
 
 @pytest.mark.parametrize("r", [1, 3])

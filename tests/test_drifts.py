@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ssbelab.drifts import DriftSpec, builtin_drift
+from ssbelab.drifts import DriftSpec, builtin_drift, make_drift
 
 
 def test_cubic_value():
@@ -63,6 +63,24 @@ def test_builtin_flags():
     assert arctan.uniform_mean_reverting and not arctan.strong_mean_reverting
     sat = builtin_drift("saturating")
     assert sat.dissipative and not sat.uniform_mean_reverting
+
+
+def test_each_drift_declares_its_step_bound():
+    # The stage y + h f(y) = x has one root while 1 + h f' > 0.  The
+    # saturating gain's slope c (1 - t^2) / (1 + t^2)^2 falls to -c/8 at
+    # t = sqrt(3), so its bound 8 / c is where 1 + h g' first touches 0.
+    for c in (0.5, 1.0, 10.0):
+        for d in (1, 3):
+            sat = builtin_drift("saturating", c=c, d=d)
+            assert sat.h_max == 8.0 / c
+        t = np.append(np.linspace(0.0, 10.0, 100_001), math.sqrt(3.0))
+        slack = 1.0 + (8.0 / c) * c * (1.0 - t * t) / (1.0 + t * t) ** 2
+        assert slack.min() > -1e-15 and abs(slack[-1]) < 1e-15
+    for name, params in (("linear", {}), ("linear", {"A": [[-1.0]]}), ("cubic", {"d": 2}), ("arctan", {})):
+        assert builtin_drift(name, **params).h_max == math.inf
+    # A user drift's bound is taken on trust, like its flags.
+    assert make_drift(np.tanh, 1).h_max == math.inf
+    assert make_drift(np.tanh, 1, h_max=2.0).h_max == 2.0
 
 
 def test_unknown_family_and_bad_params():

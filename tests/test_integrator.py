@@ -649,3 +649,22 @@ def test_the_d1_affine_stage_is_the_fixed_order_product(drift, h):
     got = [lone(v) for v in x[:, 0].tolist()]
     assert all(type(v) is float for v in got)
     assert (np.array(got).view(np.uint64) == want[:, 0]).all()
+
+
+@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("d", [1, 3])
+def test_the_stage_rule_refuses_a_step_past_the_drifts_bound(block, d):
+    # Past h_max the stage may have several roots, and the one a solver
+    # returns would be its search order's choice: stage_rule alone refuses it.
+    from ssbelab.integrator import stage_rule
+
+    sat = builtin_drift("saturating", c=10.0, d=d)
+    with pytest.raises(ValueError) as excinfo:
+        stage_rule(sat, 1.0, 1e-12, block=block)
+    assert str(excinfo.value) == "step h = 1.0 exceeds the saturating drift's bound h_max = 0.8"
+    x = np.full((2, d), 1.7)
+    stage = stage_rule(sat, 0.8, 1e-12, block=block)
+    assert np.all(np.abs(stage(x if block else (1.7 if d == 1 else x[0]))) < 1.7)
+    wiggle = make_drift(np.tanh, d, name="wiggle", h_max=0.5)
+    with pytest.raises(ValueError, match="wiggle drift's bound h_max = 0.5"):
+        stage_rule(wiggle, 0.6, 1e-12, block=block)

@@ -154,6 +154,20 @@ def test_each_path_statistic_is_written_once():
     assert len(quotients) == 4
 
 
+def test_the_diagnostics_take_state_norms_by_one_rule():
+    # start and fold measure the states through one helper, which holds the
+    # module's one np.linalg.norm call: a second norm rule fails here.
+    tree = ast.parse((SRC / "diagnostics.py").read_text())
+    assert _calls(ast.unparse(tree), ("norm",)) == {"norm": 1}
+    (helper,) = [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and _calls(ast.unparse(node), ("norm",))["norm"]
+    ]
+    (batch,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "BatchDiagnostics"]
+    methods = {node.name: ast.unparse(node) for node in batch.body if isinstance(node, ast.FunctionDef)}
+    assert _calls(methods["start"], (helper,)) == _calls(methods["fold"], (helper,)) == {helper: 1}
+
+
 def test_the_package_holds_no_assert():
     # python -O strips assert statements: a check the package relies on raises instead.
     found = [
