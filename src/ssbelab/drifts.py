@@ -91,7 +91,6 @@ def make_drift(
     scalar_eval=None,
     scalar_deriv=None,
     jac=None,
-    h_max: float = math.inf,
 ) -> DriftSpec:
     """Wrap a user drift; flags are taken on trust.  The catalogue's componentwise
     families, cubic and arctan, are built through it too."""
@@ -106,7 +105,6 @@ def make_drift(
         scalar_eval=scalar_eval,
         scalar_deriv=scalar_deriv,
         jac=jac,
-        h_max=h_max,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,9 +79,9 @@ def test_each_drift_declares_its_step_bound():
         assert slack.min() > -1e-15 and abs(slack[-1]) < 1e-15
     for name, params in (("linear", {}), ("linear", {"A": [[-1.0]]}), ("cubic", {"d": 2}), ("arctan", {})):
         assert builtin_drift(name, **params).h_max == math.inf
-    # A user drift's bound is taken on trust, like its flags.
+    # A user drift's bound is taken on trust, like its flags: inf unless set.
     assert make_drift(np.tanh, 1).h_max == math.inf
-    assert make_drift(np.tanh, 1, h_max=2.0).h_max == 2.0
+    assert dataclasses.replace(make_drift(np.tanh, 1), h_max=2.0).h_max == 2.0
 
 
 def test_unknown_family_and_bad_params():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -665,6 +666,6 @@ def test_the_stage_rule_refuses_a_step_past_the_drifts_bound(block, d):
     x = np.full((2, d), 1.7)
     stage = stage_rule(sat, 0.8, 1e-12, block=block)
     assert np.all(np.abs(stage(x if block else (1.7 if d == 1 else x[0]))) < 1.7)
-    wiggle = make_drift(np.tanh, d, name="wiggle", h_max=0.5)
+    wiggle = dataclasses.replace(make_drift(np.tanh, d, name="wiggle"), h_max=0.5)
     with pytest.raises(ValueError, match="wiggle drift's bound h_max = 0.5"):
         stage_rule(wiggle, 0.6, 1e-12, block=block)
