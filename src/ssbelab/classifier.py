@@ -210,14 +210,6 @@ class RegimeReport:
     notes: tuple[str, ...] = ()
 
 
-def _regime_from_L(L: float) -> tuple[str, Optional[float]]:
-    if L == 0.0:
-        return "A", None
-    if math.isinf(L):
-        return "C", None
-    return "B", math.sqrt(2.0 * L)
-
-
 def _sigma_vanishes_empirically(fro_all: np.ndarray) -> Optional[bool]:
     """Empirical flatness check on the norms at 0 .. n; None when the trend is ambiguous."""
     n = len(fro_all) - 1
@@ -345,40 +337,30 @@ def classify(
     cross = _verdicts(schedule, fro, grid, "s" if kind == "sprime" else "sprime", n_trunc, probes)
     agreement = all(e.verdict == v or "unknown" in (e.verdict, v) for e, v in zip(evidence, cross))
 
-    if policy == "auto" and schedule.analytic_L is not None:
-        regime, eps_prime = _regime_from_L(float(schedule.analytic_L))
-        return RegimeReport(
-            regime=regime,
-            method="analytic_L",
-            eps_prime=eps_prime,
-            L=float(schedule.analytic_L),
-            evidence=tuple(evidence),
-            agreement=agreement,
-            notes=tuple(notes),
-        )
-
     # A finite L forces ||sigma(n)||_F -> 0; without L the norms are probed.
-    vanishes = None if schedule.analytic_L is None else float(schedule.analytic_L) < math.inf
-    if vanishes is None:
+    if schedule.analytic_L is None:
         vanishes = _sigma_vanishes_empirically(fro)
         notes.append("norm-vanishing trend judged empirically")
-    if vanishes is False:
-        if float(fro.max()) > 0.0:
-            return RegimeReport(
-                regime="C",
-                method="empirical_trend",
-                evidence=tuple(evidence),
-                agreement=agreement,
-                notes=tuple(notes + ["Frobenius norms do not vanish; series terms cannot vanish"]),
-            )
+    else:
+        vanishes = float(schedule.analytic_L) < math.inf
 
-    regime, eps_prime, bracket = _assemble(evidence)
-    method = "partial_sum_with_tail_bound" if regime != "inconclusive" else "empirical_trend"
+    L = eps_prime = bracket = None
+    if policy == "auto" and schedule.analytic_L is not None:
+        L, method = float(schedule.analytic_L), "analytic_L"
+        regime = "A" if L == 0.0 else "C" if math.isinf(L) else "B"
+        eps_prime = math.sqrt(2.0 * L) if regime == "B" else None
+    elif vanishes is False and float(fro.max()) > 0.0:
+        regime, method = "C", "empirical_trend"
+        notes.append("Frobenius norms do not vanish; series terms cannot vanish")
+    else:
+        regime, eps_prime, bracket = _assemble(evidence)
+        method = "partial_sum_with_tail_bound" if regime != "inconclusive" else "empirical_trend"
     return RegimeReport(
         regime=regime,
         method=method,
         eps_prime=eps_prime,
         eps_prime_bracket=bracket,
+        L=L,
         evidence=tuple(evidence),
         agreement=agreement,
         notes=tuple(notes),
@@ -414,17 +396,12 @@ def format_regime_report(report: RegimeReport, schedule: NoiseSchedule) -> str:
 
 def regime_report_records(report: RegimeReport) -> dict[str, str]:
     """Flat key-value form of the report for machine-readable output."""
-    rec = {
-        "regime": report.regime,
-        "method": report.method,
-    }
-    if report.L is not None:
-        rec["L"] = repr(report.L)
-    if report.eps_prime is not None:
-        rec["eps_prime"] = repr(report.eps_prime)
-    if report.eps_prime_bracket is not None:
-        rec["eps_prime_lo"] = repr(report.eps_prime_bracket[0])
-        rec["eps_prime_hi"] = repr(report.eps_prime_bracket[1])
+    rec = {"regime": report.regime, "method": report.method}
+    lo, hi = report.eps_prime_bracket or (None, None)
+    for key, value in (("L", report.L), ("eps_prime", report.eps_prime), ("eps_prime_lo", lo),
+                       ("eps_prime_hi", hi)):
+        if value is not None:
+            rec[key] = repr(value)
     if report.agreement is not None:
         rec["s_sprime_agreement"] = str(report.agreement).lower()
     for i, ev in enumerate(report.evidence):

@@ -17,6 +17,7 @@ from ssbelab.classifier import classify, format_regime_report, regime_report_rec
 from ssbelab.config import ConfigError
 from ssbelab.gaussian import derive_substream
 from ssbelab.harness import (
+    config_records,
     consistency_report_records,
     run_consistency_suite,
     run_ensemble,
@@ -73,9 +74,7 @@ def cmd_classify(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "regime_report.txt"), "w") as fh:
         fh.write(text)
-    records = regime_report_records(report)
-    for key, value in sorted(cfg.items()):
-        records[f"config.{key}"] = value
+    records = regime_report_records(report) | config_records(cfg)
     write_kv(records, os.path.join(out_dir, "regime_report.kv"))
     return 0
 
@@ -85,28 +84,26 @@ def cmd_affine(args) -> int:
     A = cfg_mod.get(cfg, "affine.A")
     if A is None:
         A = cfg_mod.get(cfg, "affine.matrix_csv")
+    elif "affine.matrix_csv" in cfg:
+        raise ConfigError("affine.matrix_csv must be unset when affine.A is set")
     if A is None:
         raise ConfigError("affine command needs affine.A or affine.matrix_csv")
     h = cfg_mod.get(cfg, "run.h", required=True)
     system = affine_mod.build_affine_system(A, h)
     emap = affine_mod.eigen_map_check(A, h)
-    lines = [f"config.{k} = {v}" for k, v in sorted(cfg.items())]
-    lines += [
-        f"h = {h!r}",
-        f"spectral_radius_C = {system.spectral_radius_C!r}",
-        f"eigen_map_max_mismatch = {emap.max_mismatch!r}",
-        f"eigen_map_ok = {str(emap.ok).lower()}",
-        f"lyapunov_residual = {system.lyapunov_residual!r}",
-    ]
+    records = config_records(cfg) | {
+        "h": repr(h),
+        "spectral_radius_C": repr(system.spectral_radius_C),
+        "eigen_map_max_mismatch": repr(emap.max_mismatch),
+        "eigen_map_ok": str(emap.ok).lower(),
+        "lyapunov_residual": repr(system.lyapunov_residual),
+    }
     for label, mat in (("C", system.C), ("M", system.M)):
         for i, row in enumerate(mat):
-            lines.append(f"{label}.{i} = " + ",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
+            records[f"{label}.{i}"] = ",".join(repr(float(v)) for v in row)
     out_dir = cfg_mod.output_dir(cfg, args.out)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "affine_report.txt"), "w") as fh:
-        fh.write(text)
+    print(write_kv(records, os.path.join(out_dir, "affine_report.txt")), end="")
     return 0
 
 
@@ -135,11 +132,9 @@ def cmd_consistency(args) -> int:
     h_grid = cfg_mod.get(cfg, "consistency.h_grid", required=True)
     grid = cfg_mod.build_epsilon_grid(cfg)
     report = run_consistency_suite(sigma, drift, list(h_grid), run, epsilon_grid=grid)
-    records = consistency_report_records(report)
     os.makedirs(run.out_dir, exist_ok=True)
-    write_kv(records, os.path.join(run.out_dir, "consistency_report.kv"))
-    for key, value in records.items():
-        print(f"{key} = {value}")
+    kv_path = os.path.join(run.out_dir, "consistency_report.kv")
+    print(write_kv(consistency_report_records(report), kv_path), end="")
     ok = report.labels_agree_across_h and report.labels_agree_across_choices
     return 0 if ok else 1
 

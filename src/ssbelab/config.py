@@ -108,6 +108,10 @@ class Thresholds:
 # Unset classify.* keys take the classifier's own defaults.
 _EPS_MIN, _EPS_MAX, _EPS_POINTS = default_epsilon_grid.__defaults__
 
+# The parameter keys of the discrete schedule families and of the continuous ones.
+_FAMILY_KEYS = ("c", "p", "rho", "a", "b")
+_SIGMA_KEYS = ("sigma", "sigma_c", "sigma_a", "sigma_b", "sigma_p")
+
 # Every key a command reads: (reader, default).
 SCHEMA = {
     "drift.name": (TEXT, None),
@@ -118,8 +122,7 @@ SCHEMA = {
     "schedule.kind": (TEXT, None),
     "schedule.path": (TEXT, None),
     "schedule.sigma": (TEXT, None),
-    **{f"schedule.{p}": (NUMBER, None)
-       for p in ("c", "p", "rho", "a", "b", "sigma_c", "sigma_a", "sigma_b", "sigma_p")},
+    **{f"schedule.{p}": (NUMBER, None) for p in _FAMILY_KEYS + _SIGMA_KEYS[1:]},
     "run.h": (POSITIVE, None),
     "run.r": (COUNT, 1),
     "run.steps": (COUNT, None),
@@ -236,28 +239,40 @@ def build_continuous_sigma(cfg: dict[str, str], d: int, r: int):
         raise ConfigError(f"bad continuous sigma family: {exc}") from exc
 
 
+# The schedule.* keys each schedule.kind reads; a discrete family rejects those it has no use for.
+SCHEDULE_READS = {
+    **dict.fromkeys(("zero", "constant", "power", "geometric", "inverse_log"), _FAMILY_KEYS),
+    "tabulated": ("path",),
+    "sigma_sampled": _SIGMA_KEYS,
+    "sigma_cell_rms": _SIGMA_KEYS,
+}
+
+
 def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
     kind = get(cfg, "schedule.kind", required=True)
     h = get(cfg, "run.h", required=True)
     A = _drift_A(cfg)
     d = get(cfg, "drift.d") if A is None else A.shape[0]
     r = get(cfg, "run.r")
+    if kind not in SCHEDULE_READS:
+        raise ConfigError(f"unknown schedule.kind: {kind!r}")
+    reads = SCHEDULE_READS[kind]
+    allowed = {f"schedule.{name}" for name in ("kind", *reads)}
+    unread = sorted(key for key in cfg if key.startswith("schedule.") and key not in allowed)
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} must be unset for schedule.kind = {kind}")
     try:
-        if kind in ("zero", "constant", "power", "geometric", "inverse_log"):
-            params = _set_params(cfg, "schedule.", ("c", "p", "rho", "a", "b"))
-            return schedule_family(kind, h=h, d=d, r=r, **params)
         if kind == "tabulated":
-            path = get(cfg, "schedule.path", required=True)
-            return tabulated_schedule(path, h=h, d=d, r=r)
+            return tabulated_schedule(get(cfg, "schedule.path", required=True), h=h, d=d, r=r)
         if kind == "sigma_sampled":
             return from_sigma_sampled(build_continuous_sigma(cfg, d, r), h)
         if kind == "sigma_cell_rms":
             return from_sigma_cell_rms(build_continuous_sigma(cfg, d, r), h)
+        return schedule_family(kind, h=h, d=d, r=r, **_set_params(cfg, "schedule.", reads))
     except ConfigError:
         raise
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
-    raise ConfigError(f"unknown schedule.kind: {kind!r}")
 
 
 def build_epsilon_grid(cfg: dict[str, str]) -> np.ndarray:

@@ -197,17 +197,23 @@ def ensemble_report_records(report: EnsembleReport) -> dict[str, str]:
     for prefix, values in (("fraction", report.fractions), ("threshold", report.thresholds)):
         for f in fields(values):
             rec[f"{prefix}.{f.name}"] = repr(getattr(values, f.name))
-    for key, value in sorted(report.config_echo.items()):
-        rec[f"config.{key}"] = value
+    rec |= config_records(report.config_echo)
     for key, value in regime_report_records(report.regime).items():
         rec[f"classifier.{key}"] = value
     return rec
 
 
-def write_kv(records: dict[str, str], path: str) -> None:
+def config_records(cfg: dict[str, str]) -> dict[str, str]:
+    """The config echo of a report: ``config.<key>`` for each key, sorted."""
+    return {f"config.{key}": value for key, value in sorted(cfg.items())}
+
+
+def write_kv(records: dict[str, str], path: str) -> str:
+    """Write ``key = value`` lines, one per record, and return the text written."""
+    text = "".join(f"{key} = {value}\n" for key, value in records.items())
     with open(path, "w") as fh:
-        for key, value in records.items():
-            fh.write(f"{key} = {value}\n")
+        fh.write(text)
+    return text
 
 
 def write_ensemble_outputs(report: EnsembleReport, out_dir: str, stem: str = "ensemble") -> tuple[str, str]:
@@ -330,18 +336,17 @@ def run_consistency_suite(
     )
 
 
+def _kv_value(value) -> str:
+    """A float as its repr, a label as it is, a bool or None as lower-case text."""
+    if isinstance(value, float):
+        return repr(value)
+    return value if isinstance(value, str) else str(value).lower()
+
+
 def consistency_report_records(report: ConsistencyReport) -> dict[str, str]:
-    rec = {
-        "regime_label": report.regime_label,
-        "labels_agree_across_h": str(report.labels_agree_across_h).lower(),
-        "labels_agree_across_choices": str(report.labels_agree_across_choices).lower(),
-    }
+    """The report's verdicts, then each row's fields as ``row.<i>.<field>``."""
+    names = ("regime_label", "labels_agree_across_h", "labels_agree_across_choices")
+    rec = {name: _kv_value(getattr(report, name)) for name in names}
     for i, row in enumerate(report.rows):
-        rec[f"row.{i}.h"] = repr(row.h)
-        rec[f"row.{i}.regime_sampled"] = row.regime_sampled
-        rec[f"row.{i}.regime_cell_rms"] = row.regime_cell_rms
-        rec[f"row.{i}.sandwich_ok"] = str(row.sandwich_ok).lower()
-        rec[f"row.{i}.series_sandwich_ok"] = str(row.series_sandwich_ok).lower()
-        rec[f"row.{i}.ensemble_consistent_sampled"] = str(row.ensemble_consistent_sampled).lower()
-        rec[f"row.{i}.ensemble_consistent_cell_rms"] = str(row.ensemble_consistent_cell_rms).lower()
+        rec |= {f"row.{i}.{f.name}": _kv_value(getattr(row, f.name)) for f in fields(row)}
     return rec

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ssbelab.cli import _load, main
-from ssbelab.config import build_drift, build_run
+from ssbelab.config import build_drift, build_run, build_schedule
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -360,10 +360,11 @@ def _bench_overrides(monkeypatch):
     return pairs
 
 
-def test_shipped_configs_load_with_benchmark_overrides(monkeypatch):
+def test_shipped_configs_load_with_benchmark_overrides(monkeypatch, tmp_path):
     pairs = _bench_overrides(monkeypatch)
     paths = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/configs/*.cfg"))
     assert len(paths) == 9
+    (tmp_path / "table.csv").write_text("".join(f"{n},0.5\n" for n in range(300)))
     for path in paths:
         rel = path.relative_to(ROOT).as_posix()
         args = argparse.Namespace(config=str(path), overrides=pairs.get(rel, []), seed=42)
@@ -371,6 +372,59 @@ def test_shipped_configs_load_with_benchmark_overrides(monkeypatch):
         assert cfg["run.master_seed"] == "42"
         if "run.steps" in cfg:  # every run key, thresholds included, lies in its domain
             build_run(cfg, build_drift(cfg).d)
+        if "schedule.kind" in cfg:  # its kind reads every schedule key that is set
+            if "schedule.path" in cfg:  # the benchmark writes its table at run time
+                cfg["schedule.path"] = str(tmp_path / "table.csv")
+            build_schedule(cfg)
+
+
+@pytest.mark.parametrize("command, config, pairs, message", [
+    ("classify", "configs/regime_a.cfg", ["schedule.sigma_c=5", "schedule.path=/nonexistent"],
+     "schedule.path, schedule.sigma_c must be unset for schedule.kind = power"),
+    ("classify", "perfbench/configs/cell_rms_invlog.cfg", ["schedule.c=5", "schedule.rho=0.3"],
+     "schedule.c, schedule.rho must be unset for schedule.kind = sigma_cell_rms"),
+    ("classify", "perfbench/configs/tabulated.cfg",
+     ["schedule.path=<tmp>/table.csv", "schedule.c=3", "schedule.sigma=exp_decay"],
+     "schedule.c, schedule.sigma must be unset for schedule.kind = tabulated"),
+    ("affine", "configs/affine_demo.cfg", ["affine.matrix_csv=<tmp>/m.csv"],
+     "affine.matrix_csv must be unset when affine.A is set"),
+], ids=["power", "cell_rms", "tabulated", "affine"])
+def test_a_key_the_built_object_does_not_read_exits_2(tmp_path, capsys, command, config, pairs, message):
+    # Each exited 0 and echoed the unread key into its report; affine
+    # reported the file's 2x2 affine.A past a valid 1x1 affine.matrix_csv.
+    (tmp_path / "table.csv").write_text("".join(f"{n},0.5\n" for n in range(300)))
+    (tmp_path / "m.csv").write_text("-1.0\n")
+    argv = [command, str(ROOT / config), "--out", str(tmp_path / "out")]
+    argv += [arg for pair in pairs for arg in ("--set", pair.replace("<tmp>", str(tmp_path)))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch, tmp_path, capsys):
+    # perfbench's traced run wraps package functions where the package looks
+    # them up (cli.write_kv among them): a name renamed or no longer imported
+    # there fails here, and one no longer called leaves its span empty.
+    from ssbelab import cli, harness, integrator
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    session = importlib.import_module("session")
+    tracer = importlib.import_module("tracer").Tracer("probe-check")
+    before = {module: dict(vars(module)) for module in (cli, harness, integrator)}
+    try:
+        session.install_probes(tracer)
+        assert cli.write_kv.__wrapped__ is harness.write_kv
+        for command, config in (("classify", "configs/regime_b.cfg"), ("experiment", "configs/regime_c.cfg")):
+            argv = [command, str(ROOT / config), "--out", str(tmp_path), "--set", "classify.truncation=2000",
+                    "--set", "run.steps=200", "--set", "run.paths=2"]
+            assert cli.main(argv) in (0, 1)
+    finally:
+        tracer.uninstall()
+    called = {tracer.names[i] for i in tracer.name}
+    assert {"cli.main", "config.build_schedule", "classifier.classify", "harness.write_kv",
+            "harness.run_ensemble", "harness.write_ensemble_outputs",
+            "integrator.integrate_paths_lockstep"} <= called
+    assert all(dict(vars(module)) == names for module, names in before.items())
 
 
 @pytest.mark.parametrize("where", ["file", "set"])
@@ -499,8 +553,13 @@ def test_an_extreme_value_raises_no_overflow_warning(tmp_path, capsys, command, 
     # interval n h), and the suite's error::RuntimeWarning filter raised the
     # warning out of main. The limits are computed where they are the values
     # (exp(-a t) = 0.0, Q(inf) = 0.0, a cell at t = inf is 0.0); the rest
-    # exit 2.
-    argv = [command, str(ROOT / "configs" / config), "--out", str(tmp_path),
+    # exit 2.  Pairs that set schedule.kind replace the file's schedule keys,
+    # which the new kind does not read.
+    text = (ROOT / "configs" / config).read_text()
+    if "schedule.kind=" in pairs:
+        text = "".join(line for line in text.splitlines(True) if not line.startswith("schedule."))
+    (tmp_path / config).write_text(text)
+    argv = [command, str(tmp_path / config), "--out", str(tmp_path),
             "--set", "run.steps=20", "--set", "run.paths=2"]
     argv += [arg for pair in pairs.split() for arg in ("--set", pair)]
     rc = main(argv)
@@ -776,3 +835,50 @@ def test_affine_finishes_on_a_weakly_stable_matrix(tmp_path, capsys, A, h):
     assert (tmp_path / "affine_report.txt").exists()
     sol = solve_discrete_lyapunov(build_C(parse_matrix(A), float(h)))
     assert sol.method_gap <= 1e-8 * np.linalg.norm(sol.M)
+
+
+# SHA-256 of each report file and of stdout, the output directory masked as
+# <out>, recorded before the reports shared one writer.  The table route
+# covers the empirical regime C and the notes of format_regime_report.
+REPORT_PINS = {
+    "classify": ("configs/regime_b.cfg", ["classify.truncation=5000"], 0, {
+        "stdout": "721b56c464be01d3d290eb8ee6036d2b15c9a1e6a4fa822173afe5ceb5a8d0a3",
+        "regime_report.txt": "721b56c464be01d3d290eb8ee6036d2b15c9a1e6a4fa822173afe5ceb5a8d0a3",
+        "regime_report.kv": "24b6ecc658eb39b4fd348c83983b7277504cd85ce529963d64d515fb5796b72a",
+    }),
+    "classify_table": ("perfbench/configs/tabulated.cfg", ["schedule.path=<out>/table.csv"], 0, {
+        "stdout": "3863308d80b004be554b3167eeb33272fe5f391f17a02ae9c107ba565ee2bff8",
+        "regime_report.txt": "3863308d80b004be554b3167eeb33272fe5f391f17a02ae9c107ba565ee2bff8",
+        "regime_report.kv": "f183b717f0c1d65b8f864da06eb3b579d17066c4804b1f309e2efeb73ed4d5c9",
+    }),
+    "affine": ("configs/affine_demo.cfg", [], 0, {
+        "stdout": "d7409cfaf8a71a80ea268403d7488e31ee1dbd01c62896936b741923484636f9",
+        "affine_report.txt": "d7409cfaf8a71a80ea268403d7488e31ee1dbd01c62896936b741923484636f9",
+    }),
+    "consistency": ("configs/consistency_exp.cfg",
+                    ["consistency.h_grid=0.5,1.0", "run.steps=300", "run.paths=3"], 0, {
+        "stdout": "2dc089f20854e9d5ecb33552183e0fabbf15bdba9fd6e90faa99c173e123b541",
+        "consistency_report.kv": "2dc089f20854e9d5ecb33552183e0fabbf15bdba9fd6e90faa99c173e123b541",
+    }),
+    "experiment": ("configs/regime_c.cfg", ["run.steps=300", "run.paths=4"], 1, {
+        "stdout": "a5b7782c117da50da5acd9e80e69b7bfcd7a793dd3d775ee0afa529924e9e7e3",
+        "ensemble_report.kv": "4852dfd24b2daa319454d16da03d3564372c7625a480d0d61b2895162a0266bf",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_reports_keep_their_bytes(tmp_path, capsys, name):
+    import hashlib
+
+    config, pairs, rc, digests = REPORT_PINS[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "table.csv").write_text("".join(f"{n},0.5\n" for n in range(3000)))
+    argv = [name.partition("_")[0], str(ROOT / config), "--out", str(out)]
+    argv += [arg for pair in pairs for arg in ("--set", pair.replace("<out>", str(out)))]
+    assert main(argv) == rc
+    texts = {"stdout": capsys.readouterr().out}
+    texts |= {f: (out / f).read_text() for f in digests if f != "stdout"}
+    got = {f: hashlib.sha256(t.replace(str(out), "<out>").encode()).hexdigest() for f, t in texts.items()}
+    assert got == digests

@@ -1,6 +1,7 @@
 """Rules over the package source, checked on its syntax tree."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ssbelab"
@@ -189,3 +190,66 @@ def test_the_noise_reads_raw_philox_bits():
     assert not any(_calls((SRC / "gaussian.py").read_text(), names).values())
     found = _calls("g = np.random.Generator(b)\nk = g.integers(5)\nb.random_raw(3)\n", names)
     assert {name for name, n in found.items() if n} == {"Generator", "integers"}
+
+
+def test_classify_builds_its_report_once():
+    # Each route sets the regime, method, eps', bracket, L and notes, and one
+    # call builds the report: a route that builds its own fails here.
+    assert _calls((SRC / "classifier.py").read_text(), ("RegimeReport",)) == {"RegimeReport": 1}
+    sample = "def f():\n    if a:\n        return RegimeReport(1)\n    return RegimeReport(2)\n"
+    assert _calls(sample, ("RegimeReport",)) == {"RegimeReport": 2}
+
+
+def _literals(source: str):
+    """(enclosing top-level function or class, else None; text) of each string
+    literal; an f-string's text holds ``{}`` in place of each replacement field."""
+    tree = ast.parse(source)
+    owner = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            owner[node] = getattr(top, "name", None)
+    parts = {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr) for v in node.values}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in parts:
+            text = node.value
+        else:
+            continue
+        yield owner.get(node), text
+
+
+def _kv_formatters(source: str) -> list[str]:
+    """Functions holding a literal that formats a ``key = value`` line: a key
+    (word, dotted name or field) then `` = `` then a field or nothing."""
+    pattern = re.compile(r"[\w.{}]* = (\{\}|$)")
+    return sorted({str(name) for name, text in _literals(source) if pattern.match(text)})
+
+
+def test_one_writer_formats_every_key_value_line():
+    # Every .kv report and affine_report.txt go through harness.write_kv, and
+    # the commands print the text it returns.  Prose lines such as simulate's
+    # "final ||X|| = ..." and the regime table's "L = lim ..." are not reports.
+    found = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _kv_formatters(path.read_text())}
+    assert found == {"harness.py:write_kv"}
+    sample = (
+        'def a():\n    return f"{k} = {v}\\n"\ndef b():\n    lines.append(f"h = {h!r}")\n'
+        'def c():\n    return f"{label}.{i} = " + row\ndef d():\n    return " = ".join(p)\n'
+        'def e():\n    print(f"final ||X|| = {x!r}  sup = {y!r}")\n'
+        'def f():\n    return f"L = lim n : {L!r}"\n'
+        'def g():\n    raise E(f"grid needs {key} = {value!r}")\n'
+    )
+    assert _kv_formatters(sample) == ["a", "b", "c", "d"]
+
+
+def test_the_config_echo_is_built_in_one_place():
+    # regime_report.kv, affine_report.txt and ensemble_report.kv echo the
+    # config through harness.config_records.
+    found = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+             for name, text in _literals(path.read_text()) if text.startswith("config.")]
+    assert found == ["harness.py:config_records"]
+    sample = 'x = f"config.{k}"\ndef f():\n    return "config." + k\ndef g():\n    return "config file"\n'
+    assert [(name, text) for name, text in _literals(sample) if text.startswith("config.")] == [
+        (None, "config.{}"), ("f", "config."),
+    ]
