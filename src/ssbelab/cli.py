@@ -128,7 +128,7 @@ def cmd_consistency(args) -> int:
     cfg = _load(args)
     drift = cfg_mod.build_drift(cfg)
     run = cfg_mod.build_run(cfg, drift.d, args.out)
-    sigma = cfg_mod.build_continuous_sigma(cfg, drift.d, run.r)
+    sigma = cfg_mod.build_consistency_sigma(cfg, drift.d, run.r)
     h_grid = cfg_mod.get(cfg, "consistency.h_grid", required=True)
     grid = cfg_mod.build_epsilon_grid(cfg)
     report = run_consistency_suite(sigma, drift, list(h_grid), run, epsilon_grid=grid)

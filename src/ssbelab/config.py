@@ -248,6 +248,12 @@ SCHEDULE_READS = {
 }
 
 
+def _reject_unread_schedule_keys(cfg: dict[str, str], reads, where: str) -> None:
+    unread = sorted(key for key in cfg if key.startswith("schedule.") and key[9:] not in reads)
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} must be unset {where}")
+
+
 def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
     kind = get(cfg, "schedule.kind", required=True)
     h = get(cfg, "run.h", required=True)
@@ -257,10 +263,7 @@ def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
     if kind not in SCHEDULE_READS:
         raise ConfigError(f"unknown schedule.kind: {kind!r}")
     reads = SCHEDULE_READS[kind]
-    allowed = {f"schedule.{name}" for name in ("kind", *reads)}
-    unread = sorted(key for key in cfg if key.startswith("schedule.") and key not in allowed)
-    if unread:
-        raise ConfigError(f"{', '.join(unread)} must be unset for schedule.kind = {kind}")
+    _reject_unread_schedule_keys(cfg, ("kind", *reads), f"for schedule.kind = {kind}")
     try:
         if kind == "tabulated":
             return tabulated_schedule(get(cfg, "schedule.path", required=True), h=h, d=d, r=r)
@@ -273,6 +276,13 @@ def build_schedule(cfg: dict[str, str]) -> NoiseSchedule:
         raise
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
+
+
+def build_consistency_sigma(cfg: dict[str, str], d: int, r: int):
+    """``consistency``'s source: schedule.kind is read where it names a kind derived from it."""
+    derived = SCHEDULE_READS.get(get(cfg, "schedule.kind")) == _SIGMA_KEYS
+    _reject_unread_schedule_keys(cfg, ("kind",) * derived + _SIGMA_KEYS, "for consistency")
+    return build_continuous_sigma(cfg, d, r)
 
 
 def build_epsilon_grid(cfg: dict[str, str]) -> np.ndarray:

