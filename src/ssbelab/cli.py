@@ -1,15 +1,11 @@
-"""Command-line entry point.
-
-Subcommands: simulate, classify, affine, experiment, consistency, selftest.
-Each takes a config file plus ``--set key=value`` overrides; ``selftest``
-needs no config.
-"""
+"""Command line: ssbelab <command> <config> [--set KEY=VALUE]... [--out DIR] [--seed N], or ssbelab selftest.
+Flags read --flag=value too, unabbreviated; --help prints usage; exit 1 if verdicts disagree, 2 on an error."""
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from ssbelab import affine as affine_mod
 from ssbelab import config as cfg_mod
@@ -26,14 +22,6 @@ from ssbelab.harness import (
 )
 from ssbelab.integrator import PathError, dump_path_csv, integrate
 from ssbelab.quadrature import QuadratureError
-
-
-def _add_common(p):
-    p.add_argument("config", help="path to a key-value config file")
-    p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
-                   help="override any config key (repeatable)")
-    p.add_argument("--out", help="output directory (overrides output.dir)")
-    p.add_argument("--seed", type=int, help="override run.master_seed")
 
 
 def _load(args):
@@ -145,29 +133,53 @@ def cmd_selftest(args) -> int:
     return run_selftest(verbose=True)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ssbelab",
-        description="simulate and classify split-step paths of dissipative systems "
-        "driven by scheduled Gaussian noise",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, helptext in (
-        ("simulate", cmd_simulate, "integrate one path and dump it as CSV"),
-        ("classify", cmd_classify, "classify a noise schedule into regime A/B/C"),
-        ("affine", cmd_affine, "spectral and Lyapunov analysis of an affine system"),
-        ("experiment", cmd_experiment, "run a Monte Carlo ensemble and verdict"),
-        ("consistency", cmd_consistency, "compare schedule derivations across step sizes"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        p.set_defaults(fn=fn)
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.set_defaults(fn=cmd_selftest)
+COMMANDS = {"simulate": cmd_simulate, "classify": cmd_classify, "affine": cmd_affine,
+            "experiment": cmd_experiment, "consistency": cmd_consistency, "selftest": cmd_selftest}
+USAGE = ("usage: ssbelab {simulate,classify,affine,experiment,consistency} <config>"
+         " [--set KEY=VALUE]... [--out DIR] [--seed N]\n       ssbelab selftest\n")
 
-    args = parser.parse_args(argv)
+
+def _read_line(words):
+    """The handler and options of a command line, read in one pass; a malformed line raises ValueError."""
+    if not words or words[0] not in COMMANDS:
+        raise ValueError(f"unknown command {words[0]!r}" if words else "missing command")
+    if words[0] == "selftest" and words[1:]:
+        raise ValueError("selftest takes no arguments")
+    args = SimpleNamespace(config=None, overrides=[], out=None, seed=None)
+    rest = iter(words[1:])
+    for word in rest:
+        flag, eq, value = word.partition("=")
+        if not word.startswith("-"):
+            if args.config is not None:
+                raise ValueError(f"unexpected second config {word!r}")
+            args.config = word
+        elif flag not in ("--set", "--out", "--seed"):
+            raise ValueError(f"unknown flag {flag!r}")
+        elif not eq and (value := next(rest, "-")).startswith("-"):
+            raise ValueError(f"{flag} needs a value")
+        elif flag == "--seed" and not value.strip().lstrip("+-").isdigit():
+            raise ValueError(f"--seed needs an integer, got {value!r}")
+        elif flag == "--set":
+            args.overrides.append(value)
+        else:
+            setattr(args, flag[2:], int(value) if flag == "--seed" else value)
+    if args.config is None and words[0] != "selftest":
+        raise ValueError(f"{words[0]} needs a config file")
+    return COMMANDS[words[0]], args
+
+
+def main(argv=None) -> int:
+    words = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in words or "--help" in words:
+        print(USAGE, end="")
+        return 0
     try:
-        return args.fn(args)
+        fn, args = _read_line(words)
+    except ValueError as exc:
+        print(f"{USAGE}error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return fn(args)
     except (ConfigError, QuadratureError, PathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

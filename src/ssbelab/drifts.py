@@ -141,13 +141,15 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             raise ValueError(f"A must be square and nonempty, got shape {A.shape}")
         if not np.isfinite(A).all():
             raise ValueError(f"linear drift needs a finite A, got {A.tolist()}")
-        eigs = np.linalg.eigvals(A)
+        # A triangular matrix's eigenvalues are its diagonal, exactly; LAPACK can round a tiny one to 0.
+        spectrum = lambda M, eig: eig(M) if np.triu(M, 1).any() and np.tril(M, -1).any() else np.diag(M)
+        eigs = spectrum(A, np.linalg.eigvals)
         if not (eigs.real < 0).all():
             raise ValueError("linear drift requires all eigenvalues of A in Re < 0")
         # <x, -Ax> > 0 for all x iff the symmetric part of -A is PD; halved, its sum cannot
         # overflow, and an A with entries that halving rounds is scaled to max |A| ~ 2^1022.
         S = np.ldexp(A, 1023 - np.frexp(abs(A).max())[1]) if abs(A[A != 0]).min() < 2.0**-1021 else A
-        dissipative = bool(np.linalg.eigvalsh(-0.5 * S - 0.5 * S.T).min() > 0)
+        dissipative = bool(spectrum(-0.5 * S - 0.5 * S.T, np.linalg.eigvalsh).min() > 0)
 
         def ev(x, A=A):
             return -np.einsum("ij,...j->...i", A, np.asarray(x, dtype=np.float64))

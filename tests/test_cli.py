@@ -1,13 +1,13 @@
-import argparse
 import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ssbelab.cli import _load, main
+from ssbelab.cli import USAGE, _load, main
 from ssbelab.config import build_drift, build_run, build_schedule
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +31,72 @@ def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CFG)
     return str(path)
+
+
+PLAIN = ["classify", "configs/regime_b.cfg", "--out", "<out>", "--set", "classify.truncation=2000",
+         "--set", "run.steps=100", "--seed", "7"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--out", "<out>", "--set", "classify.truncation=2000", "--seed", "7", "configs/regime_b.cfg",
+     "--set", "run.steps=100"],
+    ["classify", "--seed", "7", "configs/regime_b.cfg", "--set=classify.truncation=2000", "--out=<out>",
+     "--set=run.steps=100"],
+    ["classify", "configs/regime_b.cfg", "--set", "classify.truncation=2000", "--set", "run.steps=50",
+     "--seed=3", "--out", "<out>", "--set", "run.steps=100", "--seed=7"],
+], ids=["flags_around_the_config", "equals_forms", "repeated_flags"])
+def test_every_accepted_form_writes_what_the_plain_form_writes(monkeypatch, tmp_path, capsys, argv):
+    # The last --seed and --out win, and every --set applies in order.
+    monkeypatch.chdir(ROOT)
+    texts = []
+    for words, out in ((PLAIN, tmp_path / "plain"), (argv, tmp_path / "form")):
+        assert main([w.replace("<out>", str(out)) for w in words]) == 0
+        texts.append([capsys.readouterr().out] + [(out / f).read_text() for f in sorted(os.listdir(out))])
+    assert texts[0] == texts[1] and len(texts[0]) == 3 and "config.run.master_seed = 7" in texts[0][1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing command"),
+    (["simulat", "configs/regime_b.cfg", "--out", "<out>"], "unknown command 'simulat'"),
+    (["--out", "<out>", "classify", "configs/regime_b.cfg"], "unknown command '--out'"),
+    (["classify", "--out", "<out>"], "classify needs a config file"),
+    (["classify", "configs/regime_b.cfg", "configs/regime_a.cfg", "--out", "<out>"],
+     "unexpected second config 'configs/regime_a.cfg'"),
+    (["classify", "configs/regime_b.cfg", "--out", "<out>", "--sett", "x"], "unknown flag '--sett'"),
+    (["classify", "configs/regime_b.cfg", "--ou", "<out>"], "unknown flag '--ou'"),
+    (["classify", "configs/regime_b.cfg", "-o", "<out>"], "unknown flag '-o'"),
+    (["classify", "configs/regime_b.cfg", "--out", "<out>", "--", "x"], "unknown flag '--'"),
+    (["classify", "configs/regime_b.cfg", "--out", "<out>", "--set"], "--set needs a value"),
+    (["classify", "configs/regime_b.cfg", "--out", "--seed", "7"], "--out needs a value"),
+    (["classify", "configs/regime_b.cfg", "--out", "-dir"], "--out needs a value"),
+    (["classify", "configs/regime_b.cfg", "--out", "<out>", "--seed", "seven"],
+     "--seed needs an integer, got 'seven'"),
+    (["classify", "configs/regime_b.cfg", "--out", "<out>", "--seed=1.5"], "--seed needs an integer, got '1.5'"),
+    (["selftest", "configs/regime_b.cfg"], "selftest takes no arguments"),
+    (["selftest", "--out", "<out>"], "selftest takes no arguments"),
+], ids=["no_command", "unknown_command", "flag_before_command", "no_config", "second_config", "unknown_flag",
+        "abbreviated_flag", "short_flag", "double_dash", "flag_without_value", "flag_before_flag",
+        "dash_value", "seed_word", "seed_float",
+        "selftest_config", "selftest_flag"])
+def test_a_malformed_line_exits_2_before_reading_or_writing(monkeypatch, tmp_path, capsys, argv, message):
+    # Each config named here exists, so an error about the line itself shows that none was read;
+    # the working directory and $SSBELAB_OUT, where output goes without --out, stay empty.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SSBELAB_OUT", str(tmp_path / "env"))
+    words = [w.replace("<out>", str(tmp_path / "out")).replace("configs/", f"{ROOT}/configs/") for w in argv]
+    assert main(words) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{USAGE}error: {message.replace('configs/', f'{ROOT}/configs/')}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["classify", "-h"], ["experiment", "configs/regime_c.cfg",
+                                  "--out", "<out>", "--help"], ["selftest", "--help"], ["frob", "-h"]])
+def test_help_prints_the_usage_and_exits_0(tmp_path, capsys, argv):
+    assert main([w.replace("<out>", str(tmp_path / "out")) for w in argv]) == 0
+    assert capsys.readouterr() == (USAGE, "")
+    assert USAGE.startswith("usage: ssbelab {simulate,classify,affine,experiment,consistency} <config>")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_names_path(capsys):
@@ -367,7 +433,7 @@ def test_shipped_configs_load_with_benchmark_overrides(monkeypatch, tmp_path):
     (tmp_path / "table.csv").write_text("".join(f"{n},0.5\n" for n in range(300)))
     for path in paths:
         rel = path.relative_to(ROOT).as_posix()
-        args = argparse.Namespace(config=str(path), overrides=pairs.get(rel, []), seed=42)
+        args = SimpleNamespace(config=str(path), overrides=pairs.get(rel, []), seed=42)
         cfg = _load(args)
         assert cfg["run.master_seed"] == "42"
         if "run.steps" in cfg:  # every run key, thresholds included, lies in its domain

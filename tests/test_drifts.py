@@ -54,6 +54,16 @@ def test_a_stable_linear_drift_declares_every_flag_at_any_scale(params):
     assert drift.dissipative and drift.uniform_mean_reverting and drift.strong_mean_reverting
 
 
+def test_a_triangular_matrix_reads_its_eigenvalues_from_its_diagonal():
+    # eigvals returned 0 for the tiny entry, so each stable A below was rejected as unstable.
+    drift = builtin_drift("linear", A=np.diag([-1e300, -1e-300]))
+    assert drift.dissipative and drift.uniform_mean_reverting and drift.strong_mean_reverting
+    for A in ([[-1.7e308, 0.0], [0.0, -5e-324]], [[-1e300, 1.0], [0.0, -1e-300]], [[-1e300, 0.0], [7.0, -1e-300]]):
+        assert builtin_drift("linear", A=A).affine
+    with pytest.raises(ValueError, match=r"^linear drift requires all eigenvalues of A in Re < 0$"):
+        builtin_drift("linear", A=[[1.0, 2.0], [-3.0, 0.5]])
+
+
 def test_the_dissipativity_of_a_normal_range_matrix_is_its_halved_symmetric_part():
     # Only an A with an entry that halving rounds is scaled: every other A keeps the
     # sign test on -A/2 - A'/2, here over scales 1e-300 to 1e300 and symmetric parts

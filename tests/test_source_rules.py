@@ -276,3 +276,47 @@ def test_the_config_echo_is_built_in_one_place():
     assert [(name, text) for name, text in _literals(sample) if text.startswith("config.")] == [
         (None, "config.{}"), ("f", "config."),
     ]
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports, in any import form."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def _command_tables(source: str):
+    """The dicts whose values are all command handlers (``cmd_*`` functions), as sorted key
+    lists, and the lines that read a handler outside them."""
+    tree = ast.parse(source)
+    handlers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")}
+    tables, inside = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and node.values and all(
+                isinstance(v, ast.Name) and v.id in handlers for v in node.values):
+            tables.append(sorted(ast.literal_eval(k) for k in node.keys))
+            inside |= {id(v) for v in node.values}
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in handlers and id(node) not in inside]
+    return tables, sorted(stray)
+
+
+def test_the_command_line_has_one_reader():
+    # cli.main reads every command's line in one pass through one table from command name to
+    # handler: argparse's parser per command, or a handler wired up a second way, fails here.
+    for path in sorted(SRC.glob("*.py")):
+        assert "argparse" not in _imported_modules(path.read_text()), path.name
+    commands = ["affine", "classify", "consistency", "experiment", "selftest", "simulate"]
+    assert _command_tables((SRC / "cli.py").read_text()) == ([commands], [])
+    sample = (
+        "import argparse as ap\nfrom argparse import ArgumentParser\nimport os.path\n"
+        "def cmd_a(args):\n    pass\ndef cmd_b(args):\n    pass\n"
+        "sub.add_parser('a').set_defaults(fn=cmd_a)\nTABLE = {'a': cmd_a, 'b': cmd_b}\n"
+        "ALIASES = {'bee': cmd_b}\nNAMES = {'a': 'cmd_a'}\n"
+    )
+    assert _imported_modules(sample) == {"argparse", "os"}
+    assert _command_tables(sample) == ([["a", "b"], ["bee"]], [8])
