@@ -64,11 +64,19 @@ def _check_finite(norms: np.ndarray, n0: int, shocks=None) -> None:
 def _norms(x: np.ndarray) -> np.ndarray:
     """The norms of the (..., d) states ``x``, shaped (...).  At d = 1 a norm is
     sqrt(x * x), the product and root ``np.linalg.norm`` takes on a one-entry
-    row, so it overflows alike, past |x| ~ 1.34e154."""
+    row, so it overflows alike, past |x| ~ 1.34e154 (see ``_retake_overflowed``)."""
     if x.shape[-1] == 1:
         x = x[..., 0]
         return np.sqrt(x * x)
     return np.linalg.norm(x.reshape(-1, x.shape[-1]), axis=1).reshape(x.shape[:-1])
+
+
+def _retake_overflowed(x: np.ndarray, norms: np.ndarray) -> bool:
+    """Take again, scaled by 2^-600 (exact), each of ``norms`` that overflowed from a
+    finite state of ``x``; True when every norm is then finite."""
+    big = np.isinf(norms) & np.isfinite(x).all(axis=-1)
+    norms[big] = _norms(x[big] * 2.0**-600) * 2.0**600
+    return bool(np.isfinite(norms).all())
 
 
 @dataclass
@@ -130,6 +138,8 @@ class BatchDiagnostics:
 
     def start(self, x0: np.ndarray) -> None:
         norms = _norms(x0)
+        if not np.isfinite(norms).all():
+            _retake_overflowed(x0, norms)
         self.last_norms = norms
         self.sup = norms.copy()
         self._push(norms[None])
@@ -153,8 +163,8 @@ class BatchDiagnostics:
     def fold(self, x: np.ndarray, xs: np.ndarray, u: np.ndarray, fro: np.ndarray) -> None:
         """Fold steps n+1 .. n+k: X(n+j+1) = x[j], x*(n+j) = xs[j], U(n+j+1) = u[j].
 
-        ``x``, ``xs`` and ``u`` have shape (k, m, d), or (k, d) at m = 1, and
-        ``fro[j]`` is ||sigma(n+j)||_F.  The arrays are read, never kept or
+        ``x``, ``xs`` and ``u`` have shape (k, m, d), or (k, d) at m = 1 and
+        (k,) at m = d = 1, and ``fro[j]`` is ||sigma(n+j)||_F.  The arrays are read, never kept or
         written.
         """
         k = len(x)
@@ -163,7 +173,7 @@ class BatchDiagnostics:
         m, d, n0, h = self.m, self.d, self.n, self.h
         x, xs, u = (a.reshape(k, m, d) for a in (x, xs, u))
         norms = _norms(x)
-        if not np.isfinite(norms).all():
+        if not np.isfinite(norms).all() and not _retake_overflowed(x, norms):
             t = int(np.argmin(np.isfinite(norms).all(axis=1)))
             self.fold(*(a[:t] for a in (x, xs, u, fro)))
             _check_finite(norms, n0, u)

@@ -92,7 +92,9 @@ def make_drift(
     jac=None,
 ) -> DriftSpec:
     """Wrap a user drift; flags are taken on trust.  The catalogue's componentwise
-    families, cubic and arctan, are built through it too."""
+    families, cubic and arctan, are built through it too.  ``scalar_eval`` and
+    ``scalar_deriv`` map arrays elementwise and should return a float for a float:
+    the scalar solve reads their values as given, and a numpy scalar only slows it."""
     return DriftSpec(
         name=name,
         d=d,
@@ -142,14 +144,17 @@ def builtin_drift(name: str, **params) -> DriftSpec:
         if not np.isfinite(A).all():
             raise ValueError(f"linear drift needs a finite A, got {A.tolist()}")
         # A triangular matrix's eigenvalues are its diagonal, exactly; LAPACK can round a tiny one to 0.
-        spectrum = lambda M, eig: eig(M) if np.triu(M, 1).any() and np.tril(M, -1).any() else np.diag(M)
-        eigs = spectrum(A, np.linalg.eigvals)
+        eigs = np.linalg.eigvals(A) if np.triu(A, 1).any() and np.tril(A, -1).any() else np.diag(A)
         if not (eigs.real < 0).all():
             raise ValueError("linear drift requires all eigenvalues of A in Re < 0")
-        # <x, -Ax> > 0 for all x iff the symmetric part of -A is PD; halved, its sum cannot
-        # overflow, and an A with entries that halving rounds is scaled to max |A| ~ 2^1022.
-        S = np.ldexp(A, 1023 - np.frexp(abs(A).max())[1]) if abs(A[A != 0]).min() < 2.0**-1021 else A
-        dissipative = bool(spectrum(-0.5 * S - 0.5 * S.T, np.linalg.eigvalsh).min() > 0)
+        # <x, -Ax> > 0 for all x iff the symmetric part of -A is PD.  A diagonal one is -diag(A)
+        # itself; any other is halved, so its sum cannot overflow, and an A with entries that
+        # halving rounds is scaled to max |A| ~ 2^1022.
+        if (np.tril(A, -1) == -np.triu(A, 1).T).all():
+            dissipative = bool((np.diag(A) < 0).all())
+        else:
+            S = np.ldexp(A, 1023 - np.frexp(abs(A).max())[1]) if abs(A[A != 0]).min() < 2.0**-1021 else A
+            dissipative = bool(np.linalg.eigvalsh(-0.5 * S - 0.5 * S.T).min() > 0)
 
         def ev(x, A=A):
             return -np.einsum("ij,...j->...i", A, np.asarray(x, dtype=np.float64))
@@ -180,12 +185,14 @@ def builtin_drift(name: str, **params) -> DriftSpec:
             scalar_deriv=lambda x: 1.0 + 3.0 * (x * x),
         )
     if name == "arctan":
+        # np.arctan's bits; a numpy scalar, its result for a float, is read back as a float.
+        atan = lambda x: y.tolist() if (y := np.arctan(x)).ndim == 0 else y
         return make_drift(
             np.arctan,
             d,
             name="arctan",
             uniform_mean_reverting=True,
-            scalar_eval=np.arctan,
+            scalar_eval=atan,
             scalar_deriv=lambda x: 1.0 / (1.0 + x**2),
         )
     c = float(params.get("c", 1.0))

@@ -97,6 +97,7 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     dissipative f; its absence is reported as SolverError.  Bisection is
     the loop's fall-through step; a solve without ``scalar_deriv`` starts
     with its ``MAX_NEWTON`` Newton steps spent, so every step bisects.
+    f and f' are read as they return, so float maps keep the solve on floats.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -109,8 +110,8 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
     # The residual G_x(y) = y - x + h f(y) is written out at each use
     # rather than called through a closure on every iterate.
     lo, hi = (x, 0.0) if x < 0 else (0.0, x)
-    glo = lo - x + h * float(f(lo))
-    ghi = hi - x + h * float(f(hi))
+    glo = lo - x + h * f(lo)
+    ghi = hi - x + h * f(hi)
     if glo == 0.0:
         return ImplicitSolution(lo, 0, 0.0)
     if ghi == 0.0:
@@ -125,7 +126,7 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
         )
 
     y = 0.5 * (lo + hi)
-    gy = y - x + h * float(f(y))
+    gy = y - x + h * f(y)
     ag = abs(gy)
     best_y, best_g = y, ag
     newton_used = 0 if df is not None else MAX_NEWTON
@@ -138,12 +139,12 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
         # A Newton step is kept if it stays in the bracket and lowers |G|; else the step bisects.
         if newton_used < MAX_NEWTON:
             try:
-                slope = 1.0 + h * float(df(y))
+                slope = 1.0 + h * df(y)
             except OverflowError:  # arctan's 1 / (1 + y**2) past |y| ~ 1e154: bisect
                 slope = 0.0
             if slope != 0.0 and lo < (cand := y - gy / slope) < hi:
                 newton_used += 1
-                g_new = cand - x + h * float(f(cand))
+                g_new = cand - x + h * f(cand)
                 if abs(g_new) < ag:
                     if g_new * side < 0.0:
                         hi = cand
@@ -156,7 +157,7 @@ def solve_scalar(drift, h: float, x: float, tol: float = DEFAULT_TOL) -> Implici
         else:
             lo = y
         y = 0.5 * (lo + hi)
-        gy = y - x + h * float(f(y))
+        gy = y - x + h * f(y)
         ag = abs(gy)
         if lo == hi:
             break

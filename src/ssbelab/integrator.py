@@ -16,11 +16,12 @@ block of radial states through ``solve_radial``, a radius solve per row;
 any other state goes through ``solve_scalar`` (d = 1) or ``solve_vector``.
 
 Both run one step loop, ``_step_loop``, on one path's state or an (m, d)
-block.  A lone path's state at d = 1 is a Python float: its ``+`` and ``*``
-are the IEEE operations numpy performs on a (1,) row, so the bits do not
-change.  Per NOISE_BLOCK steps the loop draws the noise; per chunk it
-assembles the shocks through ``NoiseSchedule.shocks``, runs the stage for
-each step into arrays the engine supplies and folds the chunk through one
+block.  A lone path's state at d = 1 is a Python float, written into the
+(k,) columns of its (k, 1) arrays: its ``+`` and ``*`` are the IEEE
+operations numpy performs on a (1,) row, so the bits do not change.  Per
+NOISE_BLOCK steps the loop draws the noise; per chunk it assembles the
+shocks through ``NoiseSchedule.shocks``, runs the stage for each step into
+arrays the engine supplies and folds the chunk through one
 ``BatchDiagnostics.fold``.  ``integrate`` folds once per NOISE_BLOCK
 steps, into a full record's own X, X_star and U slices or else into
 scratch rows; the lockstep engine once per CHUNK steps, into
@@ -119,14 +120,14 @@ def _check_inputs(drift, schedule, zeta, steps: int, r: int) -> np.ndarray:
     return zeta
 
 
-def _lone_rows(a: np.ndarray):
-    """A lone path's view of the rows of a (k, d) array: Python floats at d = 1, else the rows."""
-    return a[:, 0].tolist() if a.shape[1] == 1 else a
+def _lone_rows(a: np.ndarray, floats: bool = False):
+    """A lone path's rows of a (k, d) array: at d = 1 its (k,) column, as Python floats if ``floats``."""
+    return a if a.shape[1] > 1 else a[:, 0].tolist() if floats else a[:, 0]
 
 
 def _solve_rows(stage, X):
     out = np.empty_like(X)
-    for i, x in enumerate(_lone_rows(X)):
+    for i, x in enumerate(_lone_rows(X, floats=True)):
         try:
             out[i] = stage(x)
         except SolverError as exc:
@@ -202,7 +203,7 @@ def _step_loop(schedule, x, steps, window, ids, master_seed, stage, draw, chunk,
     by default; floats at d = 1, whose ``+`` is numpy's IEEE addition), each
     step's state and stage are written into the arrays ``rows(n0, u)``
     returns for the chunk starting at step n0 (by default one chunk of
-    scratch rows, (chunk, d) for a lone path), and the chunk is folded;
+    scratch rows of the state's shape, (chunk,) for a float), and the chunk is folded;
     ``keep(x_rows, n0, n)`` then reads the states of the steps folded,
     n0+1 .. n.  A failed stage or a non-finite state raises PathError with
     the ``partial_summaries``.
@@ -212,7 +213,7 @@ def _step_loop(schedule, x, steps, window, ids, master_seed, stage, draw, chunk,
     diag = BatchDiagnostics(m, d, schedule.h, window)
     if rows is None:
         # One chunk of states and stages, folded and then overwritten.
-        scratch = np.empty((2, min(chunk, steps)) + np.atleast_1d(x).shape)
+        scratch = np.empty((2, min(chunk, steps)) + np.shape(x))
         rows = lambda n0, u: (scratch[0, : len(u)], scratch[1, : len(u)])
     step, part = 0, ()
     # Overflow is not warned about: the fold's check names the step.
@@ -269,7 +270,7 @@ def integrate(
 
         def rows(n0, u):
             U[n0 : n0 + len(u)] = u
-            return X[n0 + 1 : n0 + len(u) + 1], X_star[n0 : n0 + len(u)]
+            return _lone_rows(X[n0 + 1 : n0 + len(u) + 1]), _lone_rows(X_star[n0 : n0 + len(u)])
 
     elif mode == "thin":
         stored = np.append(np.arange(0, steps, stride), steps)
@@ -277,15 +278,15 @@ def integrate(
 
         def keep(x_rows, n0, n):
             lo, hi = np.searchsorted(stored, (n0 + 1, n + 1))
-            X[lo:hi] = x_rows[stored[lo:hi] - n0 - 1]
+            _lone_rows(X)[lo:hi] = x_rows[stored[lo:hi] - n0 - 1]
 
     if X is not None:
         X[0] = zeta
     stage = stage_rule(drift, schedule.h, tol, block=False)
     try:
-        (summary,) = _step_loop(schedule, _lone_rows(zeta[None])[0], steps, window,
+        (summary,) = _step_loop(schedule, _lone_rows(zeta[None], floats=True)[0], steps, window,
                                 [stream.path_index], stream.master_seed, stage, stream.draw_block,
-                                NOISE_BLOCK, rows=rows, keep=keep, view=_lone_rows)
+                                NOISE_BLOCK, rows=rows, keep=keep, view=lambda u: _lone_rows(u, floats=True))
     except PathError as err:
         (err.partial_summary,) = err.partial_summaries
         err.partial_states = None if X is None else X[stored <= err.step_index]

@@ -1,4 +1,5 @@
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -387,17 +388,44 @@ def test_failing_path_exits_2(tmp_path, capsys, command):
     _exits_2_at_step_0(tmp_path, capsys, command, OVERFLOW_CFG, "non-finite shock: [-inf]")
 
 
+# Path 0's finite state -8e307 and finite shock -1.09e308 add to -inf at step 0.
+FAR_STATE = {"1.7e308": "8e307", "run.zeta = 1.0": "run.zeta = -8e307"}
+
+
+def _overflow_cfg(drift, over=FAR_STATE):
+    text = OVERFLOW_CFG.replace("cubic", drift)
+    for old, new in over.items():
+        text = text.replace(old, new)
+    return text
+
+
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
-@pytest.mark.parametrize("c, cause", [
-    ("1.7e308", "non-finite shock: [-inf]"),
-    # Finite shocks, but path 0's state x* + u = -1.4e200 has a norm the
-    # fold cannot square; an x* + u that overflows to inf comes later still.
-    ("1e200", "non-finite state norm: inf"),
+@pytest.mark.parametrize("over, cause", [
+    ({}, "non-finite shock: [-inf]"),
+    (FAR_STATE, "non-finite state norm: inf"),
 ], ids=["shock", "state"])
-def test_linear_drift_overflow_exits_2(tmp_path, capsys, command, c, cause):
+def test_linear_drift_overflow_exits_2(tmp_path, capsys, command, over, cause):
     # The affine stage carries inf on without failing, so the fold names it.
-    text = OVERFLOW_CFG.replace("cubic", "linear").replace("1.7e308", c)
+    text = _overflow_cfg("linear", over)
     _exits_2_at_step_0(tmp_path, capsys, command, text + "drift.lam = 1e-12\n", cause)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "regime_b.cfg", "--set", "run.zeta=1e300", "--set", "run.steps=10"],
+    ["experiment", "regime_c.cfg", "--set", "drift.d=2", "--set", "run.zeta=1e200,1e200",
+     "--set", "run.steps=2000", "--set", "run.paths=2"],
+], ids=["simulate", "experiment"])
+def test_a_finite_state_past_1e154_completes(tmp_path, capsys, argv):
+    # Its squared norm overflows, so the fold read its norm as inf and the
+    # path failed at step 0; the norm is now taken again, scaled.
+    command, cfg, *over = argv
+    assert main([command, str(ROOT / "configs" / cfg), *over, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "simulate":
+        with open(tmp_path / "path.csv") as fh:
+            rows = [line.split(",") for line in fh if line[0].isdigit()]
+        assert float(rows[0][1]) == 1e300 and len(rows) == 11
+        assert all(math.isfinite(float(row[1])) for row in rows)
 
 
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
@@ -869,8 +897,8 @@ def test_a_contraction_violation_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
 def test_arctan_overflow_exits_2(tmp_path, capsys, command):
     # simulate's scalar solve raised OverflowError from arctan's 1 / (1 + y**2).
-    text = OVERFLOW_CFG.replace("cubic", "arctan").replace("1.7e308", "1e200")
-    _exits_2_at_step_0(tmp_path, capsys, command, text, "non-finite state norm: inf")
+    # Its stage at -8e307 bisects; the state it then reaches is -inf.
+    _exits_2_at_step_0(tmp_path, capsys, command, _overflow_cfg("arctan"), "non-finite state norm: inf")
 
 
 @pytest.mark.parametrize("config, pair, key", [

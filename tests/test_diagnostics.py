@@ -154,8 +154,8 @@ def _random_steps(rng, m, d, steps, edge=None):
     writes edge values into the draw: ``"zeros"`` +0.0 and -0.0 entries,
     ``"neg_zero_stage"`` a -0.0 stage against a positive shock at every
     even step, ``"tiny"`` subnormal entries and entries whose squares
-    underflow, and ``"overflow"`` one state past 1.34e154, whose squared
-    norm overflows, at step ``steps - 5`` of row ``m // 2``.
+    underflow, and ``"overflow"`` one state that overflowed to inf, at step
+    ``steps - 5`` of row ``m // 2``.
     """
     base = rng.standard_normal((steps + 2, m, d)) * rng.uniform(0.1, 3.0, (steps + 2, 1, 1))
     if edge == "zeros":
@@ -168,7 +168,7 @@ def _random_steps(rng, m, d, steps, edge=None):
     elif edge == "tiny":
         base *= 10.0 ** rng.choice([-323.5, -315.0, -308.0, -170.0, -160.0, -155.0, 0.0], base.shape)
     elif edge == "overflow":
-        base[steps - 3, m // 2, 0] = 1.5e154
+        base[steps - 3, m // 2, 0] = np.inf
     return base[2:], base[1:-1], base[:-2], rng.uniform(0.0, 2.0, steps)
 
 
@@ -191,8 +191,7 @@ _FOLD_CASES = [
 ]
 
 # The failure the "overflow" cases raise: NonFiniteError's step_index,
-# row_index and message, as recorded before the d = 1 fold took its norms
-# as sqrt(x * x).
+# row_index and message.
 _OVERFLOW = {1: (195, 0, "non-finite state norm: inf"), 7: (195, 3, "non-finite state norm: inf")}
 
 
@@ -256,6 +255,47 @@ def test_chunked_fold_is_bit_identical_to_per_step(m, offset, d, steps, window, 
     assert repr(split.summaries(range(m), norms)) == repr(want)
     assert stepwise.n == split.n == stop
     assert [c.n for c in want[0].checkpoints] == [n for n in CHECKPOINTS if n <= stop]
+
+
+@pytest.mark.parametrize("d, state, norm", [
+    (1, [-1e300], 1e300),
+    (3, [3 * 2.0**700, -4 * 2.0**700, 0.0], 5 * 2.0**700),
+])
+def test_a_finite_state_past_1e154_keeps_a_finite_norm(d, state, norm):
+    # Its squared norm overflows, so the fold read its norm as inf and
+    # raised; the norm is now taken again scaled by 2^-600, which is exact,
+    # and every other row keeps its bits.
+    rng = np.random.default_rng(d)
+    x, xs, u, fro = _random_steps(rng, 4, d, 6, None)
+    x0 = rng.standard_normal((4, d))
+    plain, far = BatchDiagnostics(4, d, 0.1, 8), BatchDiagnostics(4, d, 0.1, 8)
+    far_x, far_x0 = x.copy(), x0.copy()
+    far_x[2, 1] = far_x0[3] = state
+    with np.errstate(over="ignore"):
+        plain.start(x0)
+        far.start(far_x0)
+        plain.fold(x, xs, u, fro)
+        far.fold(far_x, xs, u, fro)
+    assert far.ring[0, 3] == norm and far.ring[3, 1] == norm and far.sup[1] == far.sup[3] == norm
+    rest = np.ones((7, 4), bool)
+    rest[0, 3] = rest[3, 1] = False
+    assert (far.ring[:7][rest] == plain.ring[:7][rest]).all()
+    assert (far.last_norms == plain.last_norms).all() and (far.sums[:, [0, 2]] == plain.sums[:, [0, 2]]).all()
+
+
+@pytest.mark.parametrize("d, state", [(1, [np.inf]), (3, [1.7e308, -1.7e308, 0.0]), (3, [np.nan, 0.0, 0.0])])
+def test_a_state_of_non_finite_norm_still_raises(d, state):
+    # A state that is itself inf or NaN, or a finite one whose norm is past
+    # the float range, still stops the fold at its step.
+    x, xs, u, fro = _random_steps(np.random.default_rng(0), 4, d, 6, None)
+    x[4, 2] = state
+    diag = BatchDiagnostics(4, d, 0.1, 8)
+    diag.start(np.ones((4, d)))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as excinfo:
+        diag.fold(x, xs, u, fro)
+    assert (excinfo.value.step_index, excinfo.value.row_index, diag.n) == (4, 2, 4)
+    assert str(excinfo.value) == f"non-finite state norm: {'nan' if np.isnan(state[0]) else 'inf'}"
+
 
 
 @pytest.mark.parametrize("r", [1, 3])

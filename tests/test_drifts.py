@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ssbelab.drifts import DriftSpec, builtin_drift, make_drift
+from ssbelab.implicit import _Ray
 
 
 def test_cubic_value():
@@ -62,6 +63,48 @@ def test_a_triangular_matrix_reads_its_eigenvalues_from_its_diagonal():
         assert builtin_drift("linear", A=A).affine
     with pytest.raises(ValueError, match=r"^linear drift requires all eigenvalues of A in Re < 0$"):
         builtin_drift("linear", A=[[1.0, 2.0], [-3.0, 0.5]])
+
+
+@pytest.mark.parametrize("A, flags", [
+    # Scaled by 2^-1 for its 1.7e308, the 5e-324 rounded to 0, so the symmetric part read
+    # singular and the drift declared no flag.
+    ([[-1.7e308, 0.0], [0.0, -5e-324]], True),
+    ([[-2.0, 3.0], [-3.0, -5e-324]], True),
+    # Indefinite: its symmetric part's determinant is 8.5e-16 - 0.25.
+    ([[-1.7e308, 1.0], [0.0, -5e-324]], False),
+], ids=["diagonal", "skew", "indefinite"])
+def test_a_diagonal_symmetric_part_reads_its_sign_from_the_diagonal(A, flags):
+    drift = builtin_drift("linear", A=A)
+    assert drift.dissipative is drift.uniform_mean_reverting is drift.strong_mean_reverting is flags
+
+
+_SCALAR_MAPS = {
+    "cubic": builtin_drift("cubic").scalar_eval,
+    "cubic'": builtin_drift("cubic").scalar_deriv,
+    "arctan": builtin_drift("arctan").scalar_eval,
+    "arctan'": builtin_drift("arctan").scalar_deriv,
+    "saturating": builtin_drift("saturating", c=2.0).scalar_eval,
+    "ray": _Ray(builtin_drift("saturating", c=2.0, d=3).radial_gain).scalar_eval,
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_MAPS))
+def test_every_builtin_scalar_map_returns_a_float_for_a_float(name):
+    # solve_scalar reads a map's values as given, so a float keeps its solve on Python floats.
+    f = _SCALAR_MAPS[name]
+    for x in (0.0, -0.0, 5e-324, 0.7, -3.5, 1e100):
+        assert type(f(x)) is float
+    assert type(f(np.array([0.5, -2.0]))) is np.ndarray
+
+
+def test_arctan_keeps_numpy_arctan_bits():
+    f = builtin_drift("arctan").scalar_eval
+    xs = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300] + np.linspace(-50.0, 50.0, 2001).tolist()
+    want = np.arctan(np.array(xs))
+    # tobytes tells -0.0 from +0.0, which == does not.
+    assert np.array([f(x) for x in xs]).tobytes() == want.tobytes()
+    assert np.array([np.arctan(x) for x in xs]).tobytes() == want.tobytes()
+    assert f(np.array(xs)).tobytes() == want.tobytes()
 
 
 def test_the_dissipativity_of_a_normal_range_matrix_is_its_halved_symmetric_part():

@@ -599,9 +599,12 @@ def test_scalar_solves_keep_their_bits(name):
     assert digest.hexdigest() == SCALAR_SOLVE_DIGESTS[name]
 
 
-def test_an_implicit_solution_is_immutable():
-    sol = solve_scalar(builtin_drift("cubic"), 0.5, 2.0)
-    assert type(sol.x_star) is float and type(sol.iterations) is int and sol.residual <= 1e-12
+@pytest.mark.parametrize("name", ["linear", "cubic", "arctan", "saturating"])
+def test_an_implicit_solution_is_immutable(name):
+    # Every built-in d = 1 drift's solve runs on Python floats.
+    sol = solve_scalar(builtin_drift(name), 0.5, 2.0)
+    assert type(sol.x_star) is float and type(sol.iterations) is int and type(sol.residual) is float
+    assert sol.residual <= 1e-12
     for field in ("x_star", "iterations", "residual"):
         with pytest.raises(AttributeError):
             setattr(sol, field, 0.0)

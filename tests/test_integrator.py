@@ -577,7 +577,8 @@ def test_an_initial_state_of_overflowing_norm_fails_at_step_0(engine):
 
     drift = builtin_drift("linear", d=2)
     sched = schedule_family("constant", h=0.1, c=0.1, d=2)
-    zeta = [1e308, 1e308]
+    # A finite state whose norm, 2.4e308, is past the float range.
+    zeta = [1.7e308, 1.7e308]
     with pytest.raises(PathError, match="failed at step 0: non-finite state norm: inf") as excinfo:
         if engine == "integrate":
             integrate(drift, sched, zeta, 10, derive_substream(0, 4, 1))

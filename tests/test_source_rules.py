@@ -320,3 +320,28 @@ def test_the_command_line_has_one_reader():
     )
     assert _imported_modules(sample) == {"argparse", "os"}
     assert _command_tables(sample) == ([["a", "b"], ["bee"]], [8])
+
+
+def _float_wrapped_drift_calls(source: str) -> list[int]:
+    """Lines in ``solve_scalar`` where ``float(...)`` wraps a call of ``f`` or ``df``."""
+    (solve,) = [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == "solve_scalar"]
+    return [
+        node.lineno for node in ast.walk(solve)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "float"
+        and any(isinstance(inner, ast.Call) and ast.unparse(inner.func) in ("f", "df")
+                for arg in node.args for inner in ast.walk(arg))
+    ]
+
+
+def test_the_scalar_solve_reads_drift_values_as_given():
+    # A scalar map that returns floats keeps the solve on Python floats, and float() around
+    # each value costs a call per evaluation; _scalar_f stays the one adapter for a drift
+    # without scalar_eval.
+    assert _float_wrapped_drift_calls((SRC / "implicit.py").read_text()) == []
+    sample = (
+        "def _scalar_f(drift):\n    return lambda y: float(drift(y))\n"
+        "def solve_scalar(drift, h, x, f, df):\n    x = float(x)\n    g = x + h * float(f(x))\n"
+        "    s = 1.0 + h * float(2.0 * df(x))\n    return float(g), f(x)\n"
+    )
+    assert _float_wrapped_drift_calls(sample) == [5, 6]
