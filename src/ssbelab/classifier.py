@@ -39,11 +39,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ssbelab.normal import _SQRT2, ERFC_ZERO, tail_q_unchecked
+from ssbelab.normal import _SQRT2, ERFC_ZERO, live_span, tail_q_unchecked
 from ssbelab.schedules import ContinuousSigma, NoiseSchedule, from_sigma_cell_rms
 
 # exp(t) == 0.0 exactly for every t < -745.1332; the tests pin this.
 EXP_ZERO = -746.0
+# Indices per schedule request as the norms are filled: no full-length temporary.
+FRO_BLOCK = 8192
 
 
 def default_epsilon_grid(eps_min: float = 1e-2, eps_max: float = 1e1, points: int = 13) -> np.ndarray:
@@ -66,15 +68,21 @@ class SeriesPartial:
 
 
 def _frobenius_grid(schedule: NoiseSchedule, n_trunc: int) -> np.ndarray:
-    return schedule.frobenius_grid(np.arange(n_trunc + 1))
+    """The norms at 0 .. n_trunc, ``FRO_BLOCK`` indices per request; every route
+    is elementwise, so they have the bits of one whole-range request."""
+    fro = np.empty(n_trunc + 1)
+    for lo in range(0, fro.size, FRO_BLOCK):
+        fro[lo : lo + FRO_BLOCK] = schedule.frobenius_grid(np.arange(lo, min(lo + FRO_BLOCK, fro.size)))
+    return fro
 
 
-def _dead(fro: np.ndarray) -> np.ndarray:
-    """Indices of the norms that are not positive, NaN among them; their terms are 0.0."""
-    return np.flatnonzero(~(fro > 0))
+def _dead(fro: np.ndarray):
+    """Index of the norms that are not positive, NaN among them, whose terms are 0.0: their
+    mask, or False, which selects no entry, when one reduction finds every norm positive."""
+    return False if not fro.size or fro.min() > 0 else ~(fro > 0)
 
 
-def _s_terms(fro: np.ndarray, eps: float, out: np.ndarray, dead: np.ndarray) -> np.ndarray:
+def _s_terms(fro: np.ndarray, eps: float, out: np.ndarray, dead) -> np.ndarray:
     """Terms Q(eps / fro) into ``out``, 0.0 at ``dead`` (``_dead(fro)``).
 
     eps / fro is taken unmasked and inf (Q(inf) = 0) is written at
@@ -87,39 +95,32 @@ def _s_terms(fro: np.ndarray, eps: float, out: np.ndarray, dead: np.ndarray) -> 
     return tail_q_unchecked(out, out=out)
 
 
-def _sprime_exponent(fro: np.ndarray, eps: float, out: np.ndarray, dead: np.ndarray) -> np.ndarray:
+def _sprime_exponent(fro: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
     """t = -eps^2 / (2 fro^2) into ``out``; returns the mask of terms exp does not cut.
 
     t is computed over the whole array, unmasked (a masked numpy op costs
     about twice an unmasked one).  exp(t) is exactly 0.0 for every t below
-    -745.1332, so a term is cut at ``dead`` or where t < ``EXP_ZERO``.
+    -745.1332, so a term is cut where t < ``EXP_ZERO`` or t is NaN (a NaN norm).
     """
     with np.errstate(under="ignore", over="ignore", divide="ignore", invalid="ignore"):
         np.multiply(fro, fro, out=out)
         np.divide(-0.5 * eps * eps, out, out=out)
-    # ~(t < cut) keeps a NaN exponent live, as the whole-array formula does.
-    live = ~(out < EXP_ZERO)
-    live[dead] = False
-    return live
+    return out >= EXP_ZERO
 
 
-def _sprime_terms(fro: np.ndarray, eps: float, out: np.ndarray, dead: np.ndarray) -> np.ndarray:
-    """Terms fro * exp(-eps^2 / (2 fro^2)), 0.0 where the norm is not positive.
+def _sprime_terms(fro: np.ndarray, eps: float, out: np.ndarray, dead) -> np.ndarray:
+    """Terms fro * exp(-eps^2 / (2 fro^2)), 0.0 at ``dead`` (``_dead(fro)``).
 
-    exp and the product are evaluated only on the terms ``_sprime_exponent``
-    does not cut; the rest are written as 0.0, the value the whole-array
-    formula gives them, so the buffer is bit for bit that formula's.
+    exp and the product run on the ``live_span`` of the terms
+    ``_sprime_exponent`` does not cut (one cut inside it is 0.0 from exp), so
+    the buffer is bit for bit the whole-array formula's.
     """
-    live = _sprime_exponent(fro, eps, out, dead)
+    flat, fro = out.reshape(-1), fro.reshape(-1)
+    live = live_span(_sprime_exponent(fro, eps, flat), flat)
+    t = flat[live]
     with np.errstate(under="ignore", over="ignore"):
-        if live.all():
-            np.exp(out, out=out)
-            return np.multiply(fro, out, out=out)
-        idx = np.flatnonzero(live)
-        vals = np.exp(out[idx])
-        np.multiply(fro[idx], vals, out=vals)
-    out.fill(0.0)
-    out[idx] = vals
+        np.multiply(fro[live], np.exp(t, out=t), out=t)
+    out[dead] = 0.0
     return out
 
 
@@ -127,21 +128,19 @@ _KERNELS = {"s": _s_terms, "sprime": _sprime_terms}
 
 
 def _live_range(fro: np.ndarray, eps: float, kind: str, scratch: np.ndarray) -> slice:
-    """Index range outside which every ``kind`` term is exactly 0.0, at eps and above.
+    """Index range outside which every ``kind`` term is exactly 0.0, at eps and above;
+    ``scratch`` is left 0.0 outside it.
 
     A term is cut at eps when eps / fro / sqrt(2) >= ``ERFC_ZERO`` (S; a
     zero norm gives inf) or by ``_sprime_exponent`` (S').  IEEE division and
     multiplication are monotone, so eps / fro and eps^2 / fro^2 never fall
     as eps grows: a term cut at eps is cut at every larger eps.
     """
-    if kind == "s":
-        with np.errstate(divide="ignore", over="ignore"):
-            np.divide(eps, fro, out=scratch)
-        live = np.divide(scratch, _SQRT2, out=scratch) < ERFC_ZERO
-    else:
-        live = _sprime_exponent(fro, eps, scratch, _dead(fro))
-    idx = np.flatnonzero(live)
-    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+    if kind == "sprime":
+        return live_span(_sprime_exponent(fro, eps, scratch), scratch)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(eps, fro, out=scratch)
+    return live_span(np.divide(scratch, _SQRT2, out=scratch) < ERFC_ZERO, scratch)
 
 
 def _partial(
@@ -266,12 +265,11 @@ def _evidence(
 
     ``buf`` holds each row's terms in turn: the full n_trunc + 1 of them,
     so every sum keeps its pairwise order.  Only the range that
-    ``_live_range`` leaves open at grid[0] is evaluated; the rest stays
+    ``_live_range`` leaves open at grid[0] is evaluated; it leaves the rest
     0.0, the value every row's kernel would write there.
     """
     verdicts = _verdicts(schedule, fro, grid, kind, n_trunc, probes)
     live = _live_range(fro, grid[0], kind, buf)
-    buf.fill(0.0)
     dead = _dead(fro[live])
     evidence = []
     for eps, verdict in zip(grid, verdicts):

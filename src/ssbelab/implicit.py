@@ -262,13 +262,17 @@ _TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)  # below it, x.dot(x) may have
 
 
 def _row_norms(X: np.ndarray) -> list:
-    """sqrt(x.dot(x)) per row, np.linalg.norm's formula (vecdot rounds a row as dot does);
-    a nonzero row under ``_TINY_NORM`` is taken again scaled by 2^600, which is exact."""
+    """sqrt(x.dot(x)) per row, np.linalg.norm's formula (vecdot rounds a row as dot does); a nonzero
+    row under ``_TINY_NORM`` is taken again scaled by 2^600, one whose norm overflowed by 2^-600."""
     norms = np.sqrt(np.vecdot(X, X)).tolist()
     if norms and min(norms) < _TINY_NORM:
         for i in np.flatnonzero((np.array(norms) < _TINY_NORM) & X.any(axis=1)).tolist():
             x = X[i] * 2.0**600
             norms[i] = math.sqrt(x.dot(x)) * 2.0**-600
+    if norms and max(norms) == math.inf:
+        for i in [i for i, rho in enumerate(norms) if rho == math.inf]:
+            x = X[i] * 2.0**-600
+            norms[i] = math.sqrt(x.dot(x)) * 2.0**600
     return norms
 
 

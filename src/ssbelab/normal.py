@@ -17,12 +17,12 @@ log space far past the double-precision underflow point.  Three surfaces:
 
 ``tail_q_grid`` is the vectorised bulk form used for partial sums: terms
 that underflow contribute 0, which is the correct limit convention for the
-series (Phi(inf) = 1).  It calls erfc only on arguments below
-``ERFC_ZERO`` = 27 and writes 0.0 for the rest.  The skip is exact, not an
-approximation: scipy's erfc (cephes) returns exactly 0.0 once z*z exceeds
-MAXLOG, that is for every z > 26.6418, so each skipped term is the value
-erfc would have returned.  Under a decaying schedule most terms of a long
-partial sum are such zeros.
+series (Phi(inf) = 1).  It calls erfc only on the span from the first
+argument below ``ERFC_ZERO`` = 27 to the last, and writes 0.0 outside it.
+The skip is exact, not an approximation: scipy's erfc (cephes) returns
+exactly 0.0 once z*z exceeds MAXLOG, that is for every z > 26.6418, so each
+skipped term, and each cut one inside the span, is the value erfc returns.
+Under a decaying schedule most terms of a long partial sum are such zeros.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ def tail_q_grid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
     Bulk summation form: values below the underflow threshold come back as
     exactly 0.0, which matches the series' zero-sigma convention.  erfc is
-    evaluated only where x / sqrt(2) < ``ERFC_ZERO``; every other entry is
-    written as 0.0, the value erfc returns there, so the result is bit for
-    bit the whole-array one.  With ``out`` (which may be ``x`` itself)
-    every step writes into it.
+    evaluated only on the ``live_span`` of x / sqrt(2) < ``ERFC_ZERO``;
+    every other entry is 0.0, the value erfc returns there, so the result is
+    bit for bit the whole-array one.  With ``out`` (which may be ``x``
+    itself; 1-d or C-contiguous) every step writes into it.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
@@ -107,15 +107,20 @@ def tail_q_grid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 def tail_q_unchecked(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``tail_q_grid`` of a float64 array the caller knows holds no NaN, unchecked."""
-    q = np.divide(x, _SQRT2, out=out)
-    live = q < ERFC_ZERO
-    if live.all():
-        _erfc_arr(q, out=q)
-        return np.multiply(0.5, q, out=q)
-    # Gather and scatter: a ``where=`` mask on a scipy.special ufunc writes
-    # to the wrong slots.
-    idx = np.flatnonzero(live)
-    vals = _erfc_arr(q[idx])
-    q.fill(0.0)
-    q[idx] = np.multiply(0.5, vals, out=vals)
+    q = np.divide(x, _SQRT2, out=np.empty(np.shape(x)) if out is None else out)
+    flat = q.reshape(-1)
+    live = flat[live_span(flat < ERFC_ZERO, flat)]
+    np.multiply(0.5, _erfc_arr(live, out=live), out=live)
     return q
+
+
+def live_span(live: np.ndarray, out: np.ndarray) -> slice:
+    """The slice from the first True of the 1-d mask ``live`` to the last (empty when none
+    is), with 0.0 written to ``out`` outside it.  ``find`` and ``rfind`` on the mask's bytes
+    stop at the first True from each end (``argmax`` on a reversed view copies it first)."""
+    data = live.tobytes()
+    first = data.find(1)
+    span = slice(first, data.rfind(1) + 1) if first >= 0 else slice(0, 0)
+    out[: span.start] = 0.0
+    out[span.stop :] = 0.0
+    return span

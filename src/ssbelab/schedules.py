@@ -569,7 +569,8 @@ def from_sigma_cell_rms(sigma: ContinuousSigma, h: float, rel_tol: float = 1e-10
     does not, in the last bit).  A request makes one quadrature call per
     entry over all its missing cells, kept in an (n,) or (n, d, r) cache.
     A failure names the lowest failing cell of the first failing entry, in
-    (i, j) order.
+    (i, j) order, of the request; a range asked for in blocks, as classify
+    asks, names that cell of the first block that has one.
     """
     if sigma.envelope is not None and sigma.env_sq_cell is not None:
         def env(ns, cell=sigma.env_sq_cell, h=h):

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
+from test_schedules import _matrix_source
+
 from ssbelab.classifier import (
     EXP_ZERO,
+    FRO_BLOCK,
     _dead,
     _evidence,
+    _frobenius_grid,
     _live_range,
     _probes,
     _s_terms,
@@ -492,3 +497,75 @@ def test_a_finite_verdict_below_an_infinite_one_is_inconclusive():
     # infinite at a larger one contradicts itself.
     assert _assembled(["infinite", "finite", "infinite", "finite"]) == ("inconclusive", None, None)
     assert _assembled(["infinite", "unknown", "finite", "finite"])[0] == "B"
+
+
+def _uniform_table(rows, d=1, seed=31):
+    values = np.random.default_rng(seed).uniform(0.1, 0.6, size=(rows, d))
+    return tabulated_schedule(np.column_stack([np.arange(rows), values]), h=0.1, d=d, r=1)
+
+
+_GRID_ROUTES = {
+    "zero": lambda: schedule_family("zero", h=0.1, d=2, r=3),
+    "constant": lambda: schedule_family("constant", h=0.1, c=1.5),
+    "power": lambda: schedule_family("power", h=0.1, c=2.0, p=0.75, d=2, r=2, base=[[1.0, 2.0], [0.5, -1.0]]),
+    "geometric": lambda: schedule_family("geometric", h=0.1, c=1.0, rho=0.9995),
+    "inverse_log": lambda: schedule_family("inverse_log", h=0.1, a=2.0, b=3.0),
+    # Exactly the rows the largest request reaches: classify clamps its truncation to the last.
+    "tabulated": lambda: _uniform_table(3 * FRO_BLOCK + 6, d=2),
+    "cell_rms_closed_form": lambda: from_sigma_cell_rms(sigma_family("exp_decay", c=1.0, a=1e-3), 0.1),
+    "cell_rms_quadrature": lambda: from_sigma_cell_rms(sigma_family("inverse_log_t", a=2.0, b=3.0), 0.1),
+    "cell_rms_matrix": lambda: from_sigma_cell_rms(_matrix_source(), 0.1),
+    "sampled": lambda: from_sigma_sampled(sigma_family("power_decay", c=1.0, p=0.5), 0.1),
+    "sampled_matrix": lambda: from_sigma_sampled(_matrix_source(), 0.1),
+}
+
+
+@pytest.mark.parametrize("n", [0, FRO_BLOCK - 2, FRO_BLOCK - 1, FRO_BLOCK, 3 * FRO_BLOCK + 5])
+@pytest.mark.parametrize("route", sorted(_GRID_ROUTES))
+def test_the_blocked_norm_grid_equals_one_whole_range_request(route, n):
+    # A schedule each: a cell-rms schedule caches the cells of its first request.
+    blocked = _frobenius_grid(_GRID_ROUTES[route](), n)
+    whole = _GRID_ROUTES[route]().frobenius_grid(np.arange(n + 1))
+    assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("policy", ["auto", "s", "sprime"])
+@pytest.mark.parametrize("route", ["inverse_log", "power", "tabulated"])
+def test_classify_holds_two_arrays_of_terms(route, policy):
+    # The norms and one row buffer of n_trunc + 1 floats each, plus masks and
+    # blocks; whole-range requests and index arrays took four arrays' worth.
+    # The table's norms at 0.1-0.6 are cut at scattered indices at larger eps.
+    n_trunc = 200_000
+    sched = {
+        "inverse_log": lambda: schedule_family("inverse_log", h=0.1, a=2.0, b=2.0),
+        "power": lambda: schedule_family("power", h=0.1, c=1.0, p=0.5),
+        "tabulated": lambda: _uniform_table(n_trunc + 1),
+    }[route]()
+    tracemalloc.start()
+    try:
+        classify(sched, policy=policy, n_trunc=n_trunc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * (n_trunc + 1)
+
+
+_TERM_CASES = {
+    "empty": (np.empty(0), 1.0),
+    "0-d live": (np.asarray(0.7), 1.0),
+    "0-d cut": (np.asarray(1e-3), 10.0),
+    "0-d dead": (np.asarray(-0.0), 1.0),
+    "all cut": (np.array([1e-3, 5e-324, 2e-3, 1e-300]), 10.0),
+    "all live": (np.array([0.5, 3.0, 1e3, np.inf, 0.9]), 0.1),
+    "cut inside the span": (np.array([1e-3, 0.5, 1e-3, 1e-300, 0.9, 5e-324, 2.0, 1e-3]), 1.0),
+    "dead norms": (np.array([0.0, 0.5, -1.0, np.nan, 1e-3, -0.0, 0.9, np.nan, 0.0]), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TERM_CASES))
+def test_term_kernels_keep_the_elementwise_bits_at_the_edges(case):
+    fro, eps = _TERM_CASES[case]
+    for kernel, oracle in ((_s_terms, _s_terms_whole_array), (_sprime_terms, _sprime_terms_whole_array)):
+        got = kernel(fro, eps, np.empty_like(fro), _dead(fro))
+        want = oracle(fro, eps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -428,6 +428,16 @@ def test_a_finite_state_past_1e154_completes(tmp_path, capsys, argv):
         assert all(math.isfinite(float(row[1])) for row in rows)
 
 
+def test_a_radial_state_past_1e154_completes(tmp_path, capsys):
+    # Its squared norm overflows, so the radial stage read its radius as inf
+    # and the radius solve stalled at residual nan at step 0.
+    cfg = ROOT / "perfbench" / "configs" / "radial_d3.cfg"
+    argv = ["simulate", str(cfg), "--set", "run.zeta=1e200,0,0", "--set", "run.steps=20", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "final ||X|| = 1e+200" in out
+
+
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
 def test_arctan_far_from_the_origin_completes(tmp_path, command):
     # |x| reaches ~1.7e4, where one ulp (3.6e-12) exceeds tol = 1e-12; the

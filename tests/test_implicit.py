@@ -639,6 +639,22 @@ def test_a_tiny_radius_in_a_block_leaves_the_other_rows_their_bits():
         assert np.array_equal(np.sign(y), np.sign(x) * (np.abs(y) > 0))
 
 
+@pytest.mark.parametrize("big", [1e200, 1e300, 1.7e308])
+def test_a_radius_whose_square_overflows_keeps_its_row(big):
+    # x.dot(x) overflows to inf past 1.34e154: the radius solve stalled at
+    # residual nan, so a finite state had no radial stage.
+    drift = builtin_drift("saturating", c=1.0, d=3)
+    ordinary = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
+    X = np.insert(ordinary, 1, [[big, 0.0, 0.0], [-big / 2, big / 2, -big / 4]], axis=0)
+    with np.errstate(over="ignore"):
+        Y, _, residual = solve_radial(drift, 0.1, X)
+        Y_ordinary, _, _ = solve_radial(drift, 0.1, ordinary)
+    assert Y[[0, 3]].tobytes() == Y_ordinary.tobytes()
+    assert residual <= 1e-12
+    # The gain is below half an ulp of the radius this far out: each row is its own stage.
+    assert Y[1:3].tobytes() == X[1:3].tobytes()
+
+
 def _linear_generic(h, jac_sign, calls):
     # f(y) = y with no componentwise or radial structure: the generic vector
     # route, whose root is x / (1 + h). jac_sign = -1 declares the wrong sign.

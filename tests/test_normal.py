@@ -111,6 +111,24 @@ def test_grid_form_matches_scalar():
         tail_q_grid(np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("x", [
+    np.empty(0),
+    np.asarray(1.5),
+    np.asarray(60.0),
+    np.array([40.0, np.inf, 1e300, 38.2]),  # every term cut
+    np.array([-np.inf, -3.0, 0.0, 1.0, 30.0]),  # every term live
+    np.array([50.0, 1.0, 40.0, np.inf, 1e300, 2.0, 60.0]),  # cut terms inside the span
+    np.array([[1.0, 50.0, np.inf], [60.0, 2.0, 38.0]]),
+], ids=["empty", "0-d live", "0-d cut", "all cut", "all live", "cut inside", "2-d"])
+def test_grid_form_equals_the_elementwise_formula_bit_for_bit(x):
+    want = 0.5 * erfc(x / math.sqrt(2.0))
+    got = tail_q_grid(x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    inplace = x.copy()
+    assert tail_q_grid(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == want.tobytes()
+
+
 def test_underflow_cuts_are_exact():
     # The term kernels write 0.0 past these cuts instead of calling erfc or
     # exp; a library whose underflow point moves past a cut fails here.
