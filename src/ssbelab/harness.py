@@ -22,7 +22,6 @@ ordered by path index, so output is deterministic byte for byte.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
@@ -37,6 +36,7 @@ from ssbelab.classifier import (
 )
 from ssbelab.config import RunSettings, Thresholds
 from ssbelab.diagnostics import CHECKPOINTS, PathSummary
+from ssbelab.floattext import csv_lines
 from ssbelab.integrator import integrate_paths_lockstep
 from ssbelab.normal import tail_q
 from ssbelab.schedules import (
@@ -83,14 +83,6 @@ class EnsembleReport:
     consistent: Optional[bool]
     thresholds: Thresholds
     config_echo: dict = field(default_factory=dict)
-
-
-def _checkpoint(summary: PathSummary, n: int, name: str) -> float:
-    """Checkpoint field ``name`` at step n, NaN when the path never reached it."""
-    for c in summary.checkpoints:
-        if c.n == n:
-            return getattr(c, name)
-    return math.nan
 
 
 def compute_fractions(summaries: Sequence[PathSummary], thresholds: Thresholds) -> Fractions:
@@ -177,16 +169,20 @@ def run_ensemble(
 
 
 def summaries_csv_text(summaries: Sequence[PathSummary], header_lines: Sequence[str]) -> str:
-    """Ensemble CSV body with a frozen column schema."""
+    """Ensemble CSV body with a frozen column schema; a checkpoint a path never reached is nan."""
     own = {f.name for f in fields(PathSummary)}
-    direct = [name for name in SUMMARY_COLUMNS if name in own]
-    out = [f"# {line}" for line in header_lines] + [",".join(SUMMARY_COLUMNS)]
-    for s in summaries:
-        row = [repr(getattr(s, name)) for name in direct]
-        for name in ("time_avg_sq", "m_over_n"):
-            row += [repr(_checkpoint(s, n, name)) for n in CHECKPOINTS]
-        out.append(",".join(row))
-    return "\n".join(out) + "\n"
+    direct = [name for name in SUMMARY_COLUMNS[1:] if name in own]
+    block = np.full((len(summaries), len(SUMMARY_COLUMNS) - 1), np.nan)
+    # Checkpoint n's time_avg_sq and m_over_n columns, after the direct ones.
+    cols = {n: len(direct) + j for j, n in enumerate(CHECKPOINTS)}
+    for i, s in enumerate(summaries):
+        block[i, : len(direct)] = [getattr(s, name) for name in direct]
+        for c in s.checkpoints:
+            j = cols[c.n]
+            block[i, j] = c.time_avg_sq
+            block[i, j + len(CHECKPOINTS)] = c.m_over_n
+    head = "".join(f"# {line}\n" for line in header_lines) + ",".join(SUMMARY_COLUMNS) + "\n"
+    return head + csv_lines([s.path_index for s in summaries], block).decode("ascii")
 
 
 def ensemble_report_records(report: EnsembleReport) -> dict[str, str]:

@@ -40,6 +40,7 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 MAX_BISECT = 200
 MAX_NEWTON = 50
+_BELOW_MAX = 1.7976931348623155e308  # the float just below the largest
 
 
 def _residual_floor(tol, x):
@@ -52,6 +53,8 @@ def _residual_floor(tol, x):
         # math, not numpy: the scalar solver runs once a step, where numpy's call overhead shows.
         return max(tol, 4.0 * math.ulp(x))
     floor = np.abs(x)
+    # spacing(max float) overflows to inf; one ulp below it, spacing is math.ulp(max float).
+    np.minimum(floor, _BELOW_MAX, out=floor)
     np.spacing(floor, out=floor)
     floor *= 4.0
     return np.maximum(floor, tol, out=floor)

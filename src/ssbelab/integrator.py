@@ -53,6 +53,7 @@ import numpy as np
 from ssbelab.affine import build_C
 from ssbelab.diagnostics import BatchDiagnostics, NonFiniteError, PathSummary
 from ssbelab.diagnostics import summarize  # noqa: F401  (perfbench's tracer wraps it here)
+from ssbelab.floattext import csv_lines
 from ssbelab.gaussian import GaussianStream, derive_substream
 from ssbelab.implicit import (
     SolverError,
@@ -405,7 +406,7 @@ def dump_path_csv(record: PathRecord, path) -> None:
     shock columns hold U(n) (the shock that produced X(n)) for n >= 1;
     absent entries are written as nan.  Thinned records carry every k-th
     row plus the final one.  Values are written as ``repr`` of the float,
-    a column at a time, CSV_ROWS rows at a time.
+    CSV_ROWS rows at a time through ``floattext.csv_lines``.
     """
     if record.X is None:
         raise ValueError("summary-only records have no rows to dump")
@@ -438,5 +439,4 @@ def dump_path_csv(record: PathRecord, path) -> None:
                 stage = shock = np.full((len(ns), d), np.nan)
             # repr(nan) is "nan", the text of an absent entry.
             vals = np.concatenate([record.X[lo : lo + CSV_ROWS], stage, shock], axis=1)
-            text = [list(map(str, ns.tolist()))] + [list(map(repr, col)) for col in vals.T.tolist()]
-            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+            fh.write(csv_lines(ns, vals).decode("ascii"))

@@ -977,6 +977,9 @@ def test_affine_finishes_on_a_weakly_stable_matrix(tmp_path, capsys, A, h):
 # SHA-256 of each report file and of stdout, the output directory masked as
 # <out>, recorded before the reports shared one writer.  The table route
 # covers the empirical regime C and the notes of format_regime_report.
+# The ensemble.csv digests were recorded before the CSV writers shared one
+# float formatter: regime C's checkpoint columns are all nan, regime A's
+# at 1200 steps reach the 1e3 checkpoint.
 REPORT_PINS = {
     "classify": ("configs/regime_b.cfg", ["classify.truncation=5000"], 0, {
         "stdout": "721b56c464be01d3d290eb8ee6036d2b15c9a1e6a4fa822173afe5ceb5a8d0a3",
@@ -1000,6 +1003,12 @@ REPORT_PINS = {
     "experiment": ("configs/regime_c.cfg", ["run.steps=300", "run.paths=4"], 1, {
         "stdout": "a5b7782c117da50da5acd9e80e69b7bfcd7a793dd3d775ee0afa529924e9e7e3",
         "ensemble_report.kv": "4852dfd24b2daa319454d16da03d3564372c7625a480d0d61b2895162a0266bf",
+        "ensemble.csv": "73181a3e6ee29d46297516d9d2dbbbd8d2d29a521764ec8c79522fb1eeeb778c",
+    }),
+    "experiment_a1e3": ("configs/regime_a.cfg", ["run.steps=1200", "run.paths=3"], 0, {
+        "stdout": "606d524247a841af48783d14f0d0da039dda114864c589acfcfa60d2cffad9a4",
+        "ensemble_report.kv": "5210d34e5267997f21273f31da72b8f3a4aa16488492c1cd398e185da2d3bf97",
+        "ensemble.csv": "d11e7aef2e2df9e617857538ce3488a5c0b89ce97d7acccdb7e48274626a2426",
     }),
 }
 

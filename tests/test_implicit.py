@@ -962,6 +962,24 @@ def test_componentwise_solves_keep_their_bits(name):
     assert digest == COMPONENTWISE_SOLVE_DIGESTS[name]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_both_engines_refuse_the_cubic_stage_at_the_largest_float():
+    # np.spacing(|x|) is inf at |x| = max float, with an overflow warning: the
+    # block stage's residual floor was inf, and it returned x itself after one
+    # iteration, at residual inf.  The floor there is now four ulps, as the
+    # scalar solve's.  Arctan's stage is x itself, within that floor.
+    big = np.finfo(np.float64).max
+    for x in (big, -big):
+        with pytest.raises(SolverError, match="stalled at residual inf"):
+            solve_scalar(builtin_drift("cubic"), 0.1, x)
+        with pytest.raises(SolverError, match="stalled at residual inf"):
+            solve_componentwise(builtin_drift("cubic"), 0.1, np.array([[x]]))
+        y, _, resid = solve_componentwise(builtin_drift("arctan"), 0.1, np.array([[x]]))
+        assert y[0, 0] == x and resid == 0.1 * math.atan(big) <= 4.0 * math.ulp(big)
+    for name, digest in COMPONENTWISE_SOLVE_DIGESTS.items():
+        assert _componentwise_battery_digest(_componentwise_battery_drift(name)) == digest, name
+
+
 _SHARED_ONES = np.ones((4, 3))
 
 
